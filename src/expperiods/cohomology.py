@@ -17,11 +17,16 @@ from fractions import Fraction
 
 from .errors import DegenerateFamily, ReductionDiverges, SpecFormatError
 from .symbolic import (
-    IncrementalSpan,
     LaurentPoly,
     RatFun,
     TPoly,
-    normalize_coefficient_list,
+    bareiss,
+    clear_denominators,
+    zpoly_add,
+    zpoly_derivative,
+    zpoly_mul,
+    zpoly_primitive_vector,
+    zpoly_sub,
 )
 
 CONNECTION_CONVENTION = (
@@ -241,27 +246,45 @@ class ScalarODE:
 def cyclic_ode(A: ConnectionMatrix, start: int = 0) -> ScalarODE:
     """Minimal-order scalar operator annihilating the component ``Y_start``.
 
-    Successive derivatives of ``y = Y_start`` are row vectors obtained by
+    Successive derivatives of ``y = Y_start`` are the row vectors
     ``v_{k+1} = v_k A + v_k'``; the first exact linear dependence over Q(t)
     (guaranteed at order <= rank) yields the scalar equation.
+
+    The work is fraction-free over Z[t].  With ``A = B/D`` for an integer
+    polynomial matrix ``B`` and one common denominator ``D``, the derivatives
+    are ``v_k = w_k / D^k`` where ``w_{k+1} = w_k B + D w_k' - k D' w_k``.  A
+    dependence ``sum_k c_k w_k = 0`` found by :func:`bareiss` is the operator
+    with coefficients ``c_k D^k``, which is then made primitive.
     """
     r = A.rank
     if r == 0:
         return ScalarODE(order=0, coefficients=(TPoly.one(),), start=start)
     if not 0 <= start < r:
         raise IndexError(f"start index {start} out of range for rank {r}")
-    v = [RatFun.one() if j == start else RatFun.zero() for j in range(r)]
-    span = IncrementalSpan(r)
-    m = 0
-    while m <= r:
-        combo = span.insert(v)
-        if combo is not None:
-            coeffs = [-c for c in combo] + [RatFun.one()]
-            polys = normalize_coefficient_list(coeffs)
-            return ScalarODE(order=m, coefficients=tuple(polys), start=start)
-        v = [
-            sum((v[i] * A.entries[i][j] for i in range(r)), RatFun.zero()) + v[j].derivative()
-            for j in range(r)
-        ]
-        m += 1
-    raise AssertionError("dependence must occur at order <= rank")
+    nums, D = clear_denominators([x for row in A.entries for x in row])
+    B = [nums[i * r:(i + 1) * r] for i in range(r)]
+    dD = zpoly_derivative(D)
+
+    def derivatives():
+        w = [[1] if j == start else [] for j in range(r)]
+        k = 0
+        while True:
+            yield w
+            kdD = [k * c for c in dD]
+            nxt = []
+            for j in range(r):
+                acc = zpoly_sub(zpoly_mul(D, zpoly_derivative(w[j])), zpoly_mul(kdD, w[j]))
+                for i in range(r):
+                    if w[i] and B[i][j]:
+                        acc = zpoly_add(acc, zpoly_mul(w[i], B[i][j]))
+                nxt.append(acc)
+            w = nxt
+            k += 1
+
+    _, relation = bareiss(derivatives())
+    polys, Dk = [], [1]
+    for c in relation:
+        polys.append(zpoly_mul(c, Dk))
+        Dk = zpoly_mul(Dk, D)
+    coeffs = tuple(TPoly(p) for p in zpoly_primitive_vector(polys))
+    return ScalarODE(order=len(coeffs) - 1, coefficients=coeffs, start=start)

@@ -9,10 +9,6 @@ class SpecFormatError(EngineError):
     """A problem-definition file or expression string could not be parsed."""
 
 
-class SingularOverQt(EngineError):
-    """An exact linear system over Q(t) has no unique solution."""
-
-
 class DegenerateFamily(EngineError):
     """A defining polynomial of the family vanishes identically in t."""
 

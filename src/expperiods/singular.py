@@ -23,7 +23,7 @@ import mpmath as mp
 
 from .cohomology import ConnectionMatrix, FiberType, ProblemSpec
 from .errors import DegenerateFamily, PrecisionExhausted
-from .symbolic import LaurentPoly, TPoly, tpoly_gcd
+from .symbolic import LaurentPoly, TPoly, bareiss, tpoly_gcd, tpolys_to_z
 
 LEADING_COEFF_VANISHES = "LeadingCoeffVanishes"
 CRITICAL_POINT_DEGENERATION = "CriticalPointDegeneration"
@@ -100,30 +100,6 @@ def squarefree_decomposition(p: TPoly):
     return out
 
 
-def _tpoly_det_bareiss(M):
-    """Fraction-free determinant of a square TPoly matrix."""
-    n = len(M)
-    if n == 0:
-        return TPoly.one()
-    M = [list(row) for row in M]
-    sign = 1
-    prev = TPoly.one()
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n) if not M[r][k].is_zero()), None)
-            if swap is None:
-                return TPoly.zero()
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]).exact_div(prev)
-            M[i][k] = TPoly.zero()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def _laurent_to_ucoeffs(p: LaurentPoly):
     """Clear the pole at u=0 and return ascending TPoly u-coefficients."""
     if p.is_zero():
@@ -148,18 +124,19 @@ def resultant_u(p: LaurentPoly, q: LaurentPoly) -> TPoly:
     size = m + n
     if size == 0:
         return TPoly.one()
+    # Sylvester rows over Z[t]: the n rows of a carry the scale La, the m rows
+    # of b carry Lb, and the determinant is divided by La^n * Lb^m at the end.
+    za, La = tpolys_to_z(a)
+    zb, Lb = tpolys_to_z(b)
     rows = []
-    for i in range(n):  # rows of a, descending coefficients
-        row = [TPoly.zero()] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [TPoly.zero()] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    return _tpoly_det_bareiss(rows)
+    for coeffs, shifts in ((za, n), (zb, m)):
+        for i in range(shifts):
+            row = [[] for _ in range(size)]
+            row[i:i + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
+    det, _ = bareiss(rows)  # rows as columns: det(M^T) = det(M)
+    scale = La ** n * Lb ** m
+    return TPoly(Fraction(c, scale) for c in det)
 
 
 # ---------------------------------------------------------------------------

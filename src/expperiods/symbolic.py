@@ -1,10 +1,10 @@
-"""Exact arithmetic over Q(t) and over Laurent polynomials Q[t][u, 1/u].
+"""Exact arithmetic over Q(t), over Laurent polynomials Q[t][u, 1/u], and over Z[t].
 
-Everything downstream (degree reduction, connection matrices, scalar
-operators, singular sets) is built on three small exact types:
+The API edge uses three small exact types:
 
 * :class:`TPoly` — dense univariate polynomials in ``t`` over ``Fraction``;
-* :class:`RatFun` — reduced fractions of two ``TPoly`` with monic denominator;
+* :class:`RatFun` — reduced fractions of two ``TPoly`` with monic denominator
+  (the entries of a connection matrix ``A(t)``);
 * :class:`LaurentPoly` — finite sums ``sum_k c_k(t) * u^k`` with ``k`` ranging
   over the integers and ``c_k`` a ``TPoly``.
 
@@ -12,6 +12,19 @@ Rational scalars are plain :class:`fractions.Fraction`, which already keeps
 ``gcd(num, den) = 1`` and ``den > 0``.  A tiny expression parser and canonical
 printers make every object round-trip through strings, which is what the CLI
 serializes.
+
+The heavy exact work runs fraction-free over Z[t], on plain lists of Python
+ints ("zpolys"), and converts back to ``TPoly`` once at the end:
+
+* :func:`zpoly_gcd` — the one polynomial gcd (primitive PRS); ``tpoly_gcd``
+  (monic, over Q[t]) and the coefficient normalization
+  :func:`zpoly_primitive_vector` are built on it;
+* :func:`bareiss` — the one exact elimination: fraction-free Gaussian
+  elimination that returns either a determinant (the Sylvester resultants of
+  the singular set) or the first linear dependence among its columns as
+  Cramer minors (the cyclic-vector ODE);
+* :func:`clear_denominators` and :func:`tpolys_to_z` move ``RatFun`` and
+  ``TPoly`` data onto Z[t] with one common denominator.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import AtSingularT, SingularOverQt, SpecFormatError
+from .errors import AtSingularT, SpecFormatError
 
 Rational = Fraction
 
@@ -249,13 +262,6 @@ def _join_terms(parts: Sequence[str]) -> str:
         else:
             out += " + " + p
     return out
-
-
-def tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
 
 
 class RatFun:
@@ -770,80 +776,161 @@ def parse_tpoly(s: str) -> TPoly:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q(t)
+# Fraction-free arithmetic over Z[t]
 # ---------------------------------------------------------------------------
+#
+# A Z[t] polynomial ("zpoly") is a list of Python ints, lowest degree first,
+# with no trailing zeros; the zero polynomial is [].  The large exact
+# computations (cyclic vectors, resultants, gcds) run on zpolys and convert
+# to TPoly once at the end: Fraction arithmetic pays an integer gcd on every
+# coefficient operation, and Euclid over Q[t] lets coefficients swell.
 
 
-def _pivot_size(r: RatFun) -> int:
-    return r.num.degree + r.den.degree
+def _zp_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def solve_linear_ratfun(A: Sequence[Sequence[RatFun]], b: Sequence[RatFun]) -> list:
-    """Solve the square system ``A x = b`` exactly over Q(t).
+def zpoly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _zp_trim(out)
 
-    Raises:
-        SingularOverQt: if the matrix is singular as a matrix over Q(t).
+
+def zpoly_sub(a: list, b: list) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _zp_trim(out)
+
+
+def zpoly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def zpoly_derivative(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def zpoly_exact_div(a: list, b: list) -> list:
+    """Quotient ``a / b`` in Z[t]; raises ArithmeticError unless ``b`` divides ``a``."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db, lb = len(b) - 1, b[-1]
+    rem = list(a)
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + db], lb)
+        if r:
+            raise ArithmeticError("division was expected to be exact")
+        if q:
+            quo[k] = q
+            for j, c in enumerate(b, k):
+                rem[j] -= q * c
+    if any(rem[:db]):
+        raise ArithmeticError("division was expected to be exact")
+    return quo
+
+
+def _zp_primitive(a: list) -> list:
+    """``a`` divided by its integer content, with positive leading coefficient."""
+    if not a:
+        return a
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [x // c for x in a]
+
+
+def _zp_prem(a: list, b: list) -> list:
+    """``lc(b)^k * a mod b`` for some ``k >= 0`` (a sparse pseudo-remainder)."""
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(rem) > db:
+        g = math.gcd(rem[-1], lb)
+        mb, mr = lb // g, rem[-1] // g
+        rem = [c * mb for c in rem]
+        for j, c in enumerate(b, len(rem) - 1 - db):
+            rem[j] -= mr * c
+        _zp_trim(rem)
+    return rem
+
+
+def zpoly_gcd(a: list, b: list) -> list:
+    """Gcd in Z[t], content included, with positive leading coefficient.
+
+    Primitive polynomial remainder sequence (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, ch. 6): pseudo-remainders with the integer
+    content removed at every step, so coefficients stay near the size of the
+    result.
     """
-    n = len(A)
-    if any(len(row) != n for row in A) or len(b) != n:
-        raise ValueError("shape mismatch")
-    M = [[_as_ratfun(x) for x in row] + [_as_ratfun(b[i])] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = None
-        best = None
-        for r in range(col, n):
-            if not M[r][col].is_zero():
-                sz = _pivot_size(M[r][col])
-                if best is None or sz < best:
-                    pivot, best = r, sz
-        if pivot is None:
-            raise SingularOverQt("matrix is singular over Q(t)")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = RatFun.one() / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [M[r][j] - f * M[col][j] for j in range(n + 1)]
-    return [M[i][n] for i in range(n)]
+    if not a or not b:
+        g = a or b
+        return [-c for c in g] if g and g[-1] < 0 else list(g)
+    content = math.gcd(math.gcd(*a), math.gcd(*b))
+    a, b = _zp_primitive(a), _zp_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _zp_primitive(_zp_prem(a, b))
+    g = a if not b else [1]
+    return g if content == 1 else [c * content for c in g]
 
 
-class IncrementalSpan:
-    """Grow an echelonized span of Q(t)-row-vectors, recording combinations.
+def zpoly_primitive_vector(polys: Sequence[list]) -> list:
+    """Divide ``polys`` by their common gcd in Z[t]; make the last nonzero entry's
+    leading coefficient positive.
 
-    ``insert(v)`` either reports that ``v`` is dependent on the rows inserted
-    so far — returning the coefficients of that dependence — or adds it.
+    The result is the unique representative of the Q(t)-line through
+    ``polys`` whose entries are coprime integer polynomials.
     """
+    g = []
+    for p in sorted((p for p in polys if p), key=len):
+        g = zpoly_gcd(g, p)
+        if g == [1]:
+            break
+    if g not in ([], [1]):
+        polys = [zpoly_exact_div(p, g) for p in polys]
+    lead = next((p for p in reversed(polys) if p), None)
+    if lead is not None and lead[-1] < 0:
+        polys = [[-c for c in p] for p in polys]
+    return list(polys)
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows = []  # (pivot_col, reduced_vector, combo_over_inserted)
-        self.count = 0
 
-    def insert(self, v: Sequence[RatFun]):
-        """Return ``None`` if independent (and keep it), else coefficients
-        ``c`` with ``v = sum_j c[j] * v_j`` over previously inserted rows."""
-        vec = [_as_ratfun(x) for x in v]
-        combo = [RatFun.zero()] * self.count
-        for pc, row, rcombo in self.rows:
-            if not vec[pc].is_zero():
-                f = vec[pc]
-                vec = [vec[j] - f * row[j] for j in range(self.width)]
-                combo = [combo[j] + f * rcombo[j] for j in range(self.count)]
-        pivot = next((j for j in range(self.width) if not vec[j].is_zero()), None)
-        if pivot is None:
-            return combo
-        inv = RatFun.one() / vec[pivot]
-        vec = [x * inv for x in vec]
-        combo = [x * inv for x in combo]
-        # reduced row = inv * v_new - sum_j combo[j] * v_j over the originals
-        newcombo = [-c for c in combo] + [inv]
-        self.rows = [
-            (pc, row, rc + [RatFun.zero()]) for pc, row, rc in self.rows
-        ]
-        self.rows.append((pivot, vec, newcombo))
-        self.count += 1
-        return None
+def tpolys_to_z(ps: Sequence[TPoly]):
+    """Integer coefficient lists and one positive integer ``L`` with ``ps[i] = zs[i] / L``."""
+    L = 1
+    for p in ps:
+        for c in p.coeffs:
+            L = L * c.denominator // math.gcd(L, c.denominator)
+    return [[c.numerator * (L // c.denominator) for c in p.coeffs] for p in ps], L
+
+
+def clear_denominators(fs: Sequence[RatFun]):
+    """Z[t] numerators and one common Z[t] denominator: ``fs[i] = nums[i] / den``."""
+    pairs = [tpolys_to_z((f.num, f.den))[0] for f in fs]
+    den = [1]
+    for _, d in pairs:
+        if d != den:
+            den = zpoly_mul(den, zpoly_exact_div(d, zpoly_gcd(den, d)))
+    return [zpoly_mul(n, zpoly_exact_div(den, d)) for n, d in pairs], den
+
+
+def tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
+    """Monic gcd over Q[t], computed over Z[t] by :func:`zpoly_gcd`."""
+    za, zb = tpolys_to_z((a, b))[0]
+    return TPoly(zpoly_gcd(za, zb)).monic()
 
 
 def normalize_coefficient_list(cs: Sequence[RatFun]):
@@ -852,31 +939,62 @@ def normalize_coefficient_list(cs: Sequence[RatFun]):
     Returns ``TPoly`` coefficients with trivial common polynomial factor,
     integer content 1, and positive leading coefficient in the last entry.
     """
-    cs = [_as_ratfun(c) for c in cs]
-    den = TPoly.one()
-    for c in cs:
-        g = tpoly_gcd(den, c.den)
-        den = den * c.den.exact_div(g)
-    polys = [(c * RatFun(den)).num for c in cs]
-    g = TPoly.zero()
-    for p in polys:
-        g = tpoly_gcd(g, p) if not g.is_zero() else p.monic()
-        if g.degree == 0:
-            break
-    if not g.is_zero() and g.degree > 0:
-        polys = [p.exact_div(g) for p in polys]
-    content = _ZERO
-    for p in polys:
-        c = p.content()
-        if c:
-            content = Fraction(
-                math.gcd(content.numerator, c.numerator),
-                (content.denominator * c.denominator)
-                // math.gcd(content.denominator, c.denominator),
-            ) if content else c
-    if content and content != 1:
-        polys = [p * (1 / content) for p in polys]
-    lead = next((p for p in reversed(polys) if not p.is_zero()), None)
-    if lead is not None and lead.lc() < 0:
-        polys = [-p for p in polys]
-    return polys
+    nums, _ = clear_denominators([_as_ratfun(c) for c in cs])
+    return [TPoly(p) for p in zpoly_primitive_vector(nums)]
+
+
+def bareiss(columns: Iterable[Sequence[list]]):
+    """Fraction-free (Bareiss) elimination over Z[t] of columns taken in order.
+
+    ``columns`` yields equal-length lists of zpolys and is consumed lazily:
+    elimination stops at the first column that depends on the ones before it.
+    Returns ``(det, relation)``:
+
+    * every column has a pivot: ``relation`` is None and ``det`` is the
+      determinant of the matrix with these columns (when it is square);
+    * column ``m`` is the first dependent one: ``det`` is ``[]`` and
+      ``relation`` is ``[c_0, ..., c_m]`` with ``sum_k c_k * column_k = 0``,
+      where ``c_m`` is minus the pivot minor of the first ``m`` columns
+      (nonzero) and ``c_k`` are the matching Cramer minors.
+
+    Each new column is first brought through the earlier elimination steps.
+    After step ``s`` every entry is an ``(s+1)``-minor of the input
+    (Sylvester's identity; Bareiss 1968), so each division by the previous
+    pivot is exact in Z[t], and back-substitution multiplied through by the
+    last pivot stays in Z[t] by Cramer's rule.
+    """
+    rows = []  # pivot row of each step
+    cols = []  # each column as it stood when its own pivot was chosen
+    for col in columns:
+        col = list(col)
+        rest = list(range(len(col)))
+        prev = [1]
+        for p, e in zip(rows, cols):
+            piv, xp = e[p], col[p]
+            rest.remove(p)
+            for i in rest:
+                col[i] = zpoly_exact_div(
+                    zpoly_sub(zpoly_mul(piv, col[i]), zpoly_mul(e[i], xp)), prev
+                )
+            prev = piv
+        live = [i for i in rest if col[i]]
+        if live:
+            rows.append(min(live, key=lambda i: len(col[i])))
+            cols.append(col)
+            continue
+        # Dependent: solve the triangular system on the pivot rows, scaled by
+        # the last pivot so that every unknown is a Cramer minor.
+        m = len(rows)
+        y = [None] * m
+        for s in range(m - 1, -1, -1):
+            p = rows[s]
+            acc = zpoly_mul(prev, col[p])
+            for j in range(s + 1, m):
+                acc = zpoly_sub(acc, zpoly_mul(cols[j][p], y[j]))
+            y[s] = zpoly_exact_div(acc, cols[s][p])
+        return [], y + [[-c for c in prev]]
+    if not rows:
+        return [1], None
+    inversions = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:])
+    det = cols[-1][rows[-1]]
+    return (det if inversions % 2 == 0 else [-c for c in det]), None

@@ -84,6 +84,18 @@ class TestDerive:
         assert payload["basis"]["rank"] == 0
         assert payload["scalar_ode"]["order"] == 0
 
+    @pytest.mark.parametrize("spec,start", [(AIRY, "5"), (AIRY, "-1"), (LINEAR, "3")])
+    def test_start_out_of_range(self, capsys, spec, start):
+        code, out, err = run(capsys, "derive", spec, "--start", start)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("precondition violated:") and err.count("\n") == 1
+
+    def test_start_in_range(self, capsys):
+        code, out, _ = run(capsys, "derive", AIRY, "--start", "1")
+        assert code == 0
+        assert json.loads(out)["scalar_ode"]["start"] == 1
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "derive", BESSEL)
         _, out2, _ = run(capsys, "derive", BESSEL)

@@ -16,7 +16,7 @@ from expperiods.cohomology import (
     twisted_differential,
 )
 from expperiods.errors import DegenerateFamily, SpecFormatError
-from expperiods.symbolic import LaurentPoly, TPoly, parse_laurent
+from expperiods.symbolic import LaurentPoly, RatFun, TPoly, parse_laurent
 
 
 def make(fiber, g, label=""):
@@ -28,6 +28,78 @@ BESSEL = make(FiberType.PUNCTURED_LINE, "(t/2)*(u - u^-1)", "bessel")
 GAUSSIAN = make(FiberType.AFFINE_LINE, "-t*u^2", "gaussian")
 LINEAR = make(FiberType.AFFINE_LINE, "t*u", "linear")
 ALL = (AIRY, BESSEL, GAUSSIAN, LINEAR)
+
+# cyclic_ode strings of the ladder rungs, captured from the Q(t) elimination
+# that the Z[t] routine replaced; the output must stay byte-identical.
+LADDER_ODES = [
+    (
+        FiberType.AFFINE_LINE,
+        "u^5/5-t*u^2+u",
+        (
+            "(t^2)*y^(4) + (-2*t)*y^(3) + (2*t^2 + 2)*y^(2) + (4*t^4 - 2*t)*y^(1) + (2*t^3 + t^2"
+            " + 2)*y = 0"
+        ),
+    ),
+    (
+        FiberType.AFFINE_LINE,
+        "u^7-t*u^3+t^2*u",
+        (
+            "(9256148959232*t^15 - 5454516350976*t^14 + 779216621568*t^13 + 43219536640*t^12 -"
+            " 11249126784*t^11 - 52065699943824*t^10 + 9545440954560*t^9 - 1009440964539*t^8 +"
+            " 90128545920*t^7 + 3100286448*t^6 - 46859426545932*t^5 + 6275794905450*t^4 +"
+            " 242398352448*t^3 - 2668279320*t^2 - 254121840*t + 2440586151360)*y^(6) +"
+            " (-138842234388480*t^14 + 76363228913664*t^13 - 10129816080384*t^12 -"
+            " 518634439680*t^11 + 123740394624*t^10 + 520656999438240*t^9 - 85908968591040*t^8 +"
+            " 8075527716312*t^7 - 630899821440*t^6 - 18601718688*t^5 + 234297132729660*t^4 -"
+            " 25103179621800*t^3 - 727195057344*t^2 + 5336558640*t + 254121840)*y^(5) +"
+            " (35702288842752*t^17 - 21038848782336*t^16 + 3005549826048*t^15 + 166703927040*t^14"
+            " + 971852251230336*t^13 - 696689965456464*t^12 + 104007853537728*t^11 -"
+            " 2621006185791*t^10 - 177094686720*t^9 - 2134681219104336*t^8 + 65082928265964*t^7 +"
+            " 9994750542630*t^6 + 2808215746560*t^5 + 29740726008*t^4 - 390496597709400*t^3 +"
+            " 43581918897720*t^2 + 373559104800*t - 17788528800)*y^(4) + (-249916021899264*t^16 +"
+            " 121982820212736*t^15 - 12674919720960*t^14 - 1057688980992*t^13 -"
+            " 3887439964222080*t^12 + 2279988903056928*t^11 - 311934905916312*t^10 +"
+            " 5252126352606*t^9 + 1501058178816*t^8 + 4685905647192672*t^7 - 754958530290888*t^6"
+            " + 86466586922100*t^5 + 422181083520*t^4 - 102597457536*t^3 + 488113345838160*t^2 +"
+            " 59271331286160*t + 498078806400)*y^(3) + (-126941471440896*t^20 +"
+            " 91239182598144*t^19 - 21099566960640*t^18 + 1220146249728*t^17 + 169672715520*t^16"
+            " + 1654180782742656*t^15 - 558697699325808*t^14 + 68512947028848*t^13 -"
+            " 4635729647325*t^12 + 8747363621720943*t^11 - 2061812924514000*t^10 -"
+            " 103282597145196*t^9 + 61853827988232*t^8 - 3651290516034*t^7 - 7653772610811432*t^6"
+            " + 2186771611047408*t^5 - 123772648402620*t^4 - 1985199814080*t^3 - 52247450304*t^2"
+            " - 292875529509360*t + 62757976281840)*y^(2) + (31735367860224*t^19 +"
+            " 7933841965056*t^18 - 6314690543616*t^17 + 113485166592*t^16 + 123320891904*t^15 +"
+            " 725941483642368*t^14 - 136009242758592*t^13 + 16052395156056*t^12 -"
+            " 2464507558674*t^11 - 8747064057957120*t^10 + 5667738794956224*t^9 -"
+            " 868968415169820*t^8 + 1578697719984*t^7 + 2636022175416*t^6 + 7653659522962320*t^5"
+            " - 1073862594887040*t^4 + 28589874626880*t^3 - 5400597343680*t^2 - 111813609600*t +"
+            " 292873242412800)*y^(1) + (84627647627264*t^23 - 64981943713792*t^22 +"
+            " 16704245497856*t^21 - 1274599854080*t^20 - 116617453568*t^19 - 793361419198208*t^18"
+            " + 207412593349248*t^17 - 28992992479920*t^16 + 5298750073008*t^15 -"
+            " 531568122357*t^14 - 2392040954545536*t^13 + 876619433278512*t^12 -"
+            " 107676148850676*t^11 + 536030282844*t^10 + 116169940260*t^9 + 1606605087081960*t^8"
+            " - 404041683632832*t^7 - 20129493474720*t^6 + 1502876425680*t^5 + 40804706880*t^4 -"
+            " 878613462357120*t^3 + 62757974059200*t^2 + 640387036800*t - 30494620800)*y = 0"
+        ),
+    ),
+    (
+        FiberType.PUNCTURED_LINE,
+        "u^3+t*u-u^-3+t^2*u^-1",
+        (
+            "(2336256*t^15 - 1128960*t^12 - 3475296*t^9 - 12941568*t^6 - 325458*t^3 -"
+            " 16929)*y^(6) + (-35043840*t^14 + 13547520*t^11 + 31277664*t^8 + 77649408*t^5 +"
+            " 976374*t^2)*y^(5) + (-3115008*t^19 - 25751040*t^16 + 265807488*t^13 - 10479648*t^10"
+            " + 126073464*t^7 - 186582042*t^4 + 2758401*t)*y^(4) + (-12460032*t^18 +"
+            " 242605056*t^15 - 1033446912*t^12 + 191713920*t^9 - 338564928*t^6 + 182244276*t^3 -"
+            " 1529253)*y^(3) + (36341760*t^20 + 102665728*t^17 - 1029523072*t^14 +"
+            " 2033219104*t^11 - 803822328*t^8 - 141381414*t^5 - 51908553*t^2)*y^(2) +"
+            " (109025280*t^19 - 411714048*t^16 + 1672063104*t^13 - 5031831072*t^10 +"
+            " 385323768*t^7 + 1300257882*t^4 - 21393126*t)*y^(1) + (84105216*t^21 -"
+            " 143757312*t^18 + 43295872*t^15 - 2059631872*t^12 - 2275244936*t^9 + 156794940*t^6 -"
+            " 1134500454*t^3 + 13560129)*y = 0"
+        ),
+    ),
+]
 
 
 def random_section(spec, rng):
@@ -178,3 +250,30 @@ class TestScalarODE:
     def test_bad_start_index(self):
         with pytest.raises(IndexError):
             cyclic_ode(connection_matrix(AIRY, fiber_basis(AIRY)), start=5)
+
+    @pytest.mark.parametrize(
+        "fiber,g,expected", LADDER_ODES, ids=[g for _, g, _ in LADDER_ODES]
+    )
+    def test_ladder_odes_pinned(self, fiber, g, expected):
+        spec = make(fiber, g)
+        assert cyclic_ode(connection_matrix(spec, fiber_basis(spec))).to_str() == expected
+
+    def test_deg9_rung_annihilates(self):
+        spec = make(FiberType.AFFINE_LINE, "u^9+t*u^4-(t^2+1)*u")
+        A = connection_matrix(spec, fiber_basis(spec))
+        ode = cyclic_ode(A)
+        assert ode.order == 8
+        assert max(p.degree for p in ode.coefficients) == 38
+        # sum_k p_k v_k = 0 over Q(t), with v_{k+1} = v_k A + v_k' in RatFun
+        r = A.rank
+        v = [RatFun.one() if j == 0 else RatFun.zero() for j in range(r)]
+        total = [RatFun.zero()] * r
+        for k, p in enumerate(ode.coefficients):
+            total = [total[j] + RatFun(p) * v[j] for j in range(r)]
+            if k < ode.order:
+                v = [
+                    sum((v[i] * A.entries[i][j] for i in range(r)), RatFun.zero())
+                    + v[j].derivative()
+                    for j in range(r)
+                ]
+        assert all(x.is_zero() for x in total)
