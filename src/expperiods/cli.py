@@ -28,7 +28,7 @@ from .cohomology import (
     cyclic_ode,
     fiber_basis,
 )
-from .cycles import CycleBasis, cycle_basis, track_cycles
+from .cycles import cycle_basis, track_cycles
 from .errors import (
     AtSingularT,
     DegenerateFamily,

@@ -12,8 +12,7 @@ the reduction into the connection matrix ``Y' = A(t) Y``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import DegenerateFamily, ReductionDiverges, SpecFormatError
 from .symbolic import (
@@ -126,8 +125,10 @@ def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> li
     Repeatedly subtracts twisted differentials of monomial gauges to push the
     u-support of P into the basis window: from above using the top term of g,
     and (punctured line) from below using the bottom term.  All arithmetic is
-    exact; divisions are by the nonzero leading coefficients of g only, so the
-    result is a vector of rational functions of t.
+    exact.  Every division is by ``top`` or ``bottom``, the u-leading
+    coefficients of these gauges, so each work entry is carried as ``(N, a, b)``,
+    the ``TPoly`` numerator ``N`` over ``top^a * bottom^b``, and reduced to a
+    ``RatFun`` once, at the end.
 
     Raises:
         ReductionDiverges: if the support fails to shrink (cannot happen for
@@ -137,47 +138,60 @@ def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> li
         raise SpecFormatError("form has negative u-powers on the affine line")
     d = spec.top_degree
     top = spec.g.coeff(d) * d  # coefficient of u^{k+d-1} in the gauge of u^k
-    work = {k: RatFun(c) for k, c in P.terms.items()}
+    work = {k: (c, 0, 0) for k, c in P.terms.items()}
 
     if spec.fiber is FiberType.AFFINE_LINE:
-        hi_cut = d - 1  # first exponent outside the window 0..d-2
+        hi_cut, bottom = d - 1, TPoly.one()  # window 0..d-2; no gauges from below
     else:
         hi_cut = d
         e = -spec.bottom_order
         bottom = spec.g.coeff(-e) * (-e)
 
     budget = 2 * (len(work) + (max(work) - min(work) if work else 0)) + 8 * (d + 4)
+    powers = ([TPoly.one()], [TPoly.one()])  # powers of top, of bottom
 
-    def _subtract_gauge(m: int, k: int, lead: TPoly):
+    def lift(N: TPoly, a: int, b: int) -> TPoly:
+        """``N * top^a * bottom^b``."""
+        for base, ps, n in ((top, powers[0], a), (bottom, powers[1], b)):
+            if n:
+                while len(ps) <= n:
+                    ps.append(ps[-1] * base)
+                N = N * ps[n]
+        return N
+
+    def _subtract_gauge(m: int, k: int, da: int, db: int):
         nonlocal budget
         budget -= 1
         if budget < 0:
             raise ReductionDiverges("reduction budget exhausted")
-        c = work[m] / RatFun(lead)
+        N, a, b = work[m]
+        a, b = a + da, b + db  # the multiplier N / (top^a * bottom^b)
         for key, tp in _gauge_terms(spec, k).items():
-            cur = work.get(key, RatFun.zero())
-            new = cur - c * RatFun(tp)
+            M, x, y = work.get(key, (TPoly.zero(), a, b))
+            A, B = max(x, a), max(y, b)
+            new = lift(M, A - x, B - y) - lift(N * tp, A - a, B - b)
             if new.is_zero():
                 work.pop(key, None)
             else:
-                work[key] = new
+                work[key] = (new, A, B)
         assert m not in work, "gauge subtraction must cancel the target term exactly"
 
     while work:
         m = max(work)
         if m < hi_cut:
             break
-        _subtract_gauge(m, m - d + 1, top)
+        _subtract_gauge(m, m - d + 1, 1, 0)
     if spec.fiber is FiberType.PUNCTURED_LINE:
         while work:
             m = min(work)
             if m >= -e:
                 break
-            _subtract_gauge(m, m + e + 1, bottom)
+            _subtract_gauge(m, m + e + 1, 0, 1)
 
     leftovers = set(work) - set(basis.exponents)
     assert not leftovers, f"reduction left exponents {sorted(leftovers)} outside the window"
-    return [work.get(ei, RatFun.zero()) for ei in basis.exponents]
+    entries = [work.get(ei, (TPoly.zero(), 0, 0)) for ei in basis.exponents]
+    return [RatFun(N, lift(TPoly.one(), a, b)) for N, a, b in entries]
 
 
 @dataclass(frozen=True)

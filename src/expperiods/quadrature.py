@@ -23,7 +23,6 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 from .cohomology import ConnectionMatrix, FiberType, ProblemSpec
 from .errors import DegenerateFamily, PrecisionExhausted
@@ -85,19 +86,12 @@ class SingularSet:
 
 def squarefree_decomposition(p: TPoly):
     """Return [(q_i, i)] with p ~ prod q_i^i, q_i squarefree and coprime."""
-    fs = [p.monic()]
+    fs = [p.monic()]  # fs[k] = gcd(fs[k-1], fs[k-1]')
     while fs[-1].degree > 0:
-        nxt = tpoly_gcd(fs[-1], fs[-1].derivative())
-        fs.append(nxt)
-        if nxt.degree == 0:
-            break
-    ss = [fs[k].exact_div(fs[k + 1]) for k in range(len(fs) - 1)]
-    out = []
-    for k in range(len(ss)):
-        qk = ss[k] if k + 1 >= len(ss) else ss[k].exact_div(ss[k + 1])
-        if qk.degree > 0:
-            out.append((qk, k + 1))
-    return out
+        fs.append(tpoly_gcd(fs[-1], fs[-1].derivative()))
+    ss = [fs[k].exact_div(fs[k + 1]) for k in range(len(fs) - 1)] + [TPoly.one()]
+    qs = [ss[k].exact_div(ss[k + 1]) for k in range(len(ss) - 1)]
+    return [(q, k + 1) for k, q in enumerate(qs) if q.degree > 0]
 
 
 def _laurent_to_ucoeffs(p: LaurentPoly):
@@ -145,46 +139,53 @@ def resultant_u(p: LaurentPoly, q: LaurentPoly) -> TPoly:
 
 
 def _taylor_coeffs(desc_coeffs, z0):
-    """Taylor coefficients of a polynomial (descending coeffs) at z0."""
-    work = list(desc_coeffs)
-    out = []
-    for _ in range(len(desc_coeffs)):
-        rem = work[0]
-        new = [work[0]]
-        for c in work[1:]:
-            rem = rem * z0 + c
-            new.append(rem)
-        out.append(rem)
-        work = new[:-1]
-        if not work:
-            break
+    """Taylor coefficients at z0 of a polynomial (descending coeffs), by Horner."""
+    work, out = list(desc_coeffs), []
+    while work:
+        for i in range(1, len(work)):
+            work[i] = work[i - 1] * z0 + work[i]
+        out.append(work.pop())
     return out  # out[k] = p^(k)(z0) / k!
 
 
+def _seeds(coeffs_desc):
+    """Numpy roots of the monic float coefficients, or None (mpmath's default
+    start) unless coefficients and roots are finite and the roots distinct."""
+    fc = np.array([float(c / coeffs_desc[0]) for c in coeffs_desc])
+    if not np.isfinite(fc).all():
+        return None  # np.roots raises LinAlgError on inf
+    seeds = np.roots(fc).tolist()
+    if not np.isfinite(seeds).all() or len(set(seeds)) < len(seeds):
+        return None
+    return [mp.mpc(z) for z in seeds]
+
+
 def _certify_squarefree(q: TPoly, dps: int):
-    """Return [(center mpc, radius mpf)] or None if certification fails."""
+    """Return [(center complex, radius float)] or None if certification fails.
+
+    Durand–Kerner (``mp.polyroots``) starts from :func:`_seeds`.  Each root is
+    certified by Smale's alpha test ``beta * gamma < 0.15``, with ``beta =
+    |p/p'|`` and ``gamma = max_k |p^(k)/(k! p')|^(1/(k-1))``, evaluated
+    root-free as ``beta^(k-1) |p^(k)/k!| < 0.15^(k-1) |p'|`` for all ``k >= 2``.
+    """
     deg = q.degree
-    coeffs_desc = [
-        mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in reversed(q.coeffs)
-    ]
+    coeffs_desc = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in reversed(q.coeffs)]
     try:
-        roots = mp.polyroots(coeffs_desc, maxsteps=200, extraprec=4 * dps)
+        roots = mp.polyroots(
+            coeffs_desc, maxsteps=200, extraprec=4 * dps, roots_init=_seeds(coeffs_desc)
+        )
     except mp.libmp.libhyper.NoConvergence:
         return None
+    safe = mp.mpf(_ALPHA_SAFE)
     balls = []
     for z0 in roots:
         z0 = mp.mpc(z0)
         tay = _taylor_coeffs(coeffs_desc, z0)
-        d1 = tay[1] if len(tay) > 1 else mp.mpc(0)
+        d1 = abs(tay[1])  # tay has deg + 1 >= 2 entries
         if d1 == 0:
             return None
-        beta = abs(tay[0] / d1)
-        gamma = mp.mpf(0)
-        for k in range(2, len(tay)):
-            gk = abs(tay[k] / d1) ** (mp.mpf(1) / (k - 1))
-            gamma = max(gamma, gk)
-        alpha = beta * gamma
-        if alpha >= _ALPHA_SAFE:
+        beta = abs(tay[0]) / d1
+        if any(beta ** j * abs(c) >= safe ** j * d1 for j, c in enumerate(tay[2:], 1)):
             return None
         scale = 1 + abs(z0)
         radius = 2 * beta * mp.mpf("1.5") + scale * mp.mpf(10) ** (5 - dps)
@@ -193,40 +194,43 @@ def _certify_squarefree(q: TPoly, dps: int):
         for j in range(i + 1, deg):
             if abs(balls[i][0] - balls[j][0]) <= balls[i][1] + balls[j][1]:
                 return None
-    return balls
+    eps = 2.0 ** -52  # widen each ball by the rounding to double precision
+    balls = [(complex(z), r) for z, r in balls]
+    return [(c, float(r) + eps * (abs(c) + 1.0) * 4.0) for c, r in balls]
 
 
-def root_isolate(p: TPoly, dps: int = 30, max_dps: int = 220, provenance: str = ""):
+def root_isolate(
+    p: TPoly, dps: int = 30, max_dps: int = 220, provenance: str = "", isolated: dict = None
+):
     """Isolate all complex roots of p into certified disjoint balls.
 
     Works factor-by-factor on the exact squarefree decomposition so that
     multiple roots are handled with their true multiplicities.  Precision is
     escalated until the Newton contraction test and pairwise disjointness
-    both hold.
+    both hold.  A caller isolating several polynomials may pass one dict as
+    ``isolated`` to all of them, so that a repeated factor is certified once.
 
     Raises:
         PrecisionExhausted: if certification fails at ``max_dps`` digits.
     """
     if p.is_zero():
         raise DegenerateFamily("cannot isolate the roots of the zero polynomial")
+    isolated = {} if isolated is None else isolated
     out = []
     prov = (provenance,) if provenance else ()
     for q, mult in squarefree_decomposition(p):
-        working = dps
-        while True:
+        key, working = (q, dps, max_dps), dps
+        while key not in isolated:
             with mp.workdps(working):
                 balls = _certify_squarefree(q, working)
             if balls is not None:
-                break
-            working *= 2
-            if working > max_dps:
+                isolated[key] = balls
+            elif 2 * working > max_dps:
                 raise PrecisionExhausted(
                     f"root certification failed at {max_dps} digits for {q.to_str()}"
                 )
-        eps = 2.0 ** -52
-        for z, rad in balls:
-            c = complex(z)
-            r = float(rad) + eps * (abs(c) + 1.0) * 4.0
+            working *= 2
+        for c, r in isolated[key]:
             out.append(RootBall(center=c, radius=r, multiplicity=mult, provenance=prov))
     total = sum(b.multiplicity for b in out)
     assert total == p.degree, "root multiplicities must sum to the degree"
@@ -243,12 +247,8 @@ def _merge_balls(balls):
             for j in range(i + 1, len(balls)):
                 a, b = balls[i], balls[j]
                 if abs(a.center - b.center) <= a.radius + b.radius:
-                    lo = min(a.center.real - a.radius, b.center.real - b.radius)
-                    hi = max(a.center.real + a.radius, b.center.real + b.radius)
                     c = (a.center + b.center) / 2
-                    r = max(
-                        abs(a.center - c) + a.radius, abs(b.center - c) + b.radius
-                    )
+                    r = max(abs(a.center - c) + a.radius, abs(b.center - c) + b.radius)
                     balls[i] = RootBall(
                         center=c,
                         radius=r,
@@ -299,9 +299,10 @@ def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None, dps: int = 30) -
             defining.append((key, CONNECTION_POLE))
 
     balls = []
+    isolated = {}  # squarefree factor -> its balls, for this call only
     for poly, prov in defining:
         if poly.is_zero():
             raise DegenerateFamily("a defining polynomial vanishes identically")
         if poly.degree >= 1:
-            balls.extend(root_isolate(poly, dps=dps, provenance=prov))
+            balls.extend(root_isolate(poly, dps=dps, provenance=prov, isolated=isolated))
     return SingularSet(balls=tuple(_merge_balls(balls)), defining=tuple(defining))

@@ -35,8 +35,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import AtSingularT, SpecFormatError
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -179,17 +177,6 @@ class TPoly:
             return self
         inv = 1 / self.lc()
         return TPoly(tuple(c * inv for c in self.coeffs))
-
-    def content(self) -> Fraction:
-        """Positive rational content, gcd of numerators over lcm of denominators."""
-        if self.is_zero():
-            return _ZERO
-        ng = 0
-        dl = 1
-        for c in self.coeffs:
-            ng = math.gcd(ng, abs(c.numerator))
-            dl = dl * c.denominator // math.gcd(dl, c.denominator)
-        return Fraction(ng, dl)
 
     # -- evaluation ----------------------------------------------------------
     def eval_exact(self, x: Fraction) -> Fraction:

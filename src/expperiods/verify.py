@@ -32,7 +32,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .cohomology import (
-    CohomologyBasis,
     ConnectionMatrix,
     FiberType,
     ProblemSpec,

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expperiods.cohomology import (
     CONNECTION_CONVENTION,
@@ -115,6 +117,95 @@ def random_section(spec, rng):
     return q
 
 
+def reference_reduce_form(P, spec, basis):
+    """The reduction as it ran on RatFun before reduce_form went fraction-free.
+
+    Every entry is a reduced RatFun, so each subtraction pays a gcd; the
+    gauges are taken from the public twisted differential.
+    """
+    d = spec.top_degree
+    top = spec.g.coeff(d) * d
+    work = {k: RatFun(c) for k, c in P.terms.items()}
+    if spec.fiber is FiberType.AFFINE_LINE:
+        hi_cut = d - 1
+    else:
+        hi_cut = d
+        e = -spec.bottom_order
+        bottom = spec.g.coeff(-e) * (-e)
+
+    def subtract_gauge(m, k, lead):
+        c = work[m] / RatFun(lead)
+        for key, tp in twisted_differential(LaurentPoly.u(k), spec).terms.items():
+            new = work.get(key, RatFun.zero()) - c * RatFun(tp)
+            if new.is_zero():
+                work.pop(key, None)
+            else:
+                work[key] = new
+        assert m not in work
+
+    while work and max(work) >= hi_cut:
+        m = max(work)
+        subtract_gauge(m, m - d + 1, top)
+    if spec.fiber is FiberType.PUNCTURED_LINE:
+        while work and min(work) < -e:
+            m = min(work)
+            subtract_gauge(m, m + e + 1, bottom)
+    assert set(work) <= set(basis.exponents)
+    return [work.get(ei, RatFun.zero()) for ei in basis.exponents]
+
+
+# Families of the benchmark's random recipe: coefficients a + b*t + c*t^2 with
+# a, b, c in [-2, 2] on u^2 .. u^d, a t*u term, and on the punctured line a
+# pole term (k + t)*u^-e with k in {1, 2} and e in {1, 2}.
+_TCOEFF = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+@st.composite
+def recipe_families(draw):
+    punctured = draw(st.booleans())
+    d = draw(st.integers(2, 4))
+    terms = {d: TPoly(draw(_TCOEFF.filter(any))), 1: TPoly.t()}
+    for k in range(2, d):
+        terms[k] = TPoly(draw(_TCOEFF))
+    if punctured:
+        terms[-draw(st.integers(1, 2))] = TPoly((draw(st.integers(1, 2)), 1))
+    fiber = FiberType.PUNCTURED_LINE if punctured else FiberType.AFFINE_LINE
+    return ProblemSpec(fiber=fiber, g=LaurentPoly(terms))
+
+
+@st.composite
+def sparse_punctured_families(draw):
+    """Punctured phases with poles up to order 4 at both ends and gaps in
+    the u-support, so that gauge subtractions from below also meet entries
+    whose denominators carry different powers."""
+    d, e = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    inner = draw(st.lists(st.integers(-e + 1, d - 1).filter(bool), max_size=3))
+    terms = {j: TPoly(draw(_TCOEFF.filter(any))) for j in [d, -e] + inner}
+    terms[1] = terms.get(1, TPoly.zero()) + TPoly.t()
+    return ProblemSpec(fiber=FiberType.PUNCTURED_LINE, g=LaurentPoly(terms))
+
+
+@st.composite
+def forms_on(draw, spec):
+    """A form allowed on the fiber, with support up to 8 past each window end.
+
+    Terms far apart start separate chains of gauge subtractions, which later
+    meet on entries whose denominators carry different powers.
+    """
+    lo = spec.bottom_order - 8 if spec.fiber is FiberType.PUNCTURED_LINE else 0
+    ks = draw(st.lists(st.integers(lo, spec.top_degree + 8), min_size=1, max_size=5))
+    return LaurentPoly({k: TPoly(draw(_TCOEFF)) for k in ks})
+
+
+# The rational leading coefficient of the Airy phase, and a family whose top
+# and bottom leading coefficients both depend on t.
+ORACLE_FIXED = (
+    AIRY,
+    BESSEL,
+    make(FiberType.PUNCTURED_LINE, "(t^2 + 1)*u^3/2 + t*u - (2*t - 3)*u^-2/3"),
+)
+
+
 class TestBasisWindows:
     def test_affine_ranks(self):
         assert fiber_basis(AIRY).exponents == (0, 1)
@@ -185,6 +276,38 @@ class TestReduction:
                 assert all(
                     (rp[i] + rq[i]) == rsum[i] for i in range(basis.rank)
                 )
+
+
+class TestReductionOracle:
+    """reduce_form equals the RatFun reduction entry for entry."""
+
+    @staticmethod
+    def check(spec, forms):
+        basis = fiber_basis(spec)
+        for P in forms:
+            assert reduce_form(P, spec, basis) == reference_reduce_form(P, spec, basis)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data(), st.sampled_from([recipe_families, sparse_punctured_families]))
+    def test_random_families(self, data, families):
+        spec = data.draw(families())
+        gt = spec.g.partial_t()
+        rows = [gt * LaurentPoly.u(ei) for ei in fiber_basis(spec).exponents]
+        self.check(spec, rows + [data.draw(forms_on(spec))])
+
+    @pytest.mark.parametrize("spec", ORACLE_FIXED, ids=["airy", "bessel", "nonconst-top-bottom"])
+    def test_fixed_families(self, spec):
+        rng = random.Random(47)
+        gt = spec.g.partial_t()
+        rows = [gt * LaurentPoly.u(ei) for ei in fiber_basis(spec).exponents]
+        self.check(spec, rows + [random_section(spec, rng) for _ in range(20)])
+
+    def test_chains_meeting_from_below(self):
+        # the gauge chains started by u^-14 and u^-1 meet on entries whose
+        # denominators carry different powers of bottom
+        spec = make(FiberType.PUNCTURED_LINE, "t*u^4 - u - (t + 1)*u^-2 + 2*t*u^-4")
+        P = parse_laurent("(t + 1)*u^6 + (t - 2)*u^5 + (t + 1)*u^-1 + (t + 2)*u^-14")
+        self.check(spec, [P])
 
 
 class TestConnection:

@@ -1,0 +1,76 @@
+"""Import hygiene: every module-level import of the package is used.
+
+The package modules are parsed with ``ast``; ``__init__.py`` is left out
+because its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expperiods"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Names bound by the module's top-level imports, mapped to their line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def used_names(tree: ast.Module) -> set:
+    """Every name the module loads, including those inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return sorted((line, name) for name, line in imported_names(tree).items() if name not in used)
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"symbolic.py", "cohomology.py", "singular.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    unused = unused_imports(path.read_text())
+    assert not unused, f"{path.name}: unused imports " + ", ".join(
+        f"{name} (line {line})" for line, name in unused
+    )
+
+
+def test_detector_flags_unused_and_keeps_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from fractions import Fraction\n"
+        "from typing import Sequence\n"
+        "def f(x: 'Sequence[int]'):\n"
+        "    return np.sum(x)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (4, "Fraction")]

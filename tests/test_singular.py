@@ -2,17 +2,22 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expperiods.cohomology import FiberType, ProblemSpec, connection_matrix, fiber_basis
-from expperiods.errors import DegenerateFamily
+from expperiods.errors import DegenerateFamily, PrecisionExhausted
 from expperiods.singular import (
     CONNECTION_POLE,
     CRITICAL_POINT_DEGENERATION,
     LEADING_COEFF_VANISHES,
     RootBall,
+    _seeds,
     resultant_u,
     root_isolate,
     singular_set,
@@ -29,6 +34,22 @@ AIRY = make(FiberType.AFFINE_LINE, "u^3/3 - t*u", "airy")
 BESSEL = make(FiberType.PUNCTURED_LINE, "(t/2)*(u - u^-1)", "bessel")
 GAUSSIAN = make(FiberType.AFFINE_LINE, "-t*u^2", "gaussian")
 LINEAR = make(FiberType.AFFINE_LINE, "t*u", "linear")
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def from_roots(roots):
+    p = TPoly.one()
+    for r in roots:
+        p = p * TPoly((-Fraction(r), Fraction(1)))
+    return p
+
+
+def isolate_strict(p):
+    """root_isolate with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return root_isolate(p)
 
 
 class TestSquarefree:
@@ -112,6 +133,65 @@ class TestRootIsolation:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(DegenerateFamily):
             root_isolate(TPoly.zero())
+
+
+class TestIsolationRobustness:
+    """Clustered and extreme inputs, with numpy and mpmath warnings as errors."""
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [1, 1 + Fraction(1, 10**20)],
+            [1, 1 + Fraction(1, 10**12), 1 - Fraction(1, 10**12)],
+            list(range(1, 13)),  # Wilkinson, degree 12
+        ],
+        ids=["pair-1e-20", "triple-1e-12", "wilkinson-12"],
+    )
+    def test_clustered_roots_certify(self, roots):
+        balls = isolate_strict(from_roots(roots))
+        assert len(balls) == len(roots)
+        assert all(b.multiplicity == 1 for b in balls)
+        for r in roots:
+            assert any(abs(b.center - float(r)) <= b.radius for b in balls)
+
+    def test_tiny_constant_term_certifies(self):
+        # t^10 - 10^-30: ten roots on the circle |t| = 10^-3
+        p = TPoly([-Fraction(1, 10**30)] + [0] * 9 + [1])
+        balls = isolate_strict(p)
+        assert len(balls) == 10
+        for b in balls:
+            assert abs(abs(b.center) - 1e-3) <= b.radius + 1e-15
+            assert b.radius < 1e-6
+
+    def test_huge_coefficient_exhausts_precision(self):
+        # the float coefficients overflow, so Durand-Kerner starts from
+        # mpmath's default points; certification then fails as before
+        with pytest.raises(PrecisionExhausted):
+            isolate_strict(TPoly([10**400, 0, 1]))
+
+    def test_seed_guard(self):
+        def seeds(p):
+            return _seeds([mp.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)])
+
+        assert seeds(TPoly([10**400, 0, 1])) is None  # infinite float coefficient
+        assert seeds(from_roots([1, 1 + Fraction(1, 10**20)])) is None  # repeated seed
+        got = seeds(from_roots([1, 2, 3]))
+        assert sorted(float(z.real) for z in got) == pytest.approx([1, 2, 3])
+
+    @PROPERTY
+    @given(
+        st.lists(
+            st.fractions(min_value=-8, max_value=8, max_denominator=6),
+            min_size=1,
+            max_size=7,
+            unique=True,
+        )
+    )
+    def test_each_ball_holds_exactly_one_root(self, roots):
+        balls = isolate_strict(from_roots(roots))
+        assert sum(b.multiplicity for b in balls) == len(roots)
+        for b in balls:
+            assert sum(abs(b.center - float(r)) <= b.radius for r in roots) == 1
 
 
 class TestSingularSet:
