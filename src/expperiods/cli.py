@@ -42,7 +42,7 @@ from .errors import (
     StepCollision,
     ToleranceNotMet,
 )
-from .quadrature import integrate_period, period_matrix
+from .quadrature import period_matrix, period_row
 from .singular import singular_set
 from .symbolic import parse_laurent
 from .verify import STOKES_SEED, monodromy, run_all
@@ -252,10 +252,8 @@ def cmd_samples(args) -> int:
     for idx, t in enumerate(samples):
         if idx > 0:
             current = track_cycles(spec, current, [samples[idx - 1], t], singular=sigma)
-        cyc = current.cycles[args.cycle]
         row = [format(t.real, ".17g"), format(t.imag, ".17g")]
-        for e in basis.exponents:
-            pv = integrate_period(spec, cyc, e, t, tol=tol)
+        for pv in period_row(spec, current.cycles[args.cycle], basis.exponents, t, tol)[0]:
             row += [
                 format(pv.value.real, ".17g"),
                 format(pv.value.imag, ".17g"),

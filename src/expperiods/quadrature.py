@@ -1,13 +1,16 @@
 """Adaptive contour quadrature for exponential period integrals.
 
 Periods are integrals of P(u) e^{g(u,t)} du along the polyline realization of
-a rapid-decay cycle.  Each polyline segment is integrated with 15-point
-Gauss-Kronrod panels; a global greedy refinement bisects the worst panel until
-the summed error estimate meets the target
+a rapid-decay cycle.  One kernel serves every double-precision caller: the
+global adaptive 15-point Gauss-Kronrod strategy of QUADPACK ``qag`` (Piessens
+et al., 1983), vectorized over a vector integrand.  A period row (the basis
+forms u^e over one cycle) is one run, so exp(g) is taken once per node.  Each
+round bisects, in one numpy batch, every panel that some component still
+needs; the run stops only when every component j meets its own target
 
-    err <= tol * |value| + max(abs_floor, machine_floor),
+    err_j <= tol * |value_j| + max(abs_floor, machine_floor_j),
 
-where machine_floor reflects the roundoff limit 50 * eps * integral(|f|) that
+where machine_floor_j = 50 * eps * integral(|f_j|) is the roundoff limit that
 double precision can certify at all.  Truncated tails at the non-compact ends
 are bounded analytically by a geometric-decay estimate and added to the
 reported error.
@@ -20,7 +23,6 @@ cross-check of the double-precision path.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -60,6 +62,9 @@ NODES = np.array([-x for x in _K_POS] + [0.0] + [x for x in reversed(_K_POS)])
 WEIGHTS_K = np.array(list(_K_W_POS) + [_K_W_CENTER] + list(reversed(_K_W_POS)))
 GAUSS_INDEX = np.array([1, 3, 5, 7, 9, 11, 13])
 WEIGHTS_G = np.array([_G_W[0], _G_W[1], _G_W[2], _G_W_CENTER, _G_W[2], _G_W[1], _G_W[0]])
+# Kronrod and Gauss weights as the two columns of one (15, 2) matrix.
+_KG = np.zeros((15, 2))
+_KG[:, 0], _KG[GAUSS_INDEX, 1] = WEIGHTS_K, WEIGHTS_G
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class PeriodValue(object):
     value: complex
     error: float  # quadrature estimate + tail truncation + roundoff floor
     truncation: float
-    neval: int
+    neval: int  # evaluations of the cycle's kernel run, shared by its row
 
 
 @dataclass(frozen=True)
@@ -127,17 +132,12 @@ def _form_coeffs(form, t: complex) -> dict:
 
 
 def _map_eval(cmap: dict, u):
-    acc = np.zeros_like(np.asarray(u, dtype=complex))
-    for k, c in cmap.items():
-        acc = acc + c * np.asarray(u, dtype=complex) ** k
-    return acc
+    return sum((c * u ** k for k, c in cmap.items()), np.zeros(u.shape, dtype=complex))
 
 
-def _integrand(pmap: dict, gmap: dict):
-    def f(u):
-        return _map_eval(pmap, u) * np.exp(_map_eval(gmap, u))
-
-    return f
+def _integrand(gmap: dict, pmaps: list):
+    """The vector integrand [P_j(u) e^{g(u)}]_j, with exp(g) taken once per node."""
+    return lambda u: np.stack([_map_eval(p, u) for p in pmaps]) * np.exp(_map_eval(gmap, u))
 
 
 # ---------------------------------------------------------------------------
@@ -201,67 +201,108 @@ def _truncation_bound(cycle: RapidDecayCycle, pmap: dict, gmap: dict) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _panel(f, z0: complex, z1: complex):
-    mid = 0.5 * (z0 + z1)
-    half = 0.5 * (z1 - z0)
-    us = mid + half * NODES
-    vals = f(us)
+def _gk_panels(fs, a, b):
+    """GK15 on the panels [a_i, b_i]: Kronrod values, |K - G| and resabs, each (m, n)."""
+    half = 0.5 * (b - a)
+    with np.errstate(all="ignore"):
+        vals = fs((0.5 * (a + b))[:, None] + half[:, None] * NODES)
     if not np.all(np.isfinite(vals)):
         raise NonDecayingTail("integrand overflowed on the contour")
-    ik = half * np.sum(WEIGHTS_K * vals)
-    ig = half * np.sum(WEIGHTS_G * vals[GAUSS_INDEX])
-    resabs = abs(half) * float(np.sum(WEIGHTS_K * np.abs(vals)))
-    return complex(ik), abs(ik - ig), resabs
+    kg = vals @ _KG
+    kron = half * kg[..., 0]
+    return kron, np.abs(half * (kg[..., 0] - kg[..., 1])), np.abs(half) * (np.abs(vals) @ WEIGHTS_K)
+
+
+def _gk_vector(fs, nodes, tol: float, abs_floor: float, budget: int):
+    """Global adaptive GK15 of a vector integrand along a polyline.
+
+    ``fs`` maps an (n, 15) array of nodes to an (m, n, 15) array of values.
+    Each round bisects, in one batch, the panels that some component j over
+    its target needs: its largest-error panels, until the errors of the rest
+    sum to at most half of that target.  The run stops when every j has
+
+        err_j <= tol*|value_j| + max(abs_floor, 50*eps*resabs_j).
+
+    Returns (values, errors, resabs, neval): arrays of length m, the errors
+    including the roundoff floor 50*eps*resabs, and the evaluation count.
+
+    Raises:
+        ToleranceNotMet: if the targets need more than ``budget`` panels.
+        NonDecayingTail: if the integrand is not finite at some node.
+    """
+    z = np.asarray(nodes, dtype=complex)
+    step = z[1:] != z[:-1]  # zero-length segments carry no panel
+    a, b = z[:-1][step], z[1:][step]
+    kron, err, res = _gk_panels(fs, a, b)
+    neval = 15 * len(a)
+    while True:
+        value, err_sum, resabs = kron.sum(axis=1), err.sum(axis=1), res.sum(axis=1)
+        target = tol * np.abs(value) + np.maximum(abs_floor, 50.0 * _EPS * resabs)
+        fail = err_sum > target
+        if not fail.any():
+            return value, err_sum + 50.0 * _EPS * resabs, resabs, neval
+        order = np.argsort(-err[fail], axis=1)
+        ranked = err[fail][np.arange(order.shape[0])[:, None], order]
+        rest = np.cumsum(ranked[:, ::-1], axis=1)[:, ::-1]  # rest[:, k]: sum of ranks >= k
+        need = 1 + (rest[:, 1:] > 0.5 * target[fail, None]).sum(axis=1)
+        split = np.zeros(len(a), dtype=bool)
+        split[order[np.arange(len(a)) < need[:, None]]] = True
+        if len(a) + np.count_nonzero(split) > budget:
+            worst = int(np.argmax(err_sum - target))
+            raise ToleranceNotMet(
+                f"quadrature budget of {budget} panels exhausted "
+                f"(error {err_sum[worst]:.3e}, target {target[worst]:.3e})"
+            )
+        mid = 0.5 * (a[split] + b[split])
+        a_new, b_new = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        fresh = _gk_panels(fs, a_new, b_new)
+        neval += 15 * len(a_new)
+        a, b = np.concatenate([a[~split], a_new]), np.concatenate([b[~split], b_new])
+        kron, err, res = (np.concatenate([old[:, ~split], new], axis=1)
+                          for old, new in zip((kron, err, res), fresh))
 
 
 def adaptive_polyline(f, nodes, tol: float, abs_floor: float = 0.0, budget: int = 6000):
-    """Integrate f along a polyline with global greedy panel refinement.
+    """Integrate a scalar f along a polyline: a one-component kernel run.
 
     Returns (value, error, resabs, neval).  The error includes the roundoff
     floor 50*eps*resabs.  Raises ToleranceNotMet if the panel budget is
     exhausted before err <= tol*|value| + max(abs_floor, machine_floor).
     """
-    heap = []
-    counter = 0
-    total = 0.0 + 0.0j
-    err_sum = 0.0
-    resabs_sum = 0.0
-    npanels = 0
-    for z0, z1 in zip(nodes, nodes[1:]):
-        if z0 == z1:
-            continue
-        ik, err, resabs = _panel(f, z0, z1)
-        total += ik
-        err_sum += err
-        resabs_sum += resabs
-        npanels += 1
-        heapq.heappush(heap, (-err, counter, z0, z1, ik, err, resabs))
-        counter += 1
+    value, err, resabs, neval = _gk_vector(
+        lambda us: np.broadcast_to(f(us), us.shape)[None], nodes, tol, abs_floor, budget
+    )
+    return complex(value[0]), float(err[0]), float(resabs[0]), neval
 
-    def target():
-        return tol * abs(total) + max(abs_floor, 50.0 * _EPS * resabs_sum)
 
-    while err_sum > target() and heap:
-        if npanels >= budget:
+def period_row(spec: ProblemSpec, cycle: RapidDecayCycle, forms, t: complex, tol: float = 1e-10,
+               abs_floor: float = 0.0, budget: int = 6000):
+    """The periods of several forms over one cycle, from one kernel run.
+
+    Returns (entries, resabs): a PeriodValue per form, whose error adds the
+    tail truncation bound, and the integrals of |integrand| along the cycle.
+
+    Raises:
+        ToleranceNotMet: if the budget runs out, or the unavoidable tail
+            truncation alone exceeds an entry's error target.
+        NonDecayingTail: if the integrand fails to decay at an open end.
+    """
+    t = complex(t)
+    gmap = spec.g.coeffs_at(t)
+    pmaps = [_form_coeffs(form, t) for form in forms]
+    truncations = [_truncation_bound(cycle, pmap, gmap) for pmap in pmaps]
+    values, errs, resabs, neval = _gk_vector(
+        _integrand(gmap, pmaps), cycle.nodes, tol, abs_floor, budget
+    )
+    row = []
+    for value, err, truncation in zip(values, errs, truncations):
+        if truncation > 0.3 * (tol * abs(value) + max(abs_floor, err)) and truncation > abs_floor:
             raise ToleranceNotMet(
-                f"quadrature budget of {budget} panels exhausted "
-                f"(error {err_sum:.3e}, target {target():.3e})"
+                f"tail truncation {truncation:.3e} exceeds the error target; "
+                "rebuild the cycles with a smaller decay tolerance"
             )
-        _, _, z0, z1, ik, err, resabs = heapq.heappop(heap)
-        zm = 0.5 * (z0 + z1)
-        ik1, err1, res1 = _panel(f, z0, zm)
-        ik2, err2, res2 = _panel(f, zm, z1)
-        total += ik1 + ik2 - ik
-        err_sum += err1 + err2 - err
-        resabs_sum += res1 + res2 - resabs
-        npanels += 1
-        heapq.heappush(heap, (-err1, counter, z0, zm, ik1, err1, res1))
-        counter += 1
-        heapq.heappush(heap, (-err2, counter, zm, z1, ik2, err2, res2))
-        counter += 1
-
-    roundoff = 50.0 * _EPS * resabs_sum
-    return complex(total), err_sum + roundoff, resabs_sum, 15 * (2 * npanels - 1 if npanels else 0)
+        row.append(PeriodValue(complex(value), float(err) + truncation, truncation, neval))
+    return row, resabs
 
 
 def integrate_period(
@@ -287,24 +328,10 @@ def integrate_period(
             truncation alone exceeds the target.
         NonDecayingTail: if the integrand fails to decay at an open end.
     """
-    t = complex(t)
-    gmap = spec.g.coeffs_at(t)
-    pmap = _form_coeffs(form, t)
-    truncation = _truncation_bound(cycle, pmap, gmap)
-
     if dps is not None:
-        return _integrate_mp(spec, cycle, form, t, dps, truncation)
-
-    f = _integrand(pmap, gmap)
-    value, err, _resabs, neval = adaptive_polyline(
-        f, cycle.nodes, tol, abs_floor=abs_floor, budget=budget
-    )
-    if truncation > 0.3 * (tol * abs(value) + max(abs_floor, err)) and truncation > abs_floor:
-        raise ToleranceNotMet(
-            f"tail truncation {truncation:.3e} exceeds the error target; "
-            "rebuild the cycles with a smaller decay tolerance"
-        )
-    return PeriodValue(value=value, error=err + truncation, truncation=truncation, neval=neval)
+        return _integrate_mp(spec, cycle, form, complex(t), dps)
+    (pv,), _resabs = period_row(spec, cycle, [form], t, tol, abs_floor, budget)
+    return pv
 
 
 def integrate_absolute(
@@ -317,9 +344,7 @@ def integrate_absolute(
 ) -> float:
     """Integrate |P(u) e^{g}| |du| over a cycle (a positive scale factor)."""
     t = complex(t)
-    gmap = spec.g.coeffs_at(t)
-    pmap = _form_coeffs(form, t)
-    f = _integrand(pmap, gmap)
+    fs = _integrand(spec.g.coeffs_at(t), [_form_coeffs(form, t)])
 
     scale = 0.0
     for z0, z1 in zip(cycle.nodes, cycle.nodes[1:]):
@@ -327,7 +352,7 @@ def integrate_absolute(
             continue
         seg = abs(z1 - z0)
         value, _err, _resabs, _n = adaptive_polyline(
-            lambda s, z0=z0, z1=z1, seg=seg: np.abs(f(z0 + s * (z1 - z0))) * seg,
+            lambda s, z0=z0, z1=z1, seg=seg: np.abs(fs(z0 + s * (z1 - z0))[0]) * seg,
             [0.0, 1.0],
             tol,
             budget=budget,
@@ -336,26 +361,13 @@ def integrate_absolute(
     return scale
 
 
-def _integrate_mp(spec, cycle, form, t, dps, truncation):
+def _integrate_mp(spec, cycle, form, t, dps):
     import mpmath as mp
 
+    truncation = _truncation_bound(cycle, _form_coeffs(form, t), spec.g.coeffs_at(t))
     with mp.workdps(dps):
         tm = mp.mpc(t)
-        gmap = {}
-        for k, poly in spec.g.terms.items():
-            acc = mp.mpc(0)
-            for c in reversed(poly.coeffs):
-                acc = acc * tm + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-            gmap[k] = acc
-        if isinstance(form, int):
-            pmap = {form: mp.mpc(1)}
-        else:
-            pmap = {}
-            for k, poly in form.terms.items():
-                acc = mp.mpc(0)
-                for c in reversed(poly.coeffs):
-                    acc = acc * tm + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                pmap[k] = acc
+        gmap, pmap = spec.g.coeffs_at(tm), _form_coeffs(form, tm)
 
         def f(u):
             p = sum(c * u ** k for k, c in pmap.items())
@@ -403,30 +415,13 @@ def period_matrix(
     rows = []
     resabs_rows = []
     for cyc in cycles.cycles:
-        row = []
-        resabs_row = []
-        for k in basis.exponents:
-            if dps is not None:
-                pv = integrate_period(spec, cyc, k, t, tol=tol, dps=dps)
-                resabs = abs(pv.value)
-            else:
-                gmap = spec.g.coeffs_at(t)
-                pmap = _form_coeffs(k, t)
-                f = _integrand(pmap, gmap)
-                value, err, resabs, neval = adaptive_polyline(
-                    f, cyc.nodes, tol, budget=budget
-                )
-                truncation = _truncation_bound(cyc, pmap, gmap)
-                pv = PeriodValue(
-                    value=value,
-                    error=err + truncation,
-                    truncation=truncation,
-                    neval=neval,
-                )
-            row.append(pv)
-            resabs_row.append(resabs)
+        if dps is None:
+            row, resabs = period_row(spec, cyc, basis.exponents, t, tol, budget=budget)
+        else:
+            row = [integrate_period(spec, cyc, k, t, tol=tol, dps=dps) for k in basis.exponents]
+            resabs = [abs(pv.value) for pv in row]
         rows.append(row)
-        resabs_rows.append(resabs_row)
+        resabs_rows.append(resabs)
 
     scale = max((abs(e.value) for row in rows for e in row), default=0.0)
     for row, rrow in zip(rows, resabs_rows):

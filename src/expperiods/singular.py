@@ -16,6 +16,7 @@ an over-approximation — membership never proves an actual singularity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -234,11 +235,14 @@ def root_isolate(
             out.append(RootBall(center=c, radius=r, multiplicity=mult, provenance=prov))
     total = sum(b.multiplicity for b in out)
     assert total == p.degree, "root multiplicities must sum to the degree"
-    return sorted(out, key=lambda b: (b.center.real, b.center.imag))
+    # Roots closer than about 1e-15 give overlapping double-precision balls:
+    # one covering ball holds them, and its multiplicity counts them all.
+    return _merge_balls(out, combine=operator.add)
 
 
-def _merge_balls(balls):
-    """Cluster overlapping balls (radius-sum criterion) into covering balls."""
+def _merge_balls(balls, combine=max):
+    """Cluster overlapping balls (radius-sum criterion) into covering balls;
+    ``combine`` joins their multiplicities."""
     balls = list(balls)
     merged = True
     while merged:
@@ -252,7 +256,7 @@ def _merge_balls(balls):
                     balls[i] = RootBall(
                         center=c,
                         radius=r,
-                        multiplicity=max(a.multiplicity, b.multiplicity),
+                        multiplicity=combine(a.multiplicity, b.multiplicity),
                         provenance=tuple(sorted(set(a.provenance) | set(b.provenance))),
                     )
                     del balls[j]

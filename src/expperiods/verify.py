@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .cohomology import (
     ConnectionMatrix,
@@ -311,6 +310,8 @@ def monodromy(
     integrator.  The check passes when the two agree in relative Frobenius
     norm.
     """
+    from scipy.integrate import solve_ivp  # ~0.6 s to import; only this check needs it
+
     center = complex(center)
     basis = fiber_basis(spec)
     A = connection_matrix(spec, basis)

@@ -1,10 +1,14 @@
 """Import hygiene: every module-level import of the package is used.
 
 The package modules are parsed with ``ast``; ``__init__.py`` is left out
-because its imports are the public re-exports.
+because its imports are the public re-exports.  Importing the package must
+not load scipy, which only ``verify.monodromy`` needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,10 @@ def test_detector_flags_unused_and_keeps_used():
         "    return np.sum(x)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "Fraction")]
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, expperiods, expperiods.cli; sys.exit('scipy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, "importing expperiods loaded scipy"

@@ -1,26 +1,31 @@
 """Adaptive contour quadrature against independent closed-form oracles."""
 
 import cmath
+import csv
+import io
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from expperiods.cli import main
 from expperiods.cohomology import FiberType, ProblemSpec, fiber_basis
-from expperiods.cycles import cycle_basis, track_cycles
+from expperiods.cycles import CycleBasis, cycle_basis, track_cycles
 from expperiods.errors import NonDecayingTail, ToleranceNotMet
 from expperiods.quadrature import (
     GAUSS_INDEX,
     NODES,
     WEIGHTS_G,
     WEIGHTS_K,
-    PeriodValue,
+    _gk_vector,
     _tail_bound_inf,
     adaptive_polyline,
     integrate_absolute,
     integrate_period,
     period_matrix,
+    period_row,
 )
 from expperiods.symbolic import parse_laurent
 
@@ -233,3 +238,100 @@ class TestAbsoluteIntegral:
         basis = cycle_basis(BESSEL, 1.0)
         scale = integrate_absolute(BESSEL, basis.cycles[0], 0, 1.0, tol=1e-6)
         assert scale > 0.0
+
+
+# The period sweep families of the benchmark, two admissible points each.
+AFF, PUN = FiberType.AFFINE_LINE, FiberType.PUNCTURED_LINE
+SWEEP = (
+    ("airy", AFF, "u^3/3 - t*u", (-1.250303 + 0.539165j, -1.678685 - 0.761586j)),
+    ("bessel", PUN, "(t/2)*(u - u^-1)", (-1.669467 + 0.877249j, 0.468178 + 1.20139j)),
+    ("gaussian", AFF, "-t*u^2", (0.347356 + 0.658904j, 0.474327 + 1.044179j)),
+    ("quartic", AFF, "u^4/4-t*u", (-1.199449 - 0.091141j, 0.967024 + 0.645314j)),
+    ("punct4", PUN, "u^2+t*u+u^-2", (-1.590114 - 0.238783j, -0.61126 + 1.538988j)),
+    ("ladder_deg5", AFF, "u^5/5-t*u^2+u", (1.224225 + 0.861377j, -0.031406 + 1.051346j)),
+    ("ladder_punct6", PUN, "u^3+t*u-u^-3+t^2*u^-1", (0.89224 - 0.322484j, 1.77196 - 1.240835j)),
+)
+EPS = 2.0 ** -52
+
+
+class TestVectorKernel:
+    @pytest.mark.parametrize("label, fiber, g, points", SWEEP, ids=[f[0] for f in SWEEP])
+    def test_sweep_entries_certified_and_match_scalar_runs(self, label, fiber, g, points):
+        spec = make(fiber, g, label)
+        basis = fiber_basis(spec)
+        tol = 1e-10
+        for t in points:
+            cycles = cycle_basis(spec, t)
+            P = period_matrix(spec, basis, cycles, tol=tol)
+            scale = float(np.max(np.abs(P.values())))
+            for cyc, prow in zip(cycles.cycles, P.entries):
+                row, resabs = period_row(spec, cyc, basis.exponents, t, tol)
+                assert tuple(row) == prow  # one run per cycle, shared by its row
+                for k, e, r in zip(basis.exponents, prow, resabs):
+                    assert e.error <= tol * abs(e.value) + max(1e-30 * scale, 100.0 * EPS * r)
+                    scalar = integrate_period(spec, cyc, k, t, tol=tol)
+                    assert abs(e.value - scalar.value) <= e.error + scalar.error
+
+    def test_components_certified_separately(self):
+        # a unit constant, a tiny endpoint singularity, a tiny fast oscillation
+        # and a near pole: a stop on the vector norm would accept the tiny ones
+        # long before they meet their own targets
+        pole = 0.5 + 0.01j
+
+        def fs(u):
+            return np.stack(
+                [np.ones_like(u), 1e-6 * np.sqrt(u), 1e-8 * np.exp(100j * u), 1.0 / (u - pole)]
+            )
+
+        exact = [
+            1.0,
+            1e-6 * 2.0 / 3.0,
+            1e-8 * (cmath.exp(100j) - 1) / 100j,
+            cmath.log(1 - pole) - cmath.log(-pole),
+        ]
+        tol = 1e-11
+        values, errs, resabs, neval = _gk_vector(fs, [0.0, 1.0], tol, 0.0, 6000)
+        for v, e, r, x in zip(values, errs, resabs, exact):
+            assert e <= tol * abs(v) + 100.0 * EPS * r
+            assert abs(v - x) <= e
+        assert neval % 15 == 0 and neval > 15
+
+    def test_budget_exhaustion_raises(self):
+        spec = make(FiberType.AFFINE_LINE, "u^5/5-t*u^2+u")
+        cycles = cycle_basis(spec, 1.224225 + 0.861377j)
+        budget = len(cycles.cycles[0].nodes)  # the unrefined polyline, and no more
+        with pytest.raises(ToleranceNotMet, match="budget"):
+            period_matrix(spec, fiber_basis(spec), cycles, tol=1e-10, budget=budget)
+
+    def test_overflow_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonDecayingTail, match="overflow"):
+                adaptive_polyline(lambda u: np.exp(800.0 * u), [0.0, 1.0], 1e-10)
+
+    def test_rank_zero_gives_empty_matrix(self):
+        spec = make(FiberType.AFFINE_LINE, "t*u", "linear")
+        basis = fiber_basis(spec)
+        assert basis.rank == 0
+        empty = CycleBasis(t=1.0 + 0j, config=None, cycles=(), tol=1e-10)
+        P = period_matrix(spec, basis, empty, tol=1e-10)
+        assert P.rank == 0 and P.entries == () and P.max_error() == 0.0
+
+    def test_samples_rows_match_period_matrix(self, capsys):
+        path = (1.0 + 0j, 1.5 + 0.5j)
+        argv = ["samples", "fixtures/bessel.spec", "--path", "1", "1.5,0.5", "--n", "3"]
+        assert main(argv + ["--cycle", "1"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        basis = fiber_basis(BESSEL)
+        samples = [path[0] + (path[1] - path[0]) * k / 3 for k in range(4)]
+        assert len(rows) == len(samples)
+        current = cycle_basis(BESSEL, samples[0])
+        for idx, (t, row) in enumerate(zip(samples, rows)):
+            if idx > 0:
+                current = track_cycles(BESSEL, current, [samples[idx - 1], t])
+            assert complex(float(row[0]), float(row[1])) == pytest.approx(t, abs=1e-15)
+            entries = period_matrix(BESSEL, basis, current, tol=1e-10).entries[1]
+            for j, e in enumerate(entries):
+                value = complex(float(row[2 + 3 * j]), float(row[3 + 3 * j]))
+                err = float(row[4 + 3 * j]) * 1.001  # printed to 4 digits
+                assert abs(value - e.value) <= err + e.error
