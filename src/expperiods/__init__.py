@@ -27,7 +27,6 @@ from .cycles import (
     EndTag,
     RapidDecayCycle,
     Sector,
-    SkeletonNode,
     ValleyConfig,
     cycle_basis,
     track_cycles,
@@ -115,7 +114,6 @@ __all__ = [
     "Sector",
     "SingularProximity",
     "SingularSet",
-    "SkeletonNode",
     "SpecFormatError",
     "StepCollision",
     "TPoly",

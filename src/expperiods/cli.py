@@ -33,7 +33,6 @@ from .errors import (
     AtSingularT,
     DegenerateFamily,
     EngineError,
-    LoopHitsSingularity,
     NonDecayingTail,
     PrecisionExhausted,
     RankZero,
@@ -361,7 +360,6 @@ def main(argv=None) -> int:
         DegenerateFamily,
         AtSingularT,
         SingularProximity,
-        LoopHitsSingularity,
         StepCollision,
     ) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")

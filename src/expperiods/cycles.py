@@ -9,11 +9,13 @@ punctured line).  The basis consists of
 * one path from a valley at zero to a valley at infinity (punctured line),
 * one closed loop around u = 0 (punctured line).
 
-Each cycle carries a symbolic skeleton (radius kind, angle family, unwrapped
-angle) from which the concrete polyline is regenerated at any parameter value.
-Continuation moves the skeleton angles with the rotation of the relevant
-leading coefficient, so cycles deform continuously — including their winding —
-rather than jumping between branch choices.
+A cycle is its two ends (valley indices) and an integer winding: the number
+of 2*pi turns of the infinity end of the zero-to-infinity path.  One function,
+``_cycle``, builds the polyline from these and the unwrapped valley centres
+of a ``ValleyConfig``.  Continuation moves the centres with the rotation of
+the leading coefficients, so the ends deform continuously, including their
+winding, rather than jumping between branch choices; the cycles are then
+rebuilt at the new parameter value.
 """
 
 from __future__ import annotations
@@ -71,29 +73,18 @@ class EndTag(object):
 
 
 @dataclass(frozen=True)
-class SkeletonNode(object):
-    """Symbolic polyline vertex: a named radius and an unwrapped angle.
-
-    ``family`` says which leading coefficient drags the angle during
-    continuation: "inf" (top coefficient), "zero" (bottom coefficient) or
-    "fixed" (never moves).
-    """
-
-    radius_kind: str  # R_inf | R_zero | rho_w | rho_in | rho_entry | loop
-    family: str  # inf | zero | fixed
-    angle: float
-
-
-@dataclass(frozen=True)
 class RapidDecayCycle(object):
     nodes: tuple  # realized polyline vertices (complex)
-    skeleton: tuple  # SkeletonNode tuple
     start: EndTag
     end: EndTag
-    closed: bool
+    winding: int  # 2*pi turns of the infinity end of a zero-to-infinity path
     r_inf: float  # truncation radius at infinity (0.0 if no such end)
     r_zero: float  # truncation radius at zero (0.0 if no such end)
     tol: float  # decay tolerance the truncation radii were designed for
+
+    @property
+    def closed(self) -> bool:
+        return self.start.kind == "interior"
 
 
 @dataclass(frozen=True)
@@ -132,52 +123,12 @@ class CycleBasis(object):
                     "r_inf": c.r_inf,
                     "r_zero": c.r_zero,
                     "tol": c.tol,
-                    "skeleton": [
-                        {"radius_kind": n.radius_kind, "family": n.family, "angle": n.angle}
-                        for n in c.skeleton
-                    ],
+                    "winding": c.winding,
                     "nodes": [[z.real, z.imag] for z in c.nodes],
                 }
                 for c in self.cycles
             ],
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "CycleBasis":
-        cfg = ValleyConfig(
-            t=complex(data["t"][0], data["t"][1]),
-            at_infinity=tuple(
-                Sector(s["index"], s["center"], s["half_width"])
-                for s in data["config"]["at_infinity"]
-            ),
-            at_zero=tuple(
-                Sector(s["index"], s["center"], s["half_width"])
-                for s in data["config"]["at_zero"]
-            ),
-        )
-        cycles = []
-        for c in data["cycles"]:
-            cycles.append(
-                RapidDecayCycle(
-                    nodes=tuple(complex(x, y) for x, y in c["nodes"]),
-                    skeleton=tuple(
-                        SkeletonNode(n["radius_kind"], n["family"], n["angle"])
-                        for n in c["skeleton"]
-                    ),
-                    start=EndTag(c["start"]["kind"], c["start"]["index"]),
-                    end=EndTag(c["end"]["kind"], c["end"]["index"]),
-                    closed=c["closed"],
-                    r_inf=c["r_inf"],
-                    r_zero=c["r_zero"],
-                    tol=c["tol"],
-                )
-            )
-        return CycleBasis(
-            t=complex(data["t"][0], data["t"][1]),
-            config=cfg,
-            cycles=tuple(cycles),
-            tol=data["tol"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +153,10 @@ def _leading_coefficients(spec: ProblemSpec, t: complex):
     return lc_inf, lc_zero
 
 
-def _inf_centers(lc: complex, d: int):
-    """Valley-center angles at infinity, sorted in [0, 2*pi)."""
-    base = (math.pi - cmath.phase(lc)) / d
-    return sorted((base + TWO_PI * j / d) % TWO_PI for j in range(d))
-
-
-def _zero_centers(lc: complex, e: int):
-    """Valley-center angles at zero, sorted in [0, 2*pi)."""
-    base = (cmath.phase(lc) - math.pi) / e
-    return sorted((base + TWO_PI * j / e) % TWO_PI for j in range(e))
-
-
 def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:
     """Valley sectors of e^{g(u, t)} at the given parameter value.
+
+    The centres of each family are sorted in [0, 2*pi).
 
     Raises:
         AtSingularT: if a leading coefficient vanishes at t, so the valley
@@ -223,107 +164,79 @@ def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:
     """
     t = complex(t)
     lc_inf, lc_zero = _leading_coefficients(spec, t)
+
+    def sectors(base: float, n: int):
+        centers = sorted((base + TWO_PI * j / n) % TWO_PI for j in range(n))
+        return tuple(
+            Sector(index=j, center=c, half_width=math.pi / (2 * n))
+            for j, c in enumerate(centers)
+        )
+
     d = spec.top_degree
-    inf_sectors = tuple(
-        Sector(index=j, center=c, half_width=math.pi / (2 * d))
-        for j, c in enumerate(_inf_centers(lc_inf, d))
-    )
     zero_sectors = ()
     if lc_zero is not None:
         e = -spec.bottom_order
-        zero_sectors = tuple(
-            Sector(index=j, center=c, half_width=math.pi / (2 * e))
-            for j, c in enumerate(_zero_centers(lc_zero, e))
-        )
-    return ValleyConfig(t=t, at_infinity=inf_sectors, at_zero=zero_sectors)
+        zero_sectors = sectors((cmath.phase(lc_zero) - math.pi) / e, e)
+    return ValleyConfig(
+        t=t,
+        at_infinity=sectors((math.pi - cmath.phase(lc_inf)) / d, d),
+        at_zero=zero_sectors,
+    )
 
 
-class _FiberGeometry(object):
-    """Concrete radii and numeric g-evaluation at a fixed parameter value."""
+def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
+    """The ring radii (r_inf, rho_w, rho_in, r_zero) of the cycles at cfg.t.
 
-    def __init__(self, spec: ProblemSpec, t: complex, tol: float):
-        t = complex(t)
-        self.t = t
-        self.tol = tol
-        self.d = spec.top_degree
-        self.lc_inf, self.lc_zero = _leading_coefficients(spec, t)
-        self.e = -spec.bottom_order if spec.fiber is FiberType.PUNCTURED_LINE else 0
-        self.gmap = spec.g.coeffs_at(t)
+    rho_w = 1 + max|critical point| and rho_in = min(1, min|critical point|/2)
+    enclose and avoid the critical points; r_inf and r_zero are truncation
+    radii with Re g <= log(tol) - 40 on every valley centre ray of cfg.
 
-        # critical points of g in the fiber (poles cleared)
-        gp = spec.g.partial_u()
-        lo = min(min(gp.terms), 0)
-        hi = max(gp.terms)
-        coeffs = [complex(gp.coeff(k).eval(t)) for k in range(hi, lo - 1, -1)]
-        self.crit = []
-        if len(coeffs) > 1:
-            self.crit = [complex(z) for z in np.roots(coeffs)]
+    Raises:
+        NonDecayingTail: if no radius gives the demanded decay.
+    """
+    t = cfg.t
+    gp = spec.g.partial_u()  # critical points of g in the fiber (poles cleared)
+    lo, hi = min(min(gp.terms), 0), max(gp.terms)
+    coeffs = [complex(gp.coeff(k).eval(t)) for k in range(hi, lo - 1, -1)]
+    crit = [abs(complex(z)) for z in np.roots(coeffs)] if len(coeffs) > 1 else []
+    rho_w = 1.0 + max(crit, default=0.0)
+    rho_in = min(1.0, min((c / 2.0 for c in crit), default=1.0))
+    target = -math.log(tol) + _DECAY_MARGIN
 
-        self.rho_w = 1.0 + max((abs(c) for c in self.crit), default=0.0)
-        self.rho_entry = 2.0 * self.rho_w
-        self.rho_in = min(1.0, min((abs(c) / 2.0 for c in self.crit), default=1.0))
-        self.loop_radius = self.rho_in
-
-        target = -math.log(tol) + _DECAY_MARGIN
-        self.inf_centers = _inf_centers(self.lc_inf, self.d)
-        r = max((2.0 * target / abs(self.lc_inf)) ** (1.0 / self.d), 2.5 * self.rho_w + 1.0)
+    def search(r: float, factor: float, sectors, where: str) -> float:
         for _ in range(200):
-            if all(self.eval_g(r * cmath.exp(1j * c)).real <= -target for c in self.inf_centers):
-                break
-            r *= 1.25
-        else:
-            raise NonDecayingTail("no radius gives the demanded decay at infinity")
-        self.r_inf = r
+            if all(spec.g.eval(t, r * cmath.exp(1j * s.center)).real <= -target for s in sectors):
+                return r
+            r *= factor
+        raise NonDecayingTail(f"no radius gives the demanded decay at {where}")
 
-        self.zero_centers = []
-        self.r_zero = 0.0
-        if self.lc_zero is not None:
-            self.zero_centers = _zero_centers(self.lc_zero, self.e)
-            r0 = min(self.rho_in / 2.0, (abs(self.lc_zero) / (2.0 * target)) ** (1.0 / self.e))
-            for _ in range(200):
-                if all(
-                    self.eval_g(r0 * cmath.exp(1j * c)).real <= -target
-                    for c in self.zero_centers
-                ):
-                    break
-                r0 *= 0.6
-            else:
-                raise NonDecayingTail("no radius gives the demanded decay at zero")
-            self.r_zero = r0
-
-    def eval_g(self, u: complex) -> complex:
-        return sum(c * u ** k for k, c in self.gmap.items())
-
-    def radius_of(self, kind: str) -> float:
-        return {
-            "R_inf": self.r_inf,
-            "R_zero": self.r_zero,
-            "rho_w": self.rho_w,
-            "rho_in": self.rho_in,
-            "rho_entry": self.rho_entry,
-            "loop": self.loop_radius,
-        }[kind]
+    d = spec.top_degree
+    lc_inf = abs(spec.g.top_coeff().eval(t))
+    r_inf = search(
+        max((2.0 * target / lc_inf) ** (1.0 / d), 2.5 * rho_w + 1.0), 1.25, cfg.at_infinity,
+        "infinity",
+    )
+    r_zero = 0.0
+    if cfg.at_zero:
+        e = -spec.bottom_order
+        lc_zero = abs(spec.g.bottom_coeff().eval(t))
+        r_zero = search(
+            min(rho_in / 2.0, (lc_zero / (2.0 * target)) ** (1.0 / e)), 0.6, cfg.at_zero, "zero"
+        )
+    return r_inf, rho_w, rho_in, r_zero
 
 
-def _realize(skeleton, geom: _FiberGeometry, closed: bool):
-    """Interpolate a skeleton into polyline vertices (log-radius + angle)."""
-    pts = []
-    prev = None
-    for node in skeleton:
-        r = geom.radius_of(node.radius_kind)
-        lr = math.log(r)
-        if prev is None:
-            pts.append(cmath.rect(r, node.angle))
-        else:
-            plr, pang = prev
-            sweep = max(abs(node.angle - pang), abs(lr - plr))
-            nsub = max(1, int(math.ceil(sweep / _MAX_SWEEP)))
-            for s in range(1, nsub + 1):
-                frac = s / nsub
-                ang = pang + (node.angle - pang) * frac
-                rad = math.exp(plr + (lr - plr) * frac)
-                pts.append(cmath.rect(rad, ang))
-        prev = (lr, node.angle)
+def _realize(ring, closed: bool):
+    """Polyline through (radius, angle) vertices, log-radius and angle linear between."""
+    pts = [cmath.rect(*ring[0])]
+    for (r0, a0), (r1, a1) in zip(ring, ring[1:]):
+        lr0, lr1 = math.log(r0), math.log(r1)
+        sweep = max(abs(a1 - a0), abs(lr1 - lr0))
+        # the 1e-9 keeps a sweep of exactly k*_MAX_SWEEP at k steps under rounding
+        nsub = max(1, math.ceil(sweep / _MAX_SWEEP - 1e-9))
+        for s in range(1, nsub + 1):
+            frac = s / nsub
+            pts.append(cmath.rect(math.exp(lr0 + (lr1 - lr0) * frac), a0 + (a1 - a0) * frac))
     if closed:
         pts[-1] = pts[0]
     return tuple(pts)
@@ -340,21 +253,52 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
     return abs(p - (a + s * ab))
 
 
-def _check_cycle_invariants(cycle: RapidDecayCycle, geom: _FiberGeometry, punctured: bool):
-    target = -math.log(cycle.tol)
-    for tag, node in ((cycle.start, cycle.nodes[0]), (cycle.end, cycle.nodes[-1])):
-        if tag.kind in ("valley_inf", "valley_zero"):
-            decay = geom.eval_g(node).real
+def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: ValleyConfig,
+           radii, tol: float) -> RapidDecayCycle:
+    """The one builder of a cycle: its polyline at cfg.t from its ends and winding.
+
+    Paths leave a valley centre ray at the truncation radius, turn at
+    2*rho_w (infinity) or rho_in (zero), and cross between valleys on the
+    ring rho_w or rho_in; the loop is the circle of radius rho_in.
+    """
+    r_inf, rho_w, rho_in, r_zero = radii
+    inf = [s.center for s in cfg.at_infinity]
+    zero = [s.center for s in cfg.at_zero]
+    if start.kind == "interior":  # counterclockwise loop around the puncture
+        ring = [(rho_in, 0.0), (rho_in, TWO_PI)]
+    elif end.kind == "valley_zero":
+        a, b = zero[start.index], zero[end.index]
+        ring = [(r_zero, a), (rho_in, a), (rho_in, b), (r_zero, b)]
+    elif start.kind == "valley_zero":
+        phi, theta = zero[start.index], inf[end.index] + TWO_PI * winding
+        ring = [(r_zero, phi), (rho_in, phi), (2.0 * rho_w, theta), (r_inf, theta)]
+    else:  # an infinity-to-infinity path wraps once when its end index does not rise
+        a = inf[start.index]
+        b = inf[end.index] + (TWO_PI if end.index <= start.index else 0.0)
+        ring = [(r_inf, a), (2.0 * rho_w, a), (rho_w, 0.5 * (a + b)), (2.0 * rho_w, b),
+                (r_inf, b)]
+    ends = (start.kind, end.kind)
+    cycle = RapidDecayCycle(
+        nodes=_realize(ring, start.kind == "interior"),
+        start=start,
+        end=end,
+        winding=winding,
+        r_inf=r_inf if "valley_inf" in ends else 0.0,
+        r_zero=r_zero if "valley_zero" in ends else 0.0,
+        tol=tol,
+    )
+    target = -math.log(tol)
+    for tag, node in ((start, cycle.nodes[0]), (end, cycle.nodes[-1])):
+        if tag.kind != "interior":
+            decay = spec.g.eval(cfg.t, node).real
             assert decay < -target, (
                 "cycle endpoint must sit deep in a decay valley "
                 f"(Re g = {decay:.3g} at {node})"
             )
-    if punctured:
-        mind = min(
-            _segment_distance(a, b, 0.0)
-            for a, b in zip(cycle.nodes, cycle.nodes[1:])
-        )
+    if spec.fiber is FiberType.PUNCTURED_LINE:
+        mind = min(_segment_distance(a, b, 0.0) for a, b in zip(cycle.nodes, cycle.nodes[1:]))
         assert mind > 1e-12, "cycle must stay away from the puncture at u = 0"
+    return cycle
 
 
 def cycle_basis(spec: ProblemSpec, t: complex, tol: float = 1e-12) -> CycleBasis:
@@ -371,93 +315,28 @@ def cycle_basis(spec: ProblemSpec, t: complex, tol: float = 1e-12) -> CycleBasis
     rank = fiber_basis(spec).rank
     if rank == 0:
         raise RankZero("the family has rank zero; there is no cycle basis")
-    geom = _FiberGeometry(spec, t, tol)
     cfg = valley_config(spec, t)
-    punctured = spec.fiber is FiberType.PUNCTURED_LINE
     d = spec.top_degree
-    ic = [s.center for s in cfg.at_infinity]
-    zc = [s.center for s in cfg.at_zero]
 
-    cycles = []
-
-    def make(skeleton, start, end, closed=False, r_inf=0.0, r_zero=0.0):
-        nodes = _realize(skeleton, geom, closed)
-        cyc = RapidDecayCycle(
-            nodes=nodes,
-            skeleton=tuple(skeleton),
-            start=start,
-            end=end,
-            closed=closed,
-            r_inf=r_inf,
-            r_zero=r_zero,
-            tol=tol,
-        )
-        _check_cycle_invariants(cyc, geom, punctured)
-        cycles.append(cyc)
-
-    if not punctured:
-        pairs = [(d - 1, 0)] + [(j - 1, j) for j in range(1, d - 1)]
-    else:
+    if spec.fiber is FiberType.PUNCTURED_LINE:
         pairs = [(j - 1, j) for j in range(1, d)]
-    for i0, i1 in pairs:
-        a = ic[i0]
-        b = ic[i1] + (TWO_PI if i1 <= i0 else 0.0)
-        make(
-            [
-                SkeletonNode("R_inf", "inf", a),
-                SkeletonNode("rho_entry", "inf", a),
-                SkeletonNode("rho_w", "inf", 0.5 * (a + b)),
-                SkeletonNode("rho_entry", "inf", b),
-                SkeletonNode("R_inf", "inf", b),
-            ],
-            EndTag("valley_inf", i0),
-            EndTag("valley_inf", i1),
-            r_inf=geom.r_inf,
-        )
-
-    if punctured:
+    else:
+        pairs = [(d - 1, 0)] + [(j - 1, j) for j in range(1, d - 1)]
+    ends = [(EndTag("valley_inf", i0), EndTag("valley_inf", i1), 0) for i0, i1 in pairs]
+    if spec.fiber is FiberType.PUNCTURED_LINE:
         e = -spec.bottom_order
-        for j in range(1, e):
-            a, b = zc[j - 1], zc[j]
-            make(
-                [
-                    SkeletonNode("R_zero", "zero", a),
-                    SkeletonNode("rho_in", "zero", a),
-                    SkeletonNode("rho_in", "zero", b),
-                    SkeletonNode("R_zero", "zero", b),
-                ],
-                EndTag("valley_zero", j - 1),
-                EndTag("valley_zero", j),
-                r_zero=geom.r_zero,
-            )
-        # one path from a valley at zero to a valley at infinity
-        phi = zc[0]
-        delta = (ic[0] - phi + math.pi) % TWO_PI - math.pi
-        if delta <= -math.pi + 1e-9:
-            delta += TWO_PI
-        theta = phi + delta
-        make(
-            [
-                SkeletonNode("R_zero", "zero", phi),
-                SkeletonNode("rho_in", "zero", phi),
-                SkeletonNode("rho_entry", "inf", theta),
-                SkeletonNode("R_inf", "inf", theta),
-            ],
-            EndTag("valley_zero", 0),
-            EndTag("valley_inf", 0),
-            r_inf=geom.r_inf,
-            r_zero=geom.r_zero,
-        )
-        # counterclockwise loop around the puncture
-        make(
-            [SkeletonNode("loop", "fixed", 0.0), SkeletonNode("loop", "fixed", TWO_PI)],
-            EndTag("interior", -1),
-            EndTag("interior", -1),
-            closed=True,
-        )
+        ends += [(EndTag("valley_zero", j - 1), EndTag("valley_zero", j), 0) for j in range(1, e)]
+        # one path from a valley at zero to the turn of valley 0 at infinity
+        # whose angle lies in (phi - pi, phi + pi]
+        phi, theta = cfg.at_zero[0].center, cfg.at_infinity[0].center
+        winding = -math.floor((theta - phi + math.pi - 1e-9) / TWO_PI)
+        ends.append((EndTag("valley_zero", 0), EndTag("valley_inf", 0), winding))
+        ends.append((EndTag("interior", -1), EndTag("interior", -1), 0))
 
+    radii = _radii(spec, cfg, tol)
+    cycles = tuple(_cycle(spec, a, b, w, cfg, radii, tol) for a, b, w in ends)
     assert len(cycles) == rank, "cycle count must match the cohomology rank"
-    return CycleBasis(t=t, config=cfg, cycles=tuple(cycles), tol=tol)
+    return CycleBasis(t=t, config=cfg, cycles=cycles, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +347,11 @@ def cycle_basis(spec: ProblemSpec, t: complex, tol: float = 1e-12) -> CycleBasis
 def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> CycleBasis:
     """Continue a cycle basis along a polyline path in the t-plane.
 
-    The angles of each valley family rotate with -arg(lc_inf)/d and
+    The valley centres at infinity and at zero rotate with -arg(lc_inf)/d and
     +arg(lc_zero)/e respectively; steps are bisected until each leading
     coefficient turns by at most pi/4 per step, so the argument is tracked
-    continuously and windings accumulate geometrically.
+    continuously and windings accumulate geometrically.  The cycles are then
+    rebuilt from their ends and windings on the moved centres.
 
     Args:
         singular: optional SingularSet; legs must keep a distance of at least
@@ -532,39 +412,8 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
                 raise StepCollision("continuation exceeded the step budget")
             cur, cur_lc = tb, lcb
 
-    t1 = path[-1]
-    geom = _FiberGeometry(spec, t1, basis.tol)
-    punctured = spec.fiber is FiberType.PUNCTURED_LINE
-
-    def shift(angle: float, family: str) -> float:
-        if family == "inf":
-            return angle + drift_inf
-        if family == "zero":
-            return angle + drift_zero
-        return angle
-
-    new_cycles = []
-    for c in basis.cycles:
-        skel = tuple(
-            SkeletonNode(n.radius_kind, n.family, shift(n.angle, n.family))
-            for n in c.skeleton
-        )
-        nodes = _realize(skel, geom, c.closed)
-        nc = RapidDecayCycle(
-            nodes=nodes,
-            skeleton=skel,
-            start=c.start,
-            end=c.end,
-            closed=c.closed,
-            r_inf=geom.r_inf if c.r_inf else 0.0,
-            r_zero=geom.r_zero if c.r_zero else 0.0,
-            tol=c.tol,
-        )
-        _check_cycle_invariants(nc, geom, punctured)
-        new_cycles.append(nc)
-
     cfg = ValleyConfig(
-        t=t1,
+        t=path[-1],
         at_infinity=tuple(
             replace(s, center=s.center + drift_inf) for s in basis.config.at_infinity
         ),
@@ -572,4 +421,8 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
             replace(s, center=s.center + drift_zero) for s in basis.config.at_zero
         ),
     )
-    return CycleBasis(t=t1, config=cfg, cycles=tuple(new_cycles), tol=basis.tol)
+    radii = _radii(spec, cfg, basis.tol)
+    cycles = tuple(
+        _cycle(spec, c.start, c.end, c.winding, cfg, radii, c.tol) for c in basis.cycles
+    )
+    return CycleBasis(t=cfg.t, config=cfg, cycles=cycles, tol=basis.tol)

@@ -37,8 +37,8 @@ class SingularProximity(EngineError):
     """A parameter path passes too close to a certified singular ball."""
 
 
-class LoopHitsSingularity(EngineError):
-    """A monodromy loop meets a certified singular ball."""
+class LoopHitsSingularity(SingularProximity):
+    """A monodromy loop passes too close to a certified singular ball."""
 
 
 class ToleranceNotMet(EngineError):

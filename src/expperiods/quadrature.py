@@ -342,23 +342,19 @@ def integrate_absolute(
     tol: float = 1e-6,
     budget: int = 6000,
 ) -> float:
-    """Integrate |P(u) e^{g}| |du| over a cycle (a positive scale factor)."""
+    """Integrate |P(u) e^{g}| |du| over a cycle (a positive scale factor).
+
+    One kernel run in the arc length s of the whole polyline, with a panel
+    edge at every vertex, so u(s) is linear on every panel.
+    """
     t = complex(t)
     fs = _integrand(spec.g.coeffs_at(t), [_form_coeffs(form, t)])
-
-    scale = 0.0
-    for z0, z1 in zip(cycle.nodes, cycle.nodes[1:]):
-        if z0 == z1:
-            continue
-        seg = abs(z1 - z0)
-        value, _err, _resabs, _n = adaptive_polyline(
-            lambda s, z0=z0, z1=z1, seg=seg: np.abs(fs(z0 + s * (z1 - z0))[0]) * seg,
-            [0.0, 1.0],
-            tol,
-            budget=budget,
-        )
-        scale += value.real
-    return scale
+    z = np.asarray(cycle.nodes, dtype=complex)
+    s = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(z)))])
+    value, _err, _resabs, _n = adaptive_polyline(
+        lambda us: np.abs(fs(np.interp(us.real, s, z))[0]), s, tol, budget=budget
+    )
+    return value.real
 
 
 def _integrate_mp(spec, cycle, form, t, dps):

@@ -39,7 +39,7 @@ from .cohomology import (
     twisted_differential,
 )
 from .cycles import CycleBasis, cycle_basis, track_cycles
-from .errors import AtSingularT, SingularProximity
+from .errors import AtSingularT, LoopHitsSingularity, SingularProximity
 from .quadrature import integrate_absolute, integrate_period, period_matrix
 from .singular import SingularSet, singular_set
 from .symbolic import LaurentPoly, TPoly
@@ -346,7 +346,10 @@ def monodromy(
 
     base = cycle_basis(spec, basepoint)
     P0 = period_matrix(spec, basis, base, tol=quad_tol).values()
-    moved = track_cycles(spec, base, loop, singular=singular)
+    try:
+        moved = track_cycles(spec, base, loop, singular=singular)
+    except SingularProximity as exc:
+        raise LoopHitsSingularity(f"monodromy loop about {center}: {exc}") from exc
     P1 = period_matrix(spec, basis, moved, tol=quad_tol).values()
     m_cycle = np.linalg.solve(P0.T, P1.T).T
 

@@ -208,3 +208,11 @@ class TestMonodromy:
             capsys, "monodromy", GAUSSIAN, "--center", "0.5", "--basepoint", "1"
         )
         assert code == 2
+
+    def test_loop_hits_singularity_exit_two(self, capsys):
+        # the circle about 0.5 through 1 meets Bessel's pole at t = 0
+        code, _out, err = run(
+            capsys, "monodromy", BESSEL, "--center", "0.5", "--basepoint", "1"
+        )
+        assert code == 2
+        assert "monodromy loop about" in err

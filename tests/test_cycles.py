@@ -1,13 +1,15 @@
 """Valley geometry, rapid-decay cycle construction, and continuation."""
 
 import cmath
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from expperiods.cohomology import FiberType, ProblemSpec, fiber_basis
 from expperiods.cycles import (
-    CycleBasis,
     cycle_basis,
     track_cycles,
     valley_config,
@@ -27,6 +29,23 @@ AIRY = make(FiberType.AFFINE_LINE, "u^3/3 - t*u", "airy")
 BESSEL = make(FiberType.PUNCTURED_LINE, "(t/2)*(u - u^-1)", "bessel")
 GAUSSIAN = make(FiberType.AFFINE_LINE, "-t*u^2", "gaussian")
 LINEAR = make(FiberType.AFFINE_LINE, "t*u", "linear")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def sweep_cases():
+    """(label, spec, t) for the stored points of the benchmark's sweep families."""
+    loader = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    refs = json.loads((BENCH / "refs" / "references.json").read_text())
+    fibers = {"affine_line": FiberType.AFFINE_LINE, "punctured_line": FiberType.PUNCTURED_LINE}
+    return [
+        (label, make(fibers[fiber], g, label), complex(*p["t"]))
+        for label, fiber, g in gen.SWEEP
+        for p in refs["sweep"][label]["points"]
+    ]
 
 
 def eval_g(spec, t, u):
@@ -130,13 +149,6 @@ class TestCycleBasis:
                 if a != b:
                     assert abs(cmath.phase(b / a)) <= math.pi / 8 + 1e-9
 
-    def test_serialization_round_trip(self):
-        for spec, t in ((AIRY, 1.0 + 0.3j), (BESSEL, 1.0)):
-            basis = cycle_basis(spec, t)
-            data = basis.to_json_dict()
-            back = CycleBasis.from_json_dict(data)
-            assert back == basis
-
 
 class TestTracking:
     def test_trivial_path_is_identity(self):
@@ -150,33 +162,51 @@ class TestTracking:
             track_cycles(GAUSSIAN, basis, [2.0, 1.0])
 
     def test_step_composition(self):
-        # one leg and the same leg split in two give identical angles
+        # one leg and the same leg split in two give identical centres and ends
         basis = cycle_basis(AIRY, 1.0)
         one = track_cycles(AIRY, basis, [1.0, 1.0 + 1.0j])
         mid = track_cycles(AIRY, basis, [1.0, 1.0 + 0.5j])
         two = track_cycles(AIRY, mid, [1.0 + 0.5j, 1.0 + 1.0j])
+        for s1, s2 in zip(one.config.at_infinity, two.config.at_infinity):
+            assert s1.center == pytest.approx(s2.center, abs=1e-12)
         for c1, c2 in zip(one.cycles, two.cycles):
-            for n1, n2 in zip(c1.skeleton, c2.skeleton):
-                assert n1.angle == pytest.approx(n2.angle, abs=1e-12)
+            assert c1.winding == c2.winding
+            for z1, z2 in ((c1.nodes[0], c2.nodes[0]), (c1.nodes[-1], c2.nodes[-1])):
+                assert cmath.phase(z2 / z1) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_full_loop_rotates_cycle_by_pi(self):
         # lc = -t turns by 2*pi; the d=2 valleys rotate by -pi
         basis = cycle_basis(GAUSSIAN, 1.0)
         loop = [cmath.exp(2j * math.pi * k / 24) for k in range(25)]
         moved = track_cycles(GAUSSIAN, basis, loop)
-        for n0, n1 in zip(basis.cycles[0].skeleton, moved.cycles[0].skeleton):
-            assert n1.angle - n0.angle == pytest.approx(-math.pi)
+        for s0, s1 in zip(basis.config.at_infinity, moved.config.at_infinity):
+            assert s1.center - s0.center == pytest.approx(-math.pi)
+        c0, c1 = basis.cycles[0], moved.cycles[0]
+        for z0, z1 in ((c0.nodes[0], c1.nodes[0]), (c0.nodes[-1], c1.nodes[-1])):
+            assert abs(cmath.phase(z1 / z0)) == pytest.approx(math.pi)
 
     def test_bessel_full_loop_winds_families_oppositely(self):
         basis = cycle_basis(BESSEL, 1.0)
         loop = [cmath.exp(2j * math.pi * k / 24) for k in range(25)]
         moved = track_cycles(BESSEL, basis, loop)
+        # zero-family centres advance by +2*pi, infinity-family centres by -2*pi
+        assert moved.config.at_zero[0].center - basis.config.at_zero[0].center == (
+            pytest.approx(TWO_PI)
+        )
+        assert moved.config.at_infinity[0].center - basis.config.at_infinity[0].center == (
+            pytest.approx(-TWO_PI)
+        )
         conn = moved.cycles[0]  # the zero-to-infinity path
         base = basis.cycles[0]
-        deltas = [n1.angle - n0.angle for n0, n1 in zip(base.skeleton, conn.skeleton)]
-        # zero-family nodes advance by +2*pi, infinity-family nodes by -2*pi
-        assert deltas[0] == pytest.approx(TWO_PI)
-        assert deltas[-1] == pytest.approx(-TWO_PI)
+        assert conn.winding == base.winding
+        for z0, z1 in ((base.nodes[0], conn.nodes[0]), (base.nodes[-1], conn.nodes[-1])):
+            assert cmath.phase(z1 / z0) == pytest.approx(0.0, abs=1e-9)
+
+        def turning(nodes):
+            return sum(cmath.phase(b / a) for a, b in zip(nodes, nodes[1:]))
+
+        # so the path turns 4*pi less about the puncture between its ends
+        assert turning(conn.nodes) - turning(base.nodes) == pytest.approx(-2.0 * TWO_PI)
         # the loop cycle never moves
         assert moved.cycles[1].nodes == basis.cycles[1].nodes
 
@@ -199,3 +229,16 @@ class TestTracking:
         fresh = cycle_basis(GAUSSIAN, 4.0)
         assert far.cycles[0].r_inf == pytest.approx(fresh.cycles[0].r_inf)
         assert far.cycles[0].r_inf < basis.cycles[0].r_inf
+
+    @pytest.mark.parametrize("dt", [0.02, -0.02, 0.02j, -0.02j])
+    def test_short_step_matches_fresh_basis(self, dt):
+        # a short step moves no valley across the [0, 2*pi) cut at the sweep
+        # points, so tracking must rebuild the basis built afresh at t + dt
+        for label, spec, t in sweep_cases():
+            moved = track_cycles(spec, cycle_basis(spec, t), [t, t + dt])
+            fresh = cycle_basis(spec, t + dt)
+            for cm, cf in zip(moved.cycles, fresh.cycles, strict=True):
+                assert (cm.start, cm.end, cm.winding) == (cf.start, cf.end, cf.winding), label
+                assert len(cm.nodes) == len(cf.nodes), (label, t, dt)
+                for zm, zf in zip(cm.nodes, cf.nodes):
+                    assert abs(zm - zf) <= 1e-13 * abs(zf), (label, t, dt)

@@ -239,6 +239,39 @@ class TestAbsoluteIntegral:
         scale = integrate_absolute(BESSEL, basis.cycles[0], 0, 1.0, tol=1e-6)
         assert scale > 0.0
 
+    @pytest.mark.parametrize("spec,t", [(AIRY, 1.0 + 0.3j), (BESSEL, 1.0), (GAUSSIAN, 2.0)])
+    def test_one_kernel_run_per_cycle(self, monkeypatch, spec, t):
+        # one run over the arc length of the whole polyline, not one per segment
+        import expperiods.quadrature as quadrature
+
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return _gk_vector(*args, **kwargs)
+
+        basis = cycle_basis(spec, t)
+        Q = parse_laurent("u^2 - t")
+        monkeypatch.setattr(quadrature, "_gk_vector", counting)
+        scales = [integrate_absolute(spec, c, Q, t, tol=1e-9) for c in basis.cycles]
+        monkeypatch.undo()
+        assert len(runs) == basis.rank
+        # the per-segment sum of |Q e^g| |du| as the reference
+        pmap, gmap = Q.coeffs_at(complex(t)), spec.g.coeffs_at(complex(t))
+        for cycle, scale in zip(basis.cycles, scales):
+            ref = 0.0
+            for z0, z1 in zip(cycle.nodes, cycle.nodes[1:]):
+                if z0 != z1:
+                    ref += adaptive_polyline(
+                        lambda s, z0=z0, z1=z1: abs(z1 - z0) * np.abs(
+                            sum(c * (z0 + s * (z1 - z0)) ** k for k, c in pmap.items())
+                            * np.exp(sum(c * (z0 + s * (z1 - z0)) ** k for k, c in gmap.items()))
+                        ),
+                        [0.0, 1.0],
+                        1e-12,
+                    )[0].real
+            assert scale == pytest.approx(ref, rel=2e-9)
+
 
 # The period sweep families of the benchmark, two admissible points each.
 AFF, PUN = FiberType.AFFINE_LINE, FiberType.PUNCTURED_LINE

@@ -137,7 +137,7 @@ class TestMonodromy:
         assert np.linalg.norm(m - np.eye(2)) < 1e-8
 
     def test_loop_through_pole_rejected(self):
-        with pytest.raises((LoopHitsSingularity, SingularProximity)):
+        with pytest.raises(LoopHitsSingularity):
             monodromy(GAUSSIAN, 0.5, basepoint=1.0)  # circle passes through 0
 
     def test_rank_zero_empty(self):
