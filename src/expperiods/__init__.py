@@ -67,7 +67,6 @@ from .symbolic import (
     RatFun,
     TPoly,
     parse_laurent,
-    parse_ratfun,
     parse_tpoly,
 )
 from .verify import (
@@ -132,7 +131,6 @@ __all__ = [
     "integrate_period",
     "monodromy",
     "parse_laurent",
-    "parse_ratfun",
     "parse_tpoly",
     "period_matrix",
     "random_gauge",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .cohomology import (
@@ -88,12 +89,21 @@ def load_problem(path: str):
     tol = 1e-10
     if "tol" in values:
         try:
-            tol = float(values["tol"])
-        except ValueError:
-            raise SpecFormatError(f"{path}: tol must be a float, got {values['tol']!r}")
-        if not 0.0 < tol < 1.0:
-            raise SpecFormatError(f"{path}: tol must lie in (0, 1), got {tol}")
+            tol = parse_tol_arg(values["tol"])
+        except argparse.ArgumentTypeError as exc:
+            raise SpecFormatError(f"{path}: {exc}")
     return ProblemSpec(fiber=fiber, g=g, label=label), tol
+
+
+def parse_tol_arg(text: str) -> float:
+    """Parse a tolerance, a float in (0, 1) (argparse type)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"tol must be a float in (0, 1), got {text!r}")
+    return tol
 
 
 def parse_complex_arg(text: str) -> complex:
@@ -114,8 +124,8 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _assert_admissible(spec: ProblemSpec, t: complex) -> None:
-    """Refuse evaluation inside (twice) a hard certified singular ball."""
+def _assert_admissible(spec: ProblemSpec, t: complex):
+    """Refuse evaluation inside (twice) a hard certified singular ball; return the set."""
     sigma = singular_set(spec)
     for ball in sigma.hard_balls():
         if abs(t - ball.center) <= 2.0 * ball.radius:
@@ -124,6 +134,7 @@ def _assert_admissible(spec: ProblemSpec, t: complex) -> None:
                 f"{ball.center} (radius {ball.radius:.3e}, "
                 f"provenance {', '.join(ball.provenance)})"
             )
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +238,7 @@ def cmd_samples(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["t_re", "t_im"])
         return 0
-    _assert_admissible(spec, path[0])
-    sigma = singular_set(spec)
+    sigma = _assert_admissible(spec, path[0])
     if not 0 <= args.cycle < basis.rank:
         raise AtSingularT(
             f"cycle index {args.cycle} out of range for rank {basis.rank}"
@@ -313,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", help="rapid-decay cycle basis at a parameter")
     p.add_argument("problem")
     p.add_argument("--t", type=parse_complex_arg, required=True, help="parameter 're' or 're,im'")
-    p.add_argument("--tol", type=float, default=1e-12, help="endpoint decay tolerance")
+    p.add_argument("--tol", type=parse_tol_arg, default=1e-12, help="endpoint decay tolerance")
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("periods", help="full period matrix at a parameter")
     p.add_argument("problem")
     p.add_argument("--t", type=parse_complex_arg, required=True)
-    p.add_argument("--tol", type=float, default=None, help="relative error target")
+    p.add_argument("--tol", type=parse_tol_arg, default=None, help="relative error target")
     p.add_argument("--dps", type=int, default=None, help="extended-precision digits")
     p.set_defaults(func=cmd_periods)
 
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="polyline vertices 're,im' in the parameter plane")
     p.add_argument("--n", type=int, default=16, help="total samples along the path")
     p.add_argument("--cycle", type=int, default=0, help="cycle index to sample")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=parse_tol_arg, default=None)
     p.set_defaults(func=cmd_samples)
 
     p = sub.add_parser("verify", help="run all structural checks")
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--center", type=parse_complex_arg, required=True)
     p.add_argument("--basepoint", type=parse_complex_arg, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=parse_tol_arg, default=1e-6)
     p.set_defaults(func=cmd_monodromy)
     return parser
 

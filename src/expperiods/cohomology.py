@@ -200,7 +200,7 @@ class ConnectionMatrix:
 
     basis: CohomologyBasis
     entries: tuple  # tuple of tuples of RatFun, rank x rank
-    convention: str = CONNECTION_CONVENTION
+    convention = CONNECTION_CONVENTION  # a class constant, not a field
 
     @property
     def rank(self) -> int:

@@ -50,10 +50,6 @@ class Sector(object):
     center: float
     half_width: float
 
-    def contains(self, angle: float) -> bool:
-        delta = (angle - self.center + math.pi) % TWO_PI - math.pi
-        return abs(delta) <= self.half_width + 1e-12
-
 
 @dataclass(frozen=True)
 class ValleyConfig(object):

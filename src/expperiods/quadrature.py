@@ -34,6 +34,8 @@ from .errors import NonDecayingTail, ToleranceNotMet
 from .symbolic import LaurentPoly
 
 _EPS = 2.0 ** -52
+# Most panels one kernel run may hold before it raises ToleranceNotMet.
+_BUDGET = 6000
 
 # 15-point Kronrod extension of 7-point Gauss (nodes ascending on [-1, 1]).
 _K_POS = (
@@ -213,7 +215,7 @@ def _gk_panels(fs, a, b):
     return kron, np.abs(half * (kg[..., 0] - kg[..., 1])), np.abs(half) * (np.abs(vals) @ WEIGHTS_K)
 
 
-def _gk_vector(fs, nodes, tol: float, abs_floor: float, budget: int):
+def _gk_vector(fs, nodes, tol: float, abs_floor: float):
     """Global adaptive GK15 of a vector integrand along a polyline.
 
     ``fs`` maps an (n, 15) array of nodes to an (m, n, 15) array of values.
@@ -227,7 +229,7 @@ def _gk_vector(fs, nodes, tol: float, abs_floor: float, budget: int):
     including the roundoff floor 50*eps*resabs, and the evaluation count.
 
     Raises:
-        ToleranceNotMet: if the targets need more than ``budget`` panels.
+        ToleranceNotMet: if the targets need more than ``_BUDGET`` panels.
         NonDecayingTail: if the integrand is not finite at some node.
     """
     z = np.asarray(nodes, dtype=complex)
@@ -247,10 +249,10 @@ def _gk_vector(fs, nodes, tol: float, abs_floor: float, budget: int):
         need = 1 + (rest[:, 1:] > 0.5 * target[fail, None]).sum(axis=1)
         split = np.zeros(len(a), dtype=bool)
         split[order[np.arange(len(a)) < need[:, None]]] = True
-        if len(a) + np.count_nonzero(split) > budget:
+        if len(a) + np.count_nonzero(split) > _BUDGET:
             worst = int(np.argmax(err_sum - target))
             raise ToleranceNotMet(
-                f"quadrature budget of {budget} panels exhausted "
+                f"quadrature budget of {_BUDGET} panels exhausted "
                 f"(error {err_sum[worst]:.3e}, target {target[worst]:.3e})"
             )
         mid = 0.5 * (a[split] + b[split])
@@ -262,21 +264,21 @@ def _gk_vector(fs, nodes, tol: float, abs_floor: float, budget: int):
                           for old, new in zip((kron, err, res), fresh))
 
 
-def adaptive_polyline(f, nodes, tol: float, abs_floor: float = 0.0, budget: int = 6000):
+def adaptive_polyline(f, nodes, tol: float):
     """Integrate a scalar f along a polyline: a one-component kernel run.
 
     Returns (value, error, resabs, neval).  The error includes the roundoff
     floor 50*eps*resabs.  Raises ToleranceNotMet if the panel budget is
-    exhausted before err <= tol*|value| + max(abs_floor, machine_floor).
+    exhausted before err <= tol*|value| + machine_floor.
     """
     value, err, resabs, neval = _gk_vector(
-        lambda us: np.broadcast_to(f(us), us.shape)[None], nodes, tol, abs_floor, budget
+        lambda us: np.broadcast_to(f(us), us.shape)[None], nodes, tol, 0.0
     )
     return complex(value[0]), float(err[0]), float(resabs[0]), neval
 
 
 def period_row(spec: ProblemSpec, cycle: RapidDecayCycle, forms, t: complex, tol: float = 1e-10,
-               abs_floor: float = 0.0, budget: int = 6000):
+               abs_floor: float = 0.0):
     """The periods of several forms over one cycle, from one kernel run.
 
     Returns (entries, resabs): a PeriodValue per form, whose error adds the
@@ -292,7 +294,7 @@ def period_row(spec: ProblemSpec, cycle: RapidDecayCycle, forms, t: complex, tol
     pmaps = [_form_coeffs(form, t) for form in forms]
     truncations = [_truncation_bound(cycle, pmap, gmap) for pmap in pmaps]
     values, errs, resabs, neval = _gk_vector(
-        _integrand(gmap, pmaps), cycle.nodes, tol, abs_floor, budget
+        _integrand(gmap, pmaps), cycle.nodes, tol, abs_floor
     )
     row = []
     for value, err, truncation in zip(values, errs, truncations):
@@ -312,7 +314,6 @@ def integrate_period(
     t: complex,
     tol: float = 1e-10,
     abs_floor: float = 0.0,
-    budget: int = 6000,
     dps: int = None,
 ) -> PeriodValue:
     """Integrate P(u) e^{g(u,t)} du over one rapid-decay cycle.
@@ -330,7 +331,7 @@ def integrate_period(
     """
     if dps is not None:
         return _integrate_mp(spec, cycle, form, complex(t), dps)
-    (pv,), _resabs = period_row(spec, cycle, [form], t, tol, abs_floor, budget)
+    (pv,), _resabs = period_row(spec, cycle, [form], t, tol, abs_floor)
     return pv
 
 
@@ -340,7 +341,6 @@ def integrate_absolute(
     form,
     t: complex,
     tol: float = 1e-6,
-    budget: int = 6000,
 ) -> float:
     """Integrate |P(u) e^{g}| |du| over a cycle (a positive scale factor).
 
@@ -352,7 +352,7 @@ def integrate_absolute(
     z = np.asarray(cycle.nodes, dtype=complex)
     s = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(z)))])
     value, _err, _resabs, _n = adaptive_polyline(
-        lambda us: np.abs(fs(np.interp(us.real, s, z))[0]), s, tol, budget=budget
+        lambda us: np.abs(fs(np.interp(us.real, s, z))[0]), s, tol
     )
     return value.real
 
@@ -395,7 +395,6 @@ def period_matrix(
     basis: CohomologyBasis,
     cycles: CycleBasis,
     tol: float = 1e-10,
-    budget: int = 6000,
     dps: int = None,
 ) -> PeriodMatrix:
     """The full period matrix of the cycle basis against the form basis.
@@ -412,7 +411,7 @@ def period_matrix(
     resabs_rows = []
     for cyc in cycles.cycles:
         if dps is None:
-            row, resabs = period_row(spec, cyc, basis.exponents, t, tol, budget=budget)
+            row, resabs = period_row(spec, cyc, basis.exponents, t, tol)
         else:
             row = [integrate_period(spec, cyc, k, t, tol=tol, dps=dps) for k in basis.exponents]
             resabs = [abs(pv.value) for pv in row]

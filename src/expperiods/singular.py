@@ -34,6 +34,9 @@ CONNECTION_POLE = "ConnectionPole"
 # Newton contraction threshold: alpha < (13 - 3*sqrt(17))/4 ~ 0.15767 certifies
 # convergence to a unique nearby root with |root - z0| <= 2*beta.
 _ALPHA_SAFE = 0.15
+# Working precision of root isolation: start digits, and the most digits tried.
+_DPS = 30
+_MAX_DPS = 220
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,6 @@ class RootBall(object):
     multiplicity: int
     provenance: tuple  # sorted tuple of provenance strings
 
-    def contains(self, t: complex, slack: float = 1.0) -> bool:
-        return abs(complex(t) - self.center) <= self.radius * slack
-
 
 @dataclass(frozen=True)
 class SingularSet:
@@ -55,17 +55,6 @@ class SingularSet:
 
     balls: tuple
     defining: tuple  # tuple of (TPoly, provenance string)
-
-    def min_distance(self, t: complex) -> float:
-        if not self.balls:
-            return float("inf")
-        return min(abs(complex(t) - b.center) for b in self.balls)
-
-    def ball_containing(self, t: complex, slack: float = 1.0):
-        for b in self.balls:
-            if b.contains(t, slack):
-                return b
-        return None
 
     def hard_balls(self) -> tuple:
         """Balls where the system itself degenerates (poles, lost valleys).
@@ -200,9 +189,7 @@ def _certify_squarefree(q: TPoly, dps: int):
     return [(c, float(r) + eps * (abs(c) + 1.0) * 4.0) for c, r in balls]
 
 
-def root_isolate(
-    p: TPoly, dps: int = 30, max_dps: int = 220, provenance: str = "", isolated: dict = None
-):
+def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):
     """Isolate all complex roots of p into certified disjoint balls.
 
     Works factor-by-factor on the exact squarefree decomposition so that
@@ -212,7 +199,7 @@ def root_isolate(
     ``isolated`` to all of them, so that a repeated factor is certified once.
 
     Raises:
-        PrecisionExhausted: if certification fails at ``max_dps`` digits.
+        PrecisionExhausted: if certification fails at ``_MAX_DPS`` digits.
     """
     if p.is_zero():
         raise DegenerateFamily("cannot isolate the roots of the zero polynomial")
@@ -220,18 +207,18 @@ def root_isolate(
     out = []
     prov = (provenance,) if provenance else ()
     for q, mult in squarefree_decomposition(p):
-        key, working = (q, dps, max_dps), dps
-        while key not in isolated:
+        working = _DPS
+        while q not in isolated:
             with mp.workdps(working):
                 balls = _certify_squarefree(q, working)
             if balls is not None:
-                isolated[key] = balls
-            elif 2 * working > max_dps:
+                isolated[q] = balls
+            elif 2 * working > _MAX_DPS:
                 raise PrecisionExhausted(
-                    f"root certification failed at {max_dps} digits for {q.to_str()}"
+                    f"root certification failed at {_MAX_DPS} digits for {q.to_str()}"
                 )
             working *= 2
-        for c, r in isolated[key]:
+        for c, r in isolated[q]:
             out.append(RootBall(center=c, radius=r, multiplicity=mult, provenance=prov))
     total = sum(b.multiplicity for b in out)
     assert total == p.degree, "root multiplicities must sum to the degree"
@@ -267,7 +254,7 @@ def _merge_balls(balls, combine=max):
     return sorted(balls, key=lambda b: (b.center.real, b.center.imag))
 
 
-def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None, dps: int = 30) -> SingularSet:
+def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None) -> SingularSet:
     """Assemble the certified singular-parameter over-approximation.
 
     Raises:
@@ -308,5 +295,5 @@ def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None, dps: int = 30) -
         if poly.is_zero():
             raise DegenerateFamily("a defining polynomial vanishes identically")
         if poly.degree >= 1:
-            balls.extend(root_isolate(poly, dps=dps, provenance=prov, isolated=isolated))
+            balls.extend(root_isolate(poly, provenance=prov, isolated=isolated))
     return SingularSet(balls=tuple(_merge_balls(balls)), defining=tuple(defining))

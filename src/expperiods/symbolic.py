@@ -9,9 +9,10 @@ The API edge uses three small exact types:
   over the integers and ``c_k`` a ``TPoly``.
 
 Rational scalars are plain :class:`fractions.Fraction`, which already keeps
-``gcd(num, den) = 1`` and ``den > 0``.  A tiny expression parser and canonical
-printers make every object round-trip through strings, which is what the CLI
-serializes.
+``gcd(num, den) = 1`` and ``den > 0``.  Canonical printers serialize every
+object for the CLI.  A tiny expression parser reads ``TPoly`` and
+``LaurentPoly`` back; every divisor in it must be a nonzero rational
+constant, so ``RatFun`` prints but does not parse.
 
 The heavy exact work runs fraction-free over Z[t], on plain lists of Python
 ints ("zpolys"), and converts back to ``TPoly`` once at the end:
@@ -287,14 +288,6 @@ class RatFun:
     def const(cls, c) -> "RatFun":
         return cls(TPoly.const(c))
 
-    @classmethod
-    def t(cls) -> "RatFun":
-        return cls(TPoly.t())
-
-    @classmethod
-    def from_tpoly(cls, p: TPoly) -> "RatFun":
-        return cls(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -401,10 +394,6 @@ class LaurentPoly:
         return cls({k: TPoly.one()})
 
     @classmethod
-    def t(cls) -> "LaurentPoly":
-        return cls({0: TPoly.t()})
-
-    @classmethod
     def monomial(cls, k: int, coeff: TPoly) -> "LaurentPoly":
         return cls({k: coeff})
 
@@ -462,7 +451,7 @@ class LaurentPoly:
                 ((k, c),) = self.terms.items()
                 if c.degree == 0:
                     return LaurentPoly({k * n: TPoly.const(1 / c.coeffs[0]) ** (-n)})
-            raise ValueError("negative power of a non-monomial")
+            raise ValueError("only a rational monomial c*u^k has a negative power")
         r = LaurentPoly.one()
         base = self
         while n:
@@ -535,8 +524,8 @@ def _nonzero_terms(p: TPoly):
 #   atom   := INT | 't' | 'u' | '(' expr ')'
 #   exponent := INT | ('-'|'+') INT | '(' ('-'|'+')? INT ')'
 #
-# Values are Laurent polynomials in u whose coefficients live in Q(t);
-# division requires a u-free, nonzero divisor.
+# Values are Laurent polynomials in u over Q[t]; a divisor must be a nonzero
+# rational constant, and only a rational monomial c*u^k has a negative power.
 
 
 class _Tok:
@@ -583,7 +572,7 @@ def _tokenize(s: str):
 
 
 class _Parser:
-    """Recursive-descent evaluator into {u-exponent: RatFun} maps."""
+    """Recursive-descent evaluator into :class:`LaurentPoly`."""
 
     def __init__(self, s: str):
         self.toks = _tokenize(s)
@@ -602,45 +591,45 @@ class _Parser:
         if t.kind != "op" or t.text != text:
             raise SpecFormatError(f"expected {text!r}")
 
-    def parse(self):
+    def parse(self) -> LaurentPoly:
         v = self.expr()
         if self.peek().kind != "end":
             raise SpecFormatError(f"trailing input near {self.peek().text!r}")
         return v
 
-    def expr(self):
+    def expr(self) -> LaurentPoly:
         v = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
             w = self.term()
-            v = _map_add(v, w) if op == "+" else _map_add(v, _map_neg(w))
+            v = v + w if op == "+" else v - w
         return v
 
-    def term(self):
+    def term(self) -> LaurentPoly:
         v = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.take().text
             w = self.unary()
-            if op == "*":
-                v = _map_mul(v, w)
-            else:
-                v = _map_div(v, w)
+            v = v * w if op == "*" else v * _inverse_constant(w)
         return v
 
-    def unary(self):
+    def unary(self) -> LaurentPoly:
         sign = 1
         while self.peek().kind == "op" and self.peek().text in "+-":
             if self.take().text == "-":
                 sign = -sign
         v = self.power()
-        return v if sign == 1 else _map_neg(v)
+        return v if sign == 1 else -v
 
-    def power(self):
+    def power(self) -> LaurentPoly:
         v = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.take()
             e = self.exponent()
-            v = _map_pow(v, e)
+            try:
+                v = v ** e
+            except ValueError as exc:
+                raise SpecFormatError(str(exc)) from None
         return v
 
     def exponent(self) -> int:
@@ -660,15 +649,15 @@ class _Parser:
         self.take()
         return sign * int(t.text)
 
-    def atom(self):
+    def atom(self) -> LaurentPoly:
         t = self.take()
         if t.kind == "int":
-            return {0: RatFun.const(int(t.text))}
+            return LaurentPoly.const(int(t.text))
         if t.kind == "name":
             if t.text == "t":
-                return {0: RatFun.t()}
+                return LaurentPoly({0: TPoly.t()})
             if t.text == "u":
-                return {1: RatFun.one()}
+                return LaurentPoly.u()
             raise SpecFormatError(f"unknown symbol {t.text!r} (only t and u are allowed)")
         if t.kind == "op" and t.text == "(":
             v = self.expr()
@@ -677,89 +666,35 @@ class _Parser:
         raise SpecFormatError(f"unexpected token {t.text!r}")
 
 
-def _map_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out[k] + c if k in out else c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _map_neg(a):
-    return {k: -c for k, c in a.items()}
-
-
-def _map_mul(a, b):
-    out = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            k = i + j
-            p = ca * cb
-            if k in out:
-                p = out[k] + p
-            if p.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = p
-    return out
-
-
-def _map_div(a, b):
-    if list(b) not in ([0], []):
-        raise SpecFormatError("division by a u-dependent expression is not allowed")
-    if not b or b[0].is_zero():
+def _inverse_constant(w: LaurentPoly) -> Fraction:
+    """``1/w`` for a divisor ``w``, which must be a nonzero rational constant."""
+    if w.is_zero():
         raise SpecFormatError("division by zero")
-    inv = RatFun.one() / b[0]
-    return {k: c * inv for k, c in a.items()}
-
-
-def _map_pow(a, e: int):
-    if e >= 0:
-        r = {0: RatFun.one()}
-        base = a
-        while e:
-            if e & 1:
-                r = _map_mul(r, base)
-            base = _map_mul(base, base)
-            e >>= 1
-        return r
-    if len(a) == 1:
-        ((k, c),) = a.items()
-        return _map_pow({-k: RatFun.one() / c}, -e)
-    raise SpecFormatError("negative power of a non-monomial expression")
+    if set(w.terms) != {0}:
+        raise SpecFormatError("division by a u-dependent expression is not allowed")
+    c = w.terms[0]
+    if c.degree > 0:
+        raise SpecFormatError(
+            f"division by {c.to_str()}: coefficients must be polynomials in t"
+        )
+    return 1 / c.coeffs[0]
 
 
 def parse_laurent(s: str) -> LaurentPoly:
     """Parse an expression in ``t`` and ``u`` into a LaurentPoly over Q[t].
 
-    Division is restricted to u-free constants; a genuine denominator in ``t``
-    is rejected because phase functions live in Q[t][u, 1/u].
+    Every divisor must be a nonzero rational constant: phase functions live
+    in Q[t][u, 1/u], so even a t-divisor that would cancel is rejected.
     """
-    m = _Parser(s).parse()
-    terms = {}
-    for k, c in m.items():
-        if not c.is_polynomial():
-            raise SpecFormatError(f"coefficient of u^{k} has a t-denominator: {c.to_str()}")
-        terms[k] = c.num
-    return LaurentPoly(terms)
-
-
-def parse_ratfun(s: str) -> RatFun:
-    """Parse a u-free expression into a rational function of ``t``."""
-    m = _Parser(s).parse()
-    if any(k != 0 for k in m):
-        raise SpecFormatError("expected a u-free expression")
-    return m.get(0, RatFun.zero())
+    return _Parser(s).parse()
 
 
 def parse_tpoly(s: str) -> TPoly:
-    r = parse_ratfun(s)
-    if not r.is_polynomial():
-        raise SpecFormatError("expected a polynomial in t (no denominators)")
-    return r.num
+    """Parse a u-free expression into a polynomial in ``t``."""
+    p = parse_laurent(s)
+    if set(p.terms) - {0}:
+        raise SpecFormatError("expected a u-free expression")
+    return p.coeff(0)
 
 
 # ---------------------------------------------------------------------------
@@ -918,16 +853,6 @@ def tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
     """Monic gcd over Q[t], computed over Z[t] by :func:`zpoly_gcd`."""
     za, zb = tpolys_to_z((a, b))[0]
     return TPoly(zpoly_gcd(za, zb)).monic()
-
-
-def normalize_coefficient_list(cs: Sequence[RatFun]):
-    """Clear denominators and remove content from an ODE coefficient list.
-
-    Returns ``TPoly`` coefficients with trivial common polynomial factor,
-    integer content 1, and positive leading coefficient in the last entry.
-    """
-    nums, _ = clear_denominators([_as_ratfun(c) for c in cs])
-    return [TPoly(p) for p in zpoly_primitive_vector(nums)]
 
 
 def bareiss(columns: Iterable[Sequence[list]]):

@@ -46,6 +46,13 @@ from .symbolic import LaurentPoly, TPoly
 
 # Fixed seed for all reproducible random gauge draws.
 STOKES_SEED = 1729
+# Pass thresholds of the checks, and the period tolerance of duality and monodromy.
+_ODE_TOL = 1e-6
+_STOKES_TOL = 1e-8
+_DUALITY_TOL = 1e-3
+_PERIOD_TOL = 1e-10
+# Legs of the polygonal monodromy loop.
+_LOOP_SEGMENTS = 24
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,6 @@ def check_ode(
     spec: ProblemSpec,
     t: complex,
     h: float = None,
-    tol: float = 1e-6,
     quad_tol: float = 1e-11,
     singular: SingularSet = None,
     A: ConnectionMatrix = None,
@@ -169,9 +175,9 @@ def check_ode(
     residual = float(np.linalg.norm(deriv - expected)) / max(scale, 1e-300)
     return CheckRecord(
         name="ode_residual",
-        passed=residual < tol,
+        passed=residual < _ODE_TOL,
         residual=residual,
-        threshold=tol,
+        threshold=_ODE_TOL,
         details={"t": [t.real, t.imag], "h": h, "rank": basis.rank},
     )
 
@@ -201,14 +207,7 @@ def random_gauge(spec: ProblemSpec, rng: random.Random) -> LaurentPoly:
     return q
 
 
-def check_stokes(
-    spec: ProblemSpec,
-    t: complex,
-    Q: LaurentPoly,
-    cycle=None,
-    cycles: CycleBasis = None,
-    tol: float = 1e-8,
-) -> CheckRecord:
+def check_stokes(spec: ProblemSpec, t: complex, Q: LaurentPoly, cycle=None) -> CheckRecord:
     """Verify that the twisted differential of Q integrates to zero.
 
     The integral of (dQ/du + Q dg/du) e^{g} du over a rapid-decay cycle must
@@ -218,22 +217,20 @@ def check_stokes(
     if fiber_basis(spec).rank == 0:
         return _vacuous("stokes_residual", "rank zero: no cycles to pair against")
     if cycle is None:
-        if cycles is None:
-            cycles = cycle_basis(spec, t)
-        cycle = cycles.cycles[0]
+        cycle = cycle_basis(spec, t).cycles[0]
     nabla_q = twisted_differential(Q, spec)
     scale = integrate_absolute(spec, cycle, Q, t, tol=1e-6)
     if scale == 0.0:
         return _vacuous("stokes_residual", "gauge form vanishes on the cycle")
     pv = integrate_period(
-        spec, cycle, nabla_q, t, tol=1e-13, abs_floor=1e-2 * tol * scale
+        spec, cycle, nabla_q, t, tol=1e-13, abs_floor=1e-2 * _STOKES_TOL * scale
     )
     residual = abs(pv.value) / scale
     return CheckRecord(
         name="stokes_residual",
-        passed=residual < tol,
+        passed=residual < _STOKES_TOL,
         residual=residual,
-        threshold=tol,
+        threshold=_STOKES_TOL,
         details={
             "t": [t.real, t.imag],
             "gauge": Q.to_str(),
@@ -248,14 +245,8 @@ def check_stokes(
 # ---------------------------------------------------------------------------
 
 
-def check_duality(
-    spec: ProblemSpec,
-    t: complex,
-    tol: float = 1e-3,
-    quad_tol: float = 1e-10,
-    cycles: CycleBasis = None,
-) -> CheckRecord:
-    """Verify |det P| > tol * prod(row norms): the pairing is non-degenerate.
+def check_duality(spec: ProblemSpec, t: complex, cycles: CycleBasis = None) -> CheckRecord:
+    """Verify |det P| > 1e-3 * prod(row norms): the pairing is non-degenerate.
 
     The threshold is scale-invariant (Hadamard's inequality bounds |det P|
     by the product of row norms, so the ratio lies in [0, 1]).
@@ -266,7 +257,7 @@ def check_duality(
         return _vacuous("duality_det", "rank zero: empty pairing is perfect")
     if cycles is None:
         cycles = cycle_basis(spec, t)
-    P = period_matrix(spec, basis, cycles, tol=quad_tol).values()
+    P = period_matrix(spec, basis, cycles, tol=_PERIOD_TOL).values()
     det = abs(complex(np.linalg.det(P)))
     row_norms = [float(np.linalg.norm(row)) for row in P]
     hadamard = math.prod(row_norms)
@@ -275,9 +266,9 @@ def check_duality(
     ratio = det / max(hadamard, 1e-300)
     return CheckRecord(
         name="duality_det",
-        passed=ratio > tol and numeric_rank == basis.rank,
+        passed=ratio > _DUALITY_TOL and numeric_rank == basis.rank,
         residual=ratio,
-        threshold=tol,
+        threshold=_DUALITY_TOL,
         details={
             "t": [t.real, t.imag],
             "det": det,
@@ -298,9 +289,7 @@ def monodromy(
     center: complex,
     basepoint: complex = None,
     tol: float = 1e-6,
-    quad_tol: float = 1e-10,
     singular: SingularSet = None,
-    segments: int = 24,
 ) -> MonodromyResult:
     """Monodromy of the local system around a counterclockwise loop.
 
@@ -340,17 +329,18 @@ def monodromy(
 
     rho = basepoint - center
     loop = [
-        center + rho * cmath.exp(2j * math.pi * k / segments) for k in range(segments)
+        center + rho * cmath.exp(2j * math.pi * k / _LOOP_SEGMENTS)
+        for k in range(_LOOP_SEGMENTS)
     ]
     loop.append(basepoint)
 
     base = cycle_basis(spec, basepoint)
-    P0 = period_matrix(spec, basis, base, tol=quad_tol).values()
+    P0 = period_matrix(spec, basis, base, tol=_PERIOD_TOL).values()
     try:
         moved = track_cycles(spec, base, loop, singular=singular)
     except SingularProximity as exc:
         raise LoopHitsSingularity(f"monodromy loop about {center}: {exc}") from exc
-    P1 = period_matrix(spec, basis, moved, tol=quad_tol).values()
+    P1 = period_matrix(spec, basis, moved, tol=_PERIOD_TOL).values()
     m_cycle = np.linalg.solve(P0.T, P1.T).T
 
     def rhs(s, y):
@@ -408,10 +398,6 @@ def run_all(
     t: complex = None,
     seed: int = STOKES_SEED,
     n_stokes: int = 5,
-    ode_tol: float = 1e-6,
-    stokes_tol: float = 1e-8,
-    duality_tol: float = 1e-3,
-    monodromy_tol: float = 1e-6,
 ) -> VerificationReport:
     """Run every structural check at one admissible parameter value.
 
@@ -434,23 +420,19 @@ def run_all(
         )
     t = complex(t)
 
-    records = []
-    records.append(check_ode(spec, t, tol=ode_tol, singular=sigma, A=A))
-    records.append(check_duality(spec, t, tol=duality_tol))
-    if basis.rank > 0:
-        rng = random.Random(seed)
-        cycles = cycle_basis(spec, t)
-        for i in range(n_stokes):
-            Q = random_gauge(spec, rng)
-            cyc = cycles.cycles[i % len(cycles.cycles)]
-            rec = check_stokes(spec, t, Q, cycle=cyc, tol=stokes_tol)
-            records.append(rec)
-    else:
+    records = [check_ode(spec, t, singular=sigma, A=A)]
+    if basis.rank == 0:
+        records.append(check_duality(spec, t))
         records.append(_vacuous("stokes_residual", "rank zero: no cycles"))
-    if sigma.balls and basis.rank > 0:
+        return VerificationReport(label=spec.label, t=t, records=tuple(records))
+    # One cycle basis at t serves the duality and every Stokes check.
+    cycles = cycle_basis(spec, t)
+    records.append(check_duality(spec, t, cycles=cycles))
+    rng = random.Random(seed)
+    for i in range(n_stokes):
+        cyc = cycles.cycles[i % len(cycles.cycles)]
+        records.append(check_stokes(spec, t, random_gauge(spec, rng), cycle=cyc))
+    if sigma.balls:
         nearest = min(sigma.balls, key=lambda b: abs(b.center - t))
-        result = monodromy(
-            spec, nearest.center, tol=monodromy_tol, singular=sigma
-        )
-        records.append(result.record)
+        records.append(monodromy(spec, nearest.center, singular=sigma).record)
     return VerificationReport(label=spec.label, t=t, records=tuple(records))

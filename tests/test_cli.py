@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from expperiods import cli
 from expperiods.cli import load_problem, main, parse_complex_arg
 from expperiods.errors import SpecFormatError
 
@@ -17,6 +18,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_bad_tol_exits_two(capsys, *argv):
+    """A --tol outside (0, 1) is refused by argparse: exit 2, before any work."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "tol must be a float in (0, 1)" in capsys.readouterr().err
 
 
 class TestProblemFiles:
@@ -41,6 +50,13 @@ class TestProblemFiles:
         p = tmp_path / "bad.spec"
         p.write_text("fiber = projective_line\ng = t*u\n")
         with pytest.raises(SpecFormatError, match="fiber must be"):
+            load_problem(str(p))
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "1", "nan", "abc"])
+    def test_bad_tol_rejected(self, tmp_path, tol):
+        p = tmp_path / "bad.spec"
+        p.write_text(f"fiber = affine_line\ng = t*u\ntol = {tol}\n")
+        with pytest.raises(SpecFormatError, match=r"tol must be a float in \(0, 1\)"):
             load_problem(str(p))
 
     def test_syntax_error_exit_code(self, capsys, tmp_path):
@@ -141,6 +157,10 @@ class TestCycles:
         assert code == 2
         assert "singular ball" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_bad_tol_exit_two(self, capsys, tol):
+        assert_bad_tol_exits_two(capsys, "cycles", AIRY, "--t", "1", "--tol", tol)
+
 
 class TestPeriods:
     def test_gaussian_value(self, capsys):
@@ -156,6 +176,9 @@ class TestPeriods:
     def test_at_pole_exit_two(self, capsys):
         code, _out, _err = run(capsys, "periods", GAUSSIAN, "--t", "0")
         assert code == 2
+
+    def test_bad_tol_exit_two(self, capsys):
+        assert_bad_tol_exits_two(capsys, "periods", AIRY, "--t", "1", "--tol", "-1")
 
     def test_rank_zero_grace(self, capsys):
         code, out, _ = run(capsys, "periods", LINEAR, "--t", "1")
@@ -184,6 +207,22 @@ class TestSamples:
         code, out, _ = run(capsys, "samples", LINEAR, "--path", "1", "2")
         assert code == 0
         assert out.strip() == "t_re,t_im"
+
+    def test_bad_tol_exit_two(self, capsys):
+        assert_bad_tol_exits_two(capsys, "samples", GAUSSIAN, "--path", "1", "2", "--tol", "-1")
+
+    def test_singular_set_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(spec, *args):
+            calls.append(spec)
+            return real(spec, *args)
+
+        real = cli.singular_set
+        monkeypatch.setattr(cli, "singular_set", counting)
+        code, _out, _err = run(capsys, "samples", GAUSSIAN, "--path", "1", "2", "--n", "2")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestVerify:
@@ -216,3 +255,6 @@ class TestMonodromy:
         )
         assert code == 2
         assert "monodromy loop about" in err
+
+    def test_bad_tol_exit_two(self, capsys):
+        assert_bad_tol_exits_two(capsys, "monodromy", GAUSSIAN, "--center", "0", "--tol", "-1")

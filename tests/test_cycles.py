@@ -86,13 +86,6 @@ class TestValleyConfig:
         with pytest.raises(AtSingularT):
             valley_config(BESSEL, 0.0)
 
-    def test_sector_membership(self):
-        cfg = valley_config(AIRY, 0.0)
-        s0 = cfg.at_infinity[0]
-        assert s0.contains(math.pi / 3)
-        assert s0.contains(math.pi / 3 + TWO_PI)  # wrap-around
-        assert not s0.contains(math.pi)
-
 
 class TestCycleBasis:
     def test_counts_match_rank(self):

@@ -2,7 +2,9 @@
 
 The package modules are parsed with ``ast``; ``__init__.py`` is left out
 because its imports are the public re-exports.  Importing the package must
-not load scipy, which only ``verify.monodromy`` needs.
+not load scipy, which only ``verify.monodromy`` needs.  Every module-level
+function and class has a caller in the package (a re-export counts) or in
+``demos/``: code that only tests need does not belong in ``src/``.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expperiods"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "expperiods"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -55,6 +58,40 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported_names(tree).items() if name not in used)
 
 
+def referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Names loaded, attributes read and names imported in ``tree``, outside ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled_definitions(paths, callers) -> list:
+    """(file, name) of each top-level def or class in ``paths`` that is not
+    referenced in its own file outside its definition, nor in ``callers``."""
+    trees = {p: ast.parse(p.read_text()) for p in {*paths, *callers}}
+    refs = {q: referenced_names(trees[q]) for q in callers}
+    out = []
+    for p in paths:
+        elsewhere = set().union(*(refs[q] for q in callers if q != p))
+        for node in trees[p].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in (
+                elsewhere | referenced_names(trees[p], skip=node)
+            ):
+                out.append((p.name, node.name))
+    return out
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"symbolic.py", "cohomology.py", "singular.py"}
 
@@ -78,6 +115,23 @@ def test_detector_flags_unused_and_keeps_used():
         "    return np.sum(x)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "Fraction")]
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert not uncalled_definitions(MODULES, callers)
+
+
+def test_caller_detector(tmp_path):
+    lib, app = tmp_path / "lib.py", tmp_path / "app.py"
+    lib.write_text(
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Orphan: pass\n"
+    )
+    app.write_text("from lib import used\n")
+    assert uncalled_definitions([lib], [lib, app]) == [("lib.py", "recursive"), ("lib.py", "Orphan")]
 
 
 def test_import_does_not_load_scipy():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expperiods import quadrature
 from expperiods.cli import main
 from expperiods.cohomology import FiberType, ProblemSpec, fiber_basis
 from expperiods.cycles import CycleBasis, cycle_basis, track_cycles
@@ -111,11 +112,10 @@ class TestAdaptivePolyline:
         val, _err, _resabs, _n = adaptive_polyline(lambda u: 1.0 / u, nodes, 1e-12)
         assert abs(val - 2j * math.pi) < 1e-11
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BUDGET", 3)
         with pytest.raises(ToleranceNotMet):
-            adaptive_polyline(
-                lambda u: np.exp(200j * u), [0.0, 1.0], 1e-14, budget=3
-            )
+            adaptive_polyline(lambda u: np.exp(200j * u), [0.0, 1.0], 1e-14)
 
 
 class TestPeriodOracles:
@@ -323,18 +323,19 @@ class TestVectorKernel:
             cmath.log(1 - pole) - cmath.log(-pole),
         ]
         tol = 1e-11
-        values, errs, resabs, neval = _gk_vector(fs, [0.0, 1.0], tol, 0.0, 6000)
+        values, errs, resabs, neval = _gk_vector(fs, [0.0, 1.0], tol, 0.0)
         for v, e, r, x in zip(values, errs, resabs, exact):
             assert e <= tol * abs(v) + 100.0 * EPS * r
             assert abs(v - x) <= e
         assert neval % 15 == 0 and neval > 15
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         spec = make(FiberType.AFFINE_LINE, "u^5/5-t*u^2+u")
         cycles = cycle_basis(spec, 1.224225 + 0.861377j)
-        budget = len(cycles.cycles[0].nodes)  # the unrefined polyline, and no more
+        # the unrefined polyline, and no more
+        monkeypatch.setattr(quadrature, "_BUDGET", len(cycles.cycles[0].nodes))
         with pytest.raises(ToleranceNotMet, match="budget"):
-            period_matrix(spec, fiber_basis(spec), cycles, tol=1e-10, budget=budget)
+            period_matrix(spec, fiber_basis(spec), cycles, tol=1e-10)
 
     def test_overflow_raises_without_warnings(self):
         with warnings.catch_warnings():

@@ -241,12 +241,6 @@ class TestSingularSet:
         with pytest.raises(DegenerateFamily):
             singular_set(spec)
 
-    def test_min_distance_and_contains(self):
-        sigma = singular_set(GAUSSIAN)
-        assert sigma.min_distance(1.0) == pytest.approx(1.0)
-        assert sigma.ball_containing(0.0) is sigma.balls[0]
-        assert sigma.ball_containing(0.5) is None
-
     def test_shifted_family(self):
         # g = u^3/3 - (t-2) u: the collision moves to t = 2
         spec = make(FiberType.AFFINE_LINE, "u^3/3 - (t - 2)*u")

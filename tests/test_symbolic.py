@@ -14,9 +14,7 @@ from expperiods.symbolic import (
     TPoly,
     bareiss,
     clear_denominators,
-    normalize_coefficient_list,
     parse_laurent,
-    parse_ratfun,
     parse_tpoly,
     tpoly_gcd,
     zpoly_add,
@@ -100,7 +98,7 @@ class TestRatFun:
         assert f == RatFun.const(Fraction(1, 2))
         g = RatFun(parse_tpoly("t^2 - 1"), parse_tpoly("t - 1"))
         assert g.is_polynomial()
-        assert g == RatFun.from_tpoly(parse_tpoly("t + 1"))
+        assert g == RatFun(parse_tpoly("t + 1"))
 
     def test_field_axioms_random(self):
         rng = random.Random(13)
@@ -113,21 +111,15 @@ class TestRatFun:
                 assert (a / b) * b == a
 
     def test_derivative_quotient_rule(self):
-        f = parse_ratfun("(t^2 + 1)/(t - 2)")
-        g = parse_ratfun("t^3/(t + 1)")
+        f = RatFun(parse_tpoly("t^2 + 1"), parse_tpoly("t - 2"))
+        g = RatFun(parse_tpoly("t^3"), parse_tpoly("t + 1"))
         assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
     def test_eval_at_pole_raises(self):
-        f = parse_ratfun("1/(t - 1)")
+        f = RatFun(TPoly.one(), parse_tpoly("t - 1"))
         with pytest.raises(AtSingularT):
             f.eval(1.0)
         assert abs(f.eval(2.0) - 1.0) < 1e-15
-
-    def test_to_str_round_trip(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            f = RatFun(rand_tpoly(rng), rand_tpoly(rng, allow_zero=False))
-            assert parse_ratfun(f.to_str()) == f
 
 
 class TestLaurentPoly:
@@ -157,8 +149,10 @@ class TestLaurentPoly:
 
     def test_negative_power_only_monomial(self):
         assert parse_laurent("u^-2") == LaurentPoly.u(-2)
-        with pytest.raises(SpecFormatError):
-            parse_laurent("(u + 1)^-1")
+        assert parse_laurent("(2*u)^-1") == LaurentPoly({-1: Fraction(1, 2)})
+        for bad in ("(u + 1)^-1", "(t*u)^-1", "0^-1"):
+            with pytest.raises(SpecFormatError):
+                parse_laurent(bad)
 
     def test_division_by_u_rejected(self):
         with pytest.raises(SpecFormatError):
@@ -167,6 +161,9 @@ class TestLaurentPoly:
     def test_t_denominator_rejected(self):
         with pytest.raises(SpecFormatError):
             parse_laurent("u/t")
+        # a divisor must be a rational constant, even where the quotient is a polynomial
+        with pytest.raises(SpecFormatError):
+            parse_laurent("(t^2-t)/t*u")
 
     def test_eval_and_coeffs_at(self):
         g = parse_laurent("(t/2)*(u - u^-1)")
@@ -291,7 +288,7 @@ class TestLinearAlgebra:
                 [RatFun(rand_tpoly(rng, 2), rand_tpoly(rng, 1, allow_zero=False)) for _ in range(n)]
                 for _ in range(n)
             ]
-            x = [RatFun.from_tpoly(rand_tpoly(rng, 2)) for _ in range(n)]
+            x = [RatFun(rand_tpoly(rng, 2)) for _ in range(n)]
             b = [sum((A[i][j] * x[j] for j in range(n)), RatFun.zero()) for i in range(n)]
             nums, _ = clear_denominators([e for row in A for e in row] + b)
             M = [nums[i * n:(i + 1) * n] + [nums[n * n + i]] for i in range(n)]
@@ -306,14 +303,3 @@ class TestLinearAlgebra:
         det, c = bareiss([[[1], [1]], [[1], [1]], [[1], []]])
         assert det == []
         assert c == [[1], [-1]]  # column 1 equals column 0
-
-    def test_normalize_coefficient_list(self):
-        cs = [
-            parse_ratfun("(2*t)/(t^2)"),
-            parse_ratfun("2/t"),
-        ]
-        polys, = (normalize_coefficient_list(cs),)
-        # common denominator t, content 2: both coefficients become 1
-        assert [p.to_str() for p in polys] == ["1", "1"]
-        cs2 = [parse_ratfun("-t"), parse_ratfun("-1")]
-        assert [p.to_str() for p in normalize_coefficient_list(cs2)] == ["t", "1"]
