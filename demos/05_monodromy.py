@@ -4,8 +4,8 @@ Cycles are transported around a loop by re-aiming their endpoint directions
 as the decay valleys rotate; the returned cycles are integer combinations
 of the originals, and expressing the transported period matrix in the
 original one yields the monodromy matrix.  An independent computation --
-high-order ODE continuation of y' = A(t) y around the same loop -- must
-agree, which is a strong end-to-end consistency test of derivation,
+Taylor-series continuation of y' = A(t) y around the same loop polygon --
+must agree, which is a strong end-to-end consistency test of derivation,
 contours, and quadrature at once.
 """
 

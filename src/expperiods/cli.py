@@ -106,6 +106,26 @@ def parse_tol_arg(text: str) -> float:
     return tol
 
 
+def _parse_int(text: str, low: int, what: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return n
+
+
+def parse_count_arg(text: str) -> int:
+    """Parse a non-negative integer (argparse type)."""
+    return _parse_int(text, 0, "a non-negative integer")
+
+
+def parse_positive_arg(text: str) -> int:
+    """Parse a positive integer (argparse type)."""
+    return _parse_int(text, 1, "a positive integer")
+
+
 def parse_complex_arg(text: str) -> complex:
     """Parse 're' or 're,im' into a complex number (argparse type)."""
     parts = text.split(",")
@@ -330,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--t", type=parse_complex_arg, required=True)
     p.add_argument("--tol", type=parse_tol_arg, default=None, help="relative error target")
-    p.add_argument("--dps", type=int, default=None, help="extended-precision digits")
+    p.add_argument("--dps", type=parse_positive_arg, default=None, help="extended-precision digits")
     p.set_defaults(func=cmd_periods)
 
     p = sub.add_parser("samples", help="CSV of periods sampled along a parameter path")
     p.add_argument("problem")
     p.add_argument("--path", type=parse_complex_arg, nargs="+", required=True,
                    help="polyline vertices 're,im' in the parameter plane")
-    p.add_argument("--n", type=int, default=16, help="total samples along the path")
+    p.add_argument("--n", type=parse_positive_arg, default=16, help="total samples along the path")
     p.add_argument("--cycle", type=int, default=0, help="cycle index to sample")
     p.add_argument("--tol", type=parse_tol_arg, default=None)
     p.set_defaults(func=cmd_samples)
@@ -346,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--t", type=parse_complex_arg, default=None)
     p.add_argument("--seed", type=int, default=STOKES_SEED)
-    p.add_argument("--stokes", type=int, default=5, help="number of random gauge forms")
+    p.add_argument("--stokes", type=parse_count_arg, default=5, help="number of random gauge forms")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("monodromy", help="monodromy around a loop in the parameter plane")

@@ -6,15 +6,27 @@ differential on functions is ``Q |-> (dQ/du + Q * dg/du) du``; the first
 cohomology is the Laurent forms modulo that image.  A monomial window gives a
 basis, the reduction onto it is exact linear algebra over Q(t), and the
 derivative of a period ``d/dt \\int u^k e^g du = \\int u^k dg/dt e^g du`` turns
-the reduction into the connection matrix ``Y' = A(t) Y``.
+the reduction into the connection matrix ``Y' = A(t) Y``.  Solutions of that
+system are carried along paths in the t-plane by Taylor series of its exact
+polynomial form (:func:`transport`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFamily, ReductionDiverges, SpecFormatError
+import numpy as np
+
+from .errors import (
+    AtSingularT,
+    DegenerateFamily,
+    ReductionDiverges,
+    SingularProximity,
+    SpecFormatError,
+)
 from .symbolic import (
     LaurentPoly,
     RatFun,
@@ -32,6 +44,15 @@ CONNECTION_CONVENTION = (
     "Y'(t) = A(t) Y(t) with Y_j = integral of u^e_j exp(g) du; "
     "A[i][j] = coefficient of basis form j in d/dt of basis form i"
 )
+
+# Taylor transport: a leg is at most _STEP_RATIO times the clearance of its
+# start (distance to the nearest obstacle ball less that ball's radius), legs
+# are bisected at most _MAX_SPLITS times, and a leg's series that has not
+# converged by order _MAX_ORDER raises.
+_STEP_RATIO = 0.5
+_MAX_SPLITS = 40
+_MAX_ORDER = 400
+_STOP_RUN = 3
 
 
 class FiberType(enum.Enum):
@@ -214,6 +235,24 @@ class ConnectionMatrix:
         """All entry denominators, for singular-set assembly."""
         return [x.den for row in self.entries for x in row if not x.den.is_one()]
 
+    @functools.cached_property
+    def polynomial_form(self):
+        """``(B, D)`` with ``D(t) A(t) = B(t)``, as float coefficient arrays.
+
+        From one :func:`clear_denominators` call: ``B[k]`` is the ``t^k``
+        coefficient matrix, shape ``(m, r, r)``, and ``D[k]`` that of the
+        common denominator, shape ``(m,)``.  Both are scaled by one power of
+        two, so that every integer coefficient is a finite float.
+        """
+        r = self.rank
+        nums, den = clear_denominators([x for row in self.entries for x in row])
+        polys = [den] + nums
+        m = max(len(p) for p in polys)
+        bits = max(abs(c).bit_length() for p in polys for c in p)
+        scale = 1 << max(0, bits - 1000)
+        flat = np.array([[c / scale for c in p] + [0.0] * (m - len(p)) for p in polys])
+        return flat[1:].T.reshape(m, r, r), flat[0]
+
 
 def connection_matrix(spec: ProblemSpec, basis: CohomologyBasis) -> ConnectionMatrix:
     """Differentiate each basis period under the integral sign and re-reduce.
@@ -227,6 +266,126 @@ def connection_matrix(spec: ProblemSpec, basis: CohomologyBasis) -> ConnectionMa
         row = reduce_form(gt * LaurentPoly.u(ei), spec, basis)
         rows.append(tuple(row))
     return ConnectionMatrix(basis=basis, entries=tuple(rows))
+
+
+@dataclass(frozen=True)
+class Transport:
+    """Transition matrix of ``Y' = A(t) Y`` along a path: ``Y(end) = matrix @ Y(start)``."""
+
+    matrix: np.ndarray
+    legs: int
+    order: int  # Taylor terms summed on every leg
+
+
+def _legs(path, balls) -> list:
+    """``(start, step)`` of each leg, bisected until ``|step| <= _STEP_RATIO * clearance``.
+
+    The clearance of a point is its distance to the nearest ball less that
+    ball's radius; it bounds from below the radius of convergence of the
+    Taylor series of every solution there.
+    """
+    legs = []
+    for a, b in zip(path, path[1:]):
+        stack = [(a, b, 0)]
+        while stack:
+            ta, tb, depth = stack.pop()
+            room = min((abs(ta - ball.center) - ball.radius for ball in balls), default=math.inf)
+            if abs(tb - ta) <= _STEP_RATIO * room:
+                legs.append((ta, tb - ta))
+                continue
+            if room <= 0.0 or depth >= _MAX_SPLITS:
+                raise SingularProximity(
+                    f"path leg [{a}, {b}] runs into the singular ball at "
+                    f"{min(balls, key=lambda ball: abs(ta - ball.center)).center}"
+                )
+            mid = 0.5 * (ta + tb)
+            stack.append((mid, tb, depth + 1))
+            stack.append((ta, mid, depth + 1))
+    return legs
+
+
+def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
+    """Transition matrix of the connection along a polyline in the t-plane.
+
+    **Step rule.**  Each leg of ``path`` is bisected until its length is at
+    most ``_STEP_RATIO`` (one half) of the clearance of its start ``t0``: the
+    distance to the nearest ball of ``balls``, less that ball's radius.  The
+    solutions are analytic on the disk of that radius, so their Taylor terms
+    at ``t0`` shrink at least like ``2^-n`` on the leg.
+
+    **Taylor step.**  With ``t = t0 + h s`` the polynomial form
+    ``D(t) Y' = B(t) Y`` becomes ``d(s) dY/ds = b(s) Y``, where
+    ``d_k = D_k(t0) h^k`` and ``b_k = B_k(t0) h^(k+1)`` come from one binomial
+    shift of every leg's coefficients.  The terms of ``Y(s) = sum_n Y_n s^n``
+    with ``Y_0 = I`` then follow exactly from
+
+        d_0 (n+1) Y_{n+1} = sum_j b_j Y_{n-j} - sum_{j>=1} d_j (n-j+1) Y_{n-j+1},
+
+    and the leg's transition matrix is ``sum_n Y_n``.  A leg's transition
+    matrix does not depend on the state it carries, so every leg runs in one
+    ``(legs, r, r)`` batch, one order at a time.
+
+    **Stop rule.**  The series stops when, on every leg, three consecutive
+    terms (or as many as the recurrence reaches back, if that is more) are
+    at most ``eps * |partial sum|`` in the largest entry.  The transition
+    matrices are then multiplied in path order.
+
+    Args:
+        balls: disks with ``center`` and ``radius`` that hold every pole of
+            ``A``, such as ``SingularSet.hard_balls()``.
+
+    Raises:
+        SingularProximity: if no bisection meets the step rule, because the
+            path runs into a ball.
+        AtSingularT: if a leg starts at a pole of ``A``, or its series has not
+            converged by order ``_MAX_ORDER``.
+    """
+    path = [complex(p) for p in path]
+    r = A.rank
+    legs = _legs(path, tuple(balls))
+    if not legs:
+        return Transport(matrix=np.eye(r, dtype=complex), legs=0, order=0)
+    t0 = np.array([leg[0] for leg in legs])
+    h = np.array([leg[1] for leg in legs])
+    B, D = A.polynomial_form
+    m = len(D)
+    k = np.arange(m)
+    # shift[l, j, i] = C(j, i) t0_l^(j - i), the (t - t0_l)^i coefficient of t^j
+    binom = np.array([[math.comb(j, i) for i in range(m)] for j in range(m)], dtype=float)
+    shift = binom * t0[:, None, None] ** np.maximum(k[:, None] - k[None, :], 0)
+    hk = h[:, None] ** k
+    d = np.einsum("lji,j->li", shift, D) * hk
+    b = np.einsum("lji,jab->liab", shift, B) * (h[:, None] * hk)[:, :, None, None]
+    eps = np.finfo(float).eps
+    at_pole = np.abs(d[:, 0]) <= eps * (np.abs(t0)[:, None] ** k @ np.abs(D))
+    if at_pole.any():
+        raise AtSingularT(f"transport leg starts at a pole of the connection: t={t0[at_pole][0]}")
+
+    need = max(_STOP_RUN, m)
+    window = np.zeros((m, len(legs), r, r), dtype=complex)  # Y_n, Y_{n-1}, ...
+    window[0] = np.eye(r)
+    total = window[0].copy()
+    run = np.zeros(len(legs), dtype=int)
+    back = np.arange(m - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(_MAX_ORDER):
+            acc = np.einsum("ljab,jlbc->lac", b, window)
+            acc -= np.einsum("lj,jlbc->lbc", d[:, 1:] * (n - back), window[:-1])
+            term = acc / ((n + 1) * d[:, 0])[:, None, None]
+            total += term
+            window = np.concatenate((term[None], window[:-1]))
+            small = np.abs(term).max(axis=(1, 2)) <= eps * np.abs(total).max(axis=(1, 2))
+            run = np.where(small, run + 1, 0)
+            if run.min() >= need:
+                break
+            if not np.isfinite(total).all():
+                raise AtSingularT("Taylor transport overflowed: a leg runs onto a pole")
+        else:
+            raise AtSingularT(f"Taylor transport did not converge by order {_MAX_ORDER}")
+    phi = np.eye(r, dtype=complex)
+    for step in total:
+        phi = step @ phi
+    return Transport(matrix=phi, legs=len(legs), order=n + 1)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,14 @@ def assert_bad_tol_exits_two(capsys, *argv):
     assert "tol must be a float in (0, 1)" in capsys.readouterr().err
 
 
+def assert_bad_int_exits_two(capsys, *argv, what="a positive integer"):
+    """A bad integer flag is refused by argparse: exit 2, before any work."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"expected {what}" in capsys.readouterr().err
+
+
 class TestProblemFiles:
     def test_fixture_loads(self):
         spec, tol = load_problem(AIRY)
@@ -180,6 +188,10 @@ class TestPeriods:
     def test_bad_tol_exit_two(self, capsys):
         assert_bad_tol_exits_two(capsys, "periods", AIRY, "--t", "1", "--tol", "-1")
 
+    @pytest.mark.parametrize("dps", ["-3", "0"])
+    def test_bad_dps_exit_two(self, capsys, dps):
+        assert_bad_int_exits_two(capsys, "periods", GAUSSIAN, "--t", "1", "--dps", dps)
+
     def test_rank_zero_grace(self, capsys):
         code, out, _ = run(capsys, "periods", LINEAR, "--t", "1")
         assert code == 0
@@ -211,6 +223,10 @@ class TestSamples:
     def test_bad_tol_exit_two(self, capsys):
         assert_bad_tol_exits_two(capsys, "samples", GAUSSIAN, "--path", "1", "2", "--tol", "-1")
 
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_bad_n_exit_two(self, capsys, n):
+        assert_bad_int_exits_two(capsys, "samples", GAUSSIAN, "--path", "1", "2", "--n", n)
+
     def test_singular_set_computed_once(self, capsys, monkeypatch):
         calls = []
 
@@ -232,6 +248,17 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert "ok" in err
+
+    def test_negative_stokes_exit_two(self, capsys):
+        assert_bad_int_exits_two(
+            capsys, "verify", GAUSSIAN, "--stokes", "-1", what="a non-negative integer"
+        )
+
+    def test_zero_stokes_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", GAUSSIAN, "--stokes", "0")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert "stokes_residual" not in names
 
 
 class TestMonodromy:

@@ -1,23 +1,30 @@
 """Exact twisted-cohomology bases, connection matrices, and scalar ODEs."""
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expperiods.cohomology import (
     CONNECTION_CONVENTION,
+    CohomologyBasis,
+    ConnectionMatrix,
     FiberType,
     ProblemSpec,
     connection_matrix,
     cyclic_ode,
     fiber_basis,
     reduce_form,
+    transport,
     twisted_differential,
 )
-from expperiods.errors import DegenerateFamily, SpecFormatError
+from expperiods.errors import AtSingularT, DegenerateFamily, SingularProximity, SpecFormatError
+from expperiods.singular import RootBall
 from expperiods.symbolic import LaurentPoly, RatFun, TPoly, parse_laurent
 
 
@@ -400,3 +407,68 @@ class TestScalarODE:
                     for j in range(r)
                 ]
         assert all(x.is_zero() for x in total)
+
+
+def rank_one(entry: RatFun) -> ConnectionMatrix:
+    return ConnectionMatrix(basis=CohomologyBasis(rank=1, exponents=(0,)), entries=((entry,),))
+
+
+def pole(center, a) -> RatFun:
+    """``a / (t - center)`` for rational ``center`` and ``a``."""
+    return RatFun(TPoly((Fraction(a),)), TPoly((-Fraction(center), 1)))
+
+
+def ball(center) -> RootBall:
+    return RootBall(center=complex(center), radius=0.0, multiplicity=1, provenance=("ConnectionPole",))
+
+
+# the 24-gon about 0 through 1 that monodromy loops walk
+UNIT_LOOP = [cmath.exp(2j * math.pi * k / 24) for k in range(24)] + [1.0]
+
+
+class TestTransport:
+    def test_polynomial_form_clears_denominators(self):
+        A = connection_matrix(BESSEL, fiber_basis(BESSEL))
+        B, D = A.polynomial_form
+        assert B.shape == (len(D), 2, 2)
+        t = 0.7 - 0.3j
+        Dt = np.polyval(D[::-1], t)
+        Bt = sum(B[k] * t**k for k in range(len(D)))
+        assert np.allclose(Dt * np.array(A.eval(t)), Bt, rtol=1e-14, atol=0)
+
+    def test_regular_singular_loop_is_exp_2_pi_i_a(self):
+        a = Fraction(1, 3)
+        result = transport(rank_one(pole(0, a)), UNIT_LOOP, [ball(0)])
+        assert result.legs == 24
+        assert abs(result.matrix[0, 0] - cmath.exp(2j * math.pi * a)) < 1e-13
+
+    def test_legs_near_a_second_pole_are_split(self):
+        # 1.2 lies outside the loop, 0.2 from its first vertex: half of that
+        # clearance is less than a leg (2*sin(pi/24) = 0.26), so the legs
+        # beside it are bisected (the first into 4, the second into 2, the
+        # last into 3: 24 + 6 legs); the pole adds no monodromy.
+        a = Fraction(1, 3)
+        A = rank_one(pole(0, a) + pole(Fraction(6, 5), Fraction(1, 2)))
+        result = transport(A, UNIT_LOOP, [ball(0), ball(1.2)])
+        assert result.legs == 30
+        assert abs(result.matrix[0, 0] - cmath.exp(2j * math.pi * a)) < 1e-13
+        # without the second ball the first leg reaches past the radius of
+        # convergence at its start, and its series diverges
+        with pytest.raises(AtSingularT):
+            transport(A, UNIT_LOOP, [ball(0)])
+
+    def test_matches_closed_form_along_a_path(self):
+        # y' = t y: y(1+i) / y(0) = exp((1+i)^2 / 2)
+        A = rank_one(RatFun(TPoly((0, 1))))
+        result = transport(A, [0.0, 1.0, 1.0 + 1.0j])
+        assert result.legs == 2
+        assert abs(result.matrix[0, 0] - cmath.exp((1 + 1j) ** 2 / 2)) < 1e-13
+
+    def test_onto_a_pole_raises(self):
+        A = rank_one(pole(0, Fraction(1, 3)))
+        with pytest.raises(SingularProximity):
+            transport(A, [1.0, 0.0], [ball(0)])
+        with pytest.raises(AtSingularT):
+            transport(A, [1.0, 0.0])
+        with pytest.raises(AtSingularT):
+            transport(A, [0.0, 1.0])

@@ -1,8 +1,9 @@
 """Import hygiene: every module-level import of the package is used.
 
 The package modules are parsed with ``ast``; ``__init__.py`` is left out
-because its imports are the public re-exports.  Importing the package must
-not load scipy, which only ``verify.monodromy`` needs.  Every module-level
+because its imports are the public re-exports.  Nothing in the package loads
+scipy: neither the import, nor the verify battery, nor the ``monodromy``
+command.  Every module-level
 function and class has a caller in the package (a re-export counts) or in
 ``demos/``: code that only tests need does not belong in ``src/``.
 """
@@ -134,8 +135,32 @@ def test_caller_detector(tmp_path):
     assert uncalled_definitions([lib], [lib, app]) == [("lib.py", "recursive"), ("lib.py", "Orphan")]
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, expperiods, expperiods.cli; sys.exit('scipy' in sys.modules)"
+def run_python(code: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_import_does_not_load_scipy():
+    proc = run_python("import sys, expperiods, expperiods.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, "importing expperiods loaded scipy"
+
+
+def test_verify_and_monodromy_do_not_load_scipy():
+    code = (
+        "import sys\n"
+        "from expperiods import FiberType, ProblemSpec, parse_laurent, run_all\n"
+        "from expperiods.cli import main\n"
+        "spec = ProblemSpec(FiberType.PUNCTURED_LINE, parse_laurent('(t/2)*(u - u^-1)'))\n"
+        "assert run_all(spec, n_stokes=1).passed\n"
+        "assert main(['monodromy', 'fixtures/bessel.spec', '--center', '0']) == 0\n"
+        "sys.exit(10 if 'scipy' in sys.modules else 0)\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode != 10, "run_all or the monodromy command loaded scipy"
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Structural checks: solution property, duality, coboundaries, monodromy."""
 
+import dataclasses
 import math
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from expperiods import verify
 from expperiods.cohomology import FiberType, ProblemSpec, fiber_basis
 from expperiods.errors import LoopHitsSingularity, SingularProximity
-from expperiods.singular import singular_set
+from expperiods.singular import CRITICAL_POINT_DEGENERATION, RootBall, singular_set
 from expperiods.symbolic import parse_laurent
 from expperiods.verify import (
     STOKES_SEED,
@@ -30,6 +31,8 @@ AIRY = make(FiberType.AFFINE_LINE, "u^3/3 - t*u", "airy")
 BESSEL = make(FiberType.PUNCTURED_LINE, "(t/2)*(u - u^-1)", "bessel")
 GAUSSIAN = make(FiberType.AFFINE_LINE, "-t*u^2", "gaussian")
 LINEAR = make(FiberType.AFFINE_LINE, "t*u", "linear")
+# a critical-point ball at 0 (nearest to t = 1) and a hard ball at -2
+SOFT_NEAREST = make(FiberType.AFFINE_LINE, "(t+2)*u^3/3 - t*u", "soft_nearest")
 
 
 class TestOde:
@@ -127,6 +130,22 @@ class TestMonodromy:
         assert abs(m[1][0]) < 1e-12 and abs(m[1][1] - 1.0) < 1e-12
         assert abs(m[0][1] + 2.0) < 1e-9
 
+    def test_bessel_matches_to_1e_12(self):
+        result = monodromy(BESSEL, 0.0)
+        assert result.record.residual <= 1e-12
+        assert result.record.details["transport_legs"] == 24
+
+    def test_default_basepoint_subtracts_ball_radii(self):
+        # a wide ball at 2: the basepoint sits halfway to its rim, not its centre
+        sigma = singular_set(GAUSSIAN)
+        wide = RootBall(
+            center=2.0 + 0j, radius=1.0, multiplicity=1, provenance=(CRITICAL_POINT_DEGENERATION,)
+        )
+        sigma = dataclasses.replace(sigma, balls=sigma.balls + (wide,))
+        result = monodromy(GAUSSIAN, 0.0, singular=sigma)
+        assert result.basepoint == 0.5
+        assert result.record.passed
+
     def test_empty_loop_is_identity(self):
         result = monodromy(GAUSSIAN, 2.0, basepoint=2.5)
         m = np.array(result.m_cycle)
@@ -166,6 +185,18 @@ class TestRunAll:
             "monodromy_match",
         }
 
+    def test_loops_about_nearest_hard_ball(self):
+        report = run_all(SOFT_NEAREST, n_stokes=1)
+        rec = report.records[-1]
+        assert rec.name == "monodromy_match" and rec.passed
+        assert rec.details["center"] == [-2.0, 0.0]
+
+    def test_no_hard_ball_gives_vacuous_monodromy(self):
+        # Airy's only ball at 0 marks colliding critical points; A is entire
+        rec = run_all(AIRY, n_stokes=1).records[-1]
+        assert rec.name == "monodromy_match" and rec.passed
+        assert "no hard singular ball" in rec.details["note"]
+
     def test_deterministic_given_seed(self):
         r1 = run_all(GAUSSIAN, seed=7, n_stokes=2)
         r2 = run_all(GAUSSIAN, seed=7, n_stokes=2)
@@ -182,7 +213,19 @@ class TestRunAll:
         monkeypatch.setattr(verify, "cycle_basis", counting)
         report = run_all(BESSEL, n_stokes=3)
         assert report.passed
-        # check_ode's base, the one basis that run_all shares, and the
+        # the one basis that run_all shares (check_ode included), and the
         # monodromy loop's base (here also at t = 1)
-        assert built == [report.t] * 3
+        assert built == [report.t] * 2
+
+    def test_one_connection_matrix(self, monkeypatch):
+        built = []
+
+        def counting(spec, basis):
+            built.append(spec)
+            return real(spec, basis)
+
+        real = verify.connection_matrix
+        monkeypatch.setattr(verify, "connection_matrix", counting)
+        assert run_all(BESSEL, n_stokes=1).passed
+        assert len(built) == 1
 
