@@ -42,7 +42,7 @@ from .errors import (
     StepCollision,
     ToleranceNotMet,
 )
-from .quadrature import period_matrix, period_row
+from .quadrature import period_matrix, period_rows
 from .singular import singular_set
 from .symbolic import parse_laurent
 from .verify import STOKES_SEED, monodromy, run_all
@@ -282,7 +282,7 @@ def cmd_samples(args) -> int:
         if idx > 0:
             current = track_cycles(spec, current, [samples[idx - 1], t], singular=sigma)
         row = [format(t.real, ".17g"), format(t.imag, ".17g")]
-        for pv in period_row(spec, current.cycles[args.cycle], basis.exponents, t, tol)[0]:
+        for pv in period_rows(spec, [current.cycles[args.cycle]], basis.exponents, t, tol)[0][0]:
             row += [
                 format(pv.value.real, ".17g"),
                 format(pv.value.imag, ".17g"),

@@ -3,15 +3,16 @@
 Periods are integrals of P(u) e^{g(u,t)} du along the polyline realization of
 a rapid-decay cycle.  One kernel serves every double-precision caller: the
 global adaptive 15-point Gauss-Kronrod strategy of QUADPACK ``qag`` (Piessens
-et al., 1983), vectorized over a vector integrand.  A period row (the basis
-forms u^e over one cycle) is one run, so exp(g) is taken once per node.  Each
-round bisects, in one numpy batch, every panel that some component still
-needs; the run stops only when every component j meets its own target
+et al., 1983), vectorized over a vector integrand and over several polylines.
+A period matrix (the basis forms u^e over every cycle) is one run, so the
+integrand is called once per round for the whole matrix.  Each round bisects,
+in one numpy batch, every panel that some entry (cycle i, form j) still needs
+among the panels of cycle i; the run stops when every entry meets its target
 
-    err_j <= tol * |value_j| + max(abs_floor, machine_floor_j),
+    err_ij <= tol * |value_ij| + max(abs_floor, machine_floor_ij),
 
-where machine_floor_j = 50 * eps * integral(|f_j|) is the roundoff limit that
-double precision can certify at all.  Truncated tails at the non-compact ends
+where machine_floor_ij = 50 * eps * integral(|f_j|) along cycle i is the
+roundoff limit of double precision.  Truncated tails at the non-compact ends
 are bounded analytically by a geometric-decay estimate and added to the
 reported error.
 
@@ -76,7 +77,7 @@ class PeriodValue(object):
     value: complex
     error: float  # quadrature estimate + tail truncation + roundoff floor
     truncation: float
-    neval: int  # evaluations of the cycle's kernel run, shared by its row
+    neval: int  # integrand evaluations on the entry's cycle, shared by its row
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,6 @@ class PeriodMatrix(object):
 
     def values(self) -> np.ndarray:
         return np.array([[e.value for e in row] for row in self.entries])
-
-    def errors(self) -> np.ndarray:
-        return np.array([[e.error for e in row] for row in self.entries])
 
     def max_error(self) -> float:
         return max((e.error for row in self.entries for e in row), default=0.0)
@@ -208,58 +206,70 @@ def _gk_panels(fs, a, b):
     half = 0.5 * (b - a)
     with np.errstate(all="ignore"):
         vals = fs((0.5 * (a + b))[:, None] + half[:, None] * NODES)
-    if not np.all(np.isfinite(vals)):
+        kg, res = vals @ _KG, np.abs(half) * (np.abs(vals) @ WEIGHTS_K)
+    if not np.all(np.isfinite(res)):  # as any value is not: the weights are positive
         raise NonDecayingTail("integrand overflowed on the contour")
-    kg = vals @ _KG
     kron = half * kg[..., 0]
-    return kron, np.abs(half * (kg[..., 0] - kg[..., 1])), np.abs(half) * (np.abs(vals) @ WEIGHTS_K)
+    return kron, np.abs(half * (kg[..., 0] - kg[..., 1])), res
 
 
-def _gk_vector(fs, nodes, tol: float, abs_floor: float):
-    """Global adaptive GK15 of a vector integrand along a polyline.
+def _gk_vector(fs, polylines, tol: float, abs_floor: float):
+    """Global adaptive GK15 of a vector integrand along several polylines at once.
 
     ``fs`` maps an (n, 15) array of nodes to an (m, n, 15) array of values.
-    Each round bisects, in one batch, the panels that some component j over
-    its target needs: its largest-error panels, until the errors of the rest
-    sum to at most half of that target.  The run stops when every j has
+    All panels sit in one array beside an owner array; component (c, j) sums
+    f_j over the panels of polyline c.  Each round bisects, in one batch, the
+    panels that some component over its target needs: its largest-error
+    panels, until the errors of the rest sum to at most half of that target.
+    Polyline c is refined, as in a run of its own, until every j has
 
-        err_j <= tol*|value_j| + max(abs_floor, 50*eps*resabs_j).
+        err_cj <= tol*|value_cj| + max(abs_floor, 50*eps*resabs_cj).
 
-    Returns (values, errors, resabs, neval): arrays of length m, the errors
-    including the roundoff floor 50*eps*resabs, and the evaluation count.
+    Returns (values, errors, resabs, neval): (c, m) arrays, the errors
+    including the roundoff floor 50*eps*resabs, and the evaluation count
+    (an int) of each polyline.
 
     Raises:
-        ToleranceNotMet: if the targets need more than ``_BUDGET`` panels.
+        ToleranceNotMet: if a polyline needs more than ``_BUDGET`` panels.
         NonDecayingTail: if the integrand is not finite at some node.
     """
-    z = np.asarray(nodes, dtype=complex)
-    step = z[1:] != z[:-1]  # zero-length segments carry no panel
-    a, b = z[:-1][step], z[1:][step]
+    zs = [np.asarray(p, dtype=complex) for p in polylines]
+    own = np.repeat(np.arange(len(zs)), [len(p) for p in zs])
+    z = np.concatenate(zs)
+    # no panel on a zero-length segment, nor from one polyline to the next
+    step = (z[1:] != z[:-1]) & (own[1:] == own[:-1])
+    a, b, own = z[:-1][step], z[1:][step], own[1:][step]
+    first = count = np.bincount(own, minlength=len(zs))  # panels of each polyline
     kron, err, res = _gk_panels(fs, a, b)
-    neval = 15 * len(a)
     while True:
-        value, err_sum, resabs = kron.sum(axis=1), err.sum(axis=1), res.sum(axis=1)
+        w = (own[:, None] == np.arange(len(zs))).astype(float)  # (n, c): panel owners
+        value, err_sum, resabs = kron @ w, err @ w, res @ w
         target = tol * np.abs(value) + np.maximum(abs_floor, 50.0 * _EPS * resabs)
         fail = err_sum > target
         if not fail.any():
-            return value, err_sum + 50.0 * _EPS * resabs, resabs, neval
-        order = np.argsort(-err[fail], axis=1)
-        ranked = err[fail][np.arange(order.shape[0])[:, None], order]
+            neval = 15 * (2 * count - first)  # a bisection adds one panel and evaluates two
+            return value.T, (err_sum + 50.0 * _EPS * resabs).T, resabs.T, neval.tolist()
+        j, c = np.nonzero(fail)
+        key = np.where(own == c[:, None], err[j], 0.0)  # 0 off the component's polyline
+        order = np.argsort(-key, axis=1, kind="stable")
+        ranked = key[np.arange(len(j))[:, None], order]
         rest = np.cumsum(ranked[:, ::-1], axis=1)[:, ::-1]  # rest[:, k]: sum of ranks >= k
-        need = 1 + (rest[:, 1:] > 0.5 * target[fail, None]).sum(axis=1)
+        # bisect rank k while ranks >= k hold over half the target (rank 0 of a failure does)
         split = np.zeros(len(a), dtype=bool)
-        split[order[np.arange(len(a)) < need[:, None]]] = True
-        if len(a) + np.count_nonzero(split) > _BUDGET:
-            worst = int(np.argmax(err_sum - target))
+        split[order[rest > 0.5 * target[j, c, None]]] = True
+        count = count + np.bincount(own[split], minlength=len(zs))
+        if count.max() > _BUDGET:
+            k = int(np.argmax(count > _BUDGET))
+            worst = int(np.argmax(err_sum[:, k] - target[:, k]))
             raise ToleranceNotMet(
                 f"quadrature budget of {_BUDGET} panels exhausted "
-                f"(error {err_sum[worst]:.3e}, target {target[worst]:.3e})"
+                f"(error {err_sum[worst, k]:.3e}, target {target[worst, k]:.3e})"
             )
         mid = 0.5 * (a[split] + b[split])
         a_new, b_new = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
         fresh = _gk_panels(fs, a_new, b_new)
-        neval += 15 * len(a_new)
         a, b = np.concatenate([a[~split], a_new]), np.concatenate([b[~split], b_new])
+        own = np.concatenate([own[~split], own[split], own[split]])
         kron, err, res = (np.concatenate([old[:, ~split], new], axis=1)
                           for old, new in zip((kron, err, res), fresh))
 
@@ -272,39 +282,43 @@ def adaptive_polyline(f, nodes, tol: float):
     exhausted before err <= tol*|value| + machine_floor.
     """
     value, err, resabs, neval = _gk_vector(
-        lambda us: np.broadcast_to(f(us), us.shape)[None], nodes, tol, 0.0
+        lambda us: np.broadcast_to(f(us), us.shape)[None], [nodes], tol, 0.0
     )
-    return complex(value[0]), float(err[0]), float(resabs[0]), neval
+    return complex(value[0, 0]), float(err[0, 0]), float(resabs[0, 0]), neval[0]
 
 
-def period_row(spec: ProblemSpec, cycle: RapidDecayCycle, forms, t: complex, tol: float = 1e-10,
-               abs_floor: float = 0.0):
-    """The periods of several forms over one cycle, from one kernel run.
+def period_rows(spec: ProblemSpec, cycles, forms, t: complex, tol: float = 1e-10,
+                abs_floor: float = 0.0):
+    """The periods of several forms over several cycles, from one kernel run.
 
-    Returns (entries, resabs): a PeriodValue per form, whose error adds the
-    tail truncation bound, and the integrals of |integrand| along the cycle.
+    Returns (rows, resabs): per cycle, a PeriodValue per form, whose error
+    adds the tail truncation bound; and a (cycles, forms) array of the
+    integrals of |integrand| along each cycle.
 
     Raises:
-        ToleranceNotMet: if the budget runs out, or the unavoidable tail
+        ToleranceNotMet: if a cycle's budget runs out, or the unavoidable tail
             truncation alone exceeds an entry's error target.
         NonDecayingTail: if the integrand fails to decay at an open end.
     """
+    if not cycles:  # a rank-zero matrix
+        return [], np.empty((0, len(forms)))
     t = complex(t)
     gmap = spec.g.coeffs_at(t)
     pmaps = [_form_coeffs(form, t) for form in forms]
-    truncations = [_truncation_bound(cycle, pmap, gmap) for pmap in pmaps]
+    trunc = np.array([[_truncation_bound(cyc, pmap, gmap) for pmap in pmaps] for cyc in cycles])
     values, errs, resabs, neval = _gk_vector(
-        _integrand(gmap, pmaps), cycle.nodes, tol, abs_floor
+        _integrand(gmap, pmaps), [cyc.nodes for cyc in cycles], tol, abs_floor
     )
-    row = []
-    for value, err, truncation in zip(values, errs, truncations):
-        if truncation > 0.3 * (tol * abs(value) + max(abs_floor, err)) and truncation > abs_floor:
-            raise ToleranceNotMet(
-                f"tail truncation {truncation:.3e} exceeds the error target; "
-                "rebuild the cycles with a smaller decay tolerance"
-            )
-        row.append(PeriodValue(complex(value), float(err) + truncation, truncation, neval))
-    return row, resabs
+    over = (trunc > 0.3 * (tol * np.abs(values) + np.maximum(abs_floor, errs))) & (trunc > abs_floor)
+    if over.any():
+        raise ToleranceNotMet(
+            f"tail truncation {trunc[over][0]:.3e} exceeds the error target; "
+            "rebuild the cycles with a smaller decay tolerance"
+        )
+    return [
+        [PeriodValue(complex(v), float(e + tr), float(tr), n) for v, e, tr in zip(vs, es, ts)]
+        for vs, es, ts, n in zip(values, errs, trunc, neval)
+    ], resabs
 
 
 def integrate_period(
@@ -331,8 +345,8 @@ def integrate_period(
     """
     if dps is not None:
         return _integrate_mp(spec, cycle, form, complex(t), dps)
-    (pv,), _resabs = period_row(spec, cycle, [form], t, tol, abs_floor)
-    return pv
+    rows, _resabs = period_rows(spec, [cycle], [form], t, tol, abs_floor)
+    return rows[0][0]
 
 
 def integrate_absolute(
@@ -407,16 +421,14 @@ def period_matrix(
     precision; entries that cannot meet this raise ToleranceNotMet.
     """
     t = cycles.t
-    rows = []
-    resabs_rows = []
-    for cyc in cycles.cycles:
-        if dps is None:
-            row, resabs = period_row(spec, cyc, basis.exponents, t, tol)
-        else:
-            row = [integrate_period(spec, cyc, k, t, tol=tol, dps=dps) for k in basis.exponents]
-            resabs = [abs(pv.value) for pv in row]
-        rows.append(row)
-        resabs_rows.append(resabs)
+    if dps is None:
+        rows, resabs_rows = period_rows(spec, cycles.cycles, basis.exponents, t, tol)
+    else:
+        rows = [
+            [integrate_period(spec, cyc, k, t, tol=tol, dps=dps) for k in basis.exponents]
+            for cyc in cycles.cycles
+        ]
+        resabs_rows = [[abs(pv.value) for pv in row] for row in rows]
 
     scale = max((abs(e.value) for row in rows for e in row), default=0.0)
     for row, rrow in zip(rows, resabs_rows):

@@ -17,7 +17,7 @@ an over-approximation — membership never proves an actual singularity.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -291,9 +291,13 @@ def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None) -> SingularSet:
 
     balls = []
     isolated = {}  # squarefree factor -> its balls, for this call only
+    roots = {}  # monic defining polynomial -> its balls (they often repeat)
     for poly, prov in defining:
         if poly.is_zero():
             raise DegenerateFamily("a defining polynomial vanishes identically")
         if poly.degree >= 1:
-            balls.extend(root_isolate(poly, provenance=prov, isolated=isolated))
+            key = poly.monic()
+            if key not in roots:
+                roots[key] = root_isolate(key, isolated=isolated)
+            balls.extend(replace(b, provenance=(prov,)) for b in roots[key])
     return SingularSet(balls=tuple(_merge_balls(balls)), defining=tuple(defining))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -356,8 +356,11 @@ def monodromy(
         ode = transport(A, loop, singular.hard_balls())
     except SingularProximity as exc:
         raise LoopHitsSingularity(f"monodromy loop about {center}: {exc}") from exc
-    P0 = period_matrix(spec, basis, base, tol=_PERIOD_TOL).values()
-    P1 = period_matrix(spec, basis, moved, tol=_PERIOD_TOL).values()
+    # One run at the basepoint gives P0 and P1.  A cycle the loop carries back onto
+    # its own polyline is integrated once: its rows then agree to the last bit.
+    cycles = base.cycles + tuple(c for c in moved.cycles if c not in base.cycles)
+    P = period_matrix(spec, basis, replace(base, cycles=cycles), tol=_PERIOD_TOL).values()
+    P0, P1 = (P[[cycles.index(c) for c in b.cycles]] for b in (base, moved))
     m_cycle = np.linalg.solve(P0.T, P1.T).T
     m_ode = np.linalg.solve(P0.T, (P0 @ ode.matrix.T).T).T
 

@@ -26,7 +26,7 @@ from expperiods.quadrature import (
     integrate_absolute,
     integrate_period,
     period_matrix,
-    period_row,
+    period_rows,
 )
 from expperiods.symbolic import parse_laurent
 
@@ -298,9 +298,12 @@ class TestVectorKernel:
             P = period_matrix(spec, basis, cycles, tol=tol)
             scale = float(np.max(np.abs(P.values())))
             for cyc, prow in zip(cycles.cycles, P.entries):
-                row, resabs = period_row(spec, cyc, basis.exponents, t, tol)
-                assert tuple(row) == prow  # one run per cycle, shared by its row
-                for k, e, r in zip(basis.exponents, prow, resabs):
+                (row,), (resabs,) = period_rows(spec, [cyc], basis.exponents, t, tol)
+                for k, e, alone, r in zip(basis.exponents, prow, row, resabs):
+                    # the matrix's one run refines each cycle as a run of its own
+                    # does; only the roundoff of the sums depends on the batch
+                    assert e.neval == alone.neval
+                    assert abs(e.value - alone.value) <= 4.0 * EPS * r
                     assert e.error <= tol * abs(e.value) + max(1e-30 * scale, 100.0 * EPS * r)
                     scalar = integrate_period(spec, cyc, k, t, tol=tol)
                     assert abs(e.value - scalar.value) <= e.error + scalar.error
@@ -323,11 +326,54 @@ class TestVectorKernel:
             cmath.log(1 - pole) - cmath.log(-pole),
         ]
         tol = 1e-11
-        values, errs, resabs, neval = _gk_vector(fs, [0.0, 1.0], tol, 0.0)
+        (values,), (errs,), (resabs,), (neval,) = _gk_vector(fs, [[0.0, 1.0]], tol, 0.0)
         for v, e, r, x in zip(values, errs, resabs, exact):
             assert e <= tol * abs(v) + 100.0 * EPS * r
             assert abs(v - x) <= e
         assert neval % 15 == 0 and neval > 15
+
+    def test_batch_refines_each_line_as_alone(self):
+        # the panel errors of a line with a large value, and so a loose target,
+        # dwarf those of a line that passes close by a pole: ranked together,
+        # the second line's needs would bisect the first line's panels far
+        # past its own target
+        pole = -1.5 + 1e-3j
+
+        def fs(u):
+            return (np.exp(30.0 * u) + 1.0 / (u - pole))[None]
+
+        lines = [[0.0, 1.0], [-2.0, -1.0]]
+        tol = 1e-12
+        values, errs, resabs, neval = _gk_vector(fs, lines, tol, 0.0)
+        alone = [_gk_vector(fs, [line], tol, 0.0) for line in lines]
+        assert neval == [run[3][0] for run in alone]
+        assert all(type(n) is int for n in neval)
+        for k, (z0, z1) in enumerate(lines):
+            assert abs(values[k, 0] - alone[k][0][0, 0]) <= 4.0 * EPS * resabs[k, 0]
+            exact = (cmath.exp(30.0 * z1) - cmath.exp(30.0 * z0)) / 30.0 + (
+                cmath.log(z1 - pole) - cmath.log(z0 - pole)
+            )
+            assert abs(values[k, 0] - exact) <= errs[k, 0]
+
+    def test_budget_counts_panels_per_line(self, monkeypatch):
+        def fs(u):
+            return np.exp(200j * u)[None]
+
+        lines = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        neval = _gk_vector(fs, lines, 1e-12, 0.0)[3]
+        # one panel per line to start; each bisection adds one and evaluates two
+        panels = [(n // 15 + 1) // 2 for n in neval]
+        monkeypatch.setattr(quadrature, "_BUDGET", max(panels))
+        assert sum(panels) > quadrature._BUDGET
+        assert _gk_vector(fs, lines, 1e-12, 0.0)[3] == neval
+        monkeypatch.setattr(quadrature, "_BUDGET", max(panels) - 1)
+        with pytest.raises(ToleranceNotMet, match="budget"):
+            _gk_vector(fs, lines, 1e-12, 0.0)
+
+    def test_non_finite_value_on_one_line_raises(self):
+        # the midpoint node of the second line sits on the pole
+        with pytest.raises(NonDecayingTail, match="overflow"):
+            _gk_vector(lambda u: (1.0 / (u - 2.5))[None], [[0.0, 1.0], [2.0, 3.0]], 1e-10, 0.0)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         spec = make(FiberType.AFFINE_LINE, "u^5/5-t*u^2+u")

@@ -130,6 +130,20 @@ class TestMonodromy:
         assert abs(m[1][0]) < 1e-12 and abs(m[1][1] - 1.0) < 1e-12
         assert abs(m[0][1] + 2.0) < 1e-9
 
+    def test_cycle_carried_back_onto_itself_keeps_its_row(self):
+        # a loop about a ball of critical-point degeneration carries every cycle
+        # back onto its own polyline; two of the five rows cancel down to no
+        # correct digit, so the match holds only if such a cycle is integrated
+        # once for P0 and P1
+        spec = make(
+            FiberType.PUNCTURED_LINE, "(-1)*u^4+(1)*u^3+(-2+t)*u^2+t*u+(1+t)*u^-1", "pun01"
+        )
+        sigma = singular_set(spec)
+        soft = min(sigma.balls, key=lambda b: abs(b.center - (0.566831 + 0.731308j)))
+        assert soft.provenance == (CRITICAL_POINT_DEGENERATION,)
+        result = monodromy(spec, soft.center, singular=sigma)
+        assert result.record.passed and result.record.residual < 1e-12
+
     def test_bessel_matches_to_1e_12(self):
         result = monodromy(BESSEL, 0.0)
         assert result.record.residual <= 1e-12
