@@ -131,13 +131,22 @@ def _form_coeffs(form, t: complex) -> dict:
     raise TypeError("form must be an integer exponent or a LaurentPoly")
 
 
-def _map_eval(cmap: dict, u):
-    return sum((c * u ** k for k, c in cmap.items()), np.zeros(u.shape, dtype=complex))
+def _map_eval(cmap: dict, powers: dict, zero):
+    return sum((c * powers[k] for k, c in cmap.items()), zero)
 
 
 def _integrand(gmap: dict, pmaps: list):
-    """The vector integrand [P_j(u) e^{g(u)}]_j, with exp(g) taken once per node."""
-    return lambda u: np.stack([_map_eval(p, u) for p in pmaps]) * np.exp(_map_eval(gmap, u))
+    """The vector integrand [P_j(u) e^{g(u)}]_j, with exp(g) and each power of u
+    taken once per call (``u**0`` and ``u**1`` without ``**``, which is as slow
+    as a higher power)."""
+    ks = set(gmap).union(*pmaps)
+
+    def f(u):
+        pw = {k: 1.0 if k == 0 else u if k == 1 else u ** k for k in ks}
+        zero = np.zeros(u.shape, dtype=complex)
+        return np.stack([_map_eval(p, pw, zero) for p in pmaps]) * np.exp(_map_eval(gmap, pw, zero))
+
+    return f
 
 
 # ---------------------------------------------------------------------------

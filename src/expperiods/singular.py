@@ -8,34 +8,51 @@ explicit defining polynomials in t:
 * the u-resultant of dg/du and d^2g/du^2 (critical points collide or escape),
 * every denominator of the connection matrix (poles of the system).
 
-Roots are isolated into complex balls, each certified to contain exactly one
-root: a Smale-style Newton contraction test gives existence inside each ball,
-and pairwise disjointness plus degree counting gives uniqueness.  The union is
-an over-approximation — membership never proves an actual singularity.
+Each defining polynomial is split into squarefree factors over Z[t] (Yun's
+algorithm), and the roots of each factor are isolated into complex balls,
+each certified to contain exactly one root.  Candidate centers come from a
+ladder of finders: first ``np.roots`` refined by Newton steps in double
+precision, and only if that fails, mpmath's Durand–Kerner iteration at
+rising precision.  One certifier checks every candidate the same way: Smale's
+alpha test, evaluated exactly in integer arithmetic on the binary fraction
+the center already is, gives existence inside each ball, and pairwise
+disjointness plus degree counting gives uniqueness.  The union is an
+over-approximation — membership never proves an actual singularity.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .cohomology import ConnectionMatrix, FiberType, ProblemSpec
 from .errors import DegenerateFamily, PrecisionExhausted
-from .symbolic import LaurentPoly, TPoly, bareiss, tpoly_gcd, tpolys_to_z
+from .symbolic import (
+    LaurentPoly,
+    TPoly,
+    bareiss,
+    tpolys_to_z,
+    zpoly_derivative,
+    zpoly_exact_div,
+    zpoly_gcd,
+    zpoly_primitive,
+    zpoly_sub,
+)
 
 LEADING_COEFF_VANISHES = "LeadingCoeffVanishes"
 CRITICAL_POINT_DEGENERATION = "CriticalPointDegeneration"
 CONNECTION_POLE = "ConnectionPole"
 
 # Newton contraction threshold: alpha < (13 - 3*sqrt(17))/4 ~ 0.15767 certifies
-# convergence to a unique nearby root with |root - z0| <= 2*beta.
-_ALPHA_SAFE = 0.15
-# Working precision of root isolation: start digits, and the most digits tried.
-_DPS = 30
+# convergence to a unique nearby root with |root - z0| <= 2*beta.  The exact
+# test uses alpha < 0.15 = 3/20.  Newton steps that refine each double seed:
+_NEWTON_STEPS = 4
+# Digits of the first mpmath rung, and the most digits tried.
+_DPS = 60
 _MAX_DPS = 220
 
 
@@ -75,13 +92,21 @@ class SingularSet:
 
 
 def squarefree_decomposition(p: TPoly):
-    """Return [(q_i, i)] with p ~ prod q_i^i, q_i squarefree and coprime."""
-    fs = [p.monic()]  # fs[k] = gcd(fs[k-1], fs[k-1]')
-    while fs[-1].degree > 0:
-        fs.append(tpoly_gcd(fs[-1], fs[-1].derivative()))
-    ss = [fs[k].exact_div(fs[k + 1]) for k in range(len(fs) - 1)] + [TPoly.one()]
-    qs = [ss[k].exact_div(ss[k + 1]) for k in range(len(ss) - 1)]
-    return [(q, k + 1) for k, q in enumerate(qs) if q.degree > 0]
+    """Return [(q_i, i)] with p ~ prod q_i^i, q_i monic, squarefree and coprime.
+
+    Yun's algorithm over Z[t]: on primitive polynomials every gcd is primitive,
+    so every quotient is exact in Z[t] (Gauss's lemma).
+    """
+    c = zpoly_primitive(tpolys_to_z([p])[0][0])
+    d = zpoly_derivative(c)
+    b = zpoly_gcd(c, d) or [1]  # [] only for p = 0
+    c, d = zpoly_exact_div(c, b), zpoly_exact_div(d, b)
+    out = []  # out[i] is the product of the roots of multiplicity i + 1
+    while len(c) > 1:
+        d = zpoly_sub(d, zpoly_derivative(c))
+        out.append(zpoly_gcd(c, d))
+        c, d = zpoly_exact_div(c, out[-1]), zpoly_exact_div(d, out[-1])
+    return [(TPoly(a).monic(), k) for k, a in enumerate(out, 1) if len(a) > 1]
 
 
 def _laurent_to_ucoeffs(p: LaurentPoly):
@@ -128,75 +153,123 @@ def resultant_u(p: LaurentPoly, q: LaurentPoly) -> TPoly:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_coeffs(desc_coeffs, z0):
-    """Taylor coefficients at z0 of a polynomial (descending coeffs), by Horner."""
-    work, out = list(desc_coeffs), []
-    while work:
-        for i in range(1, len(work)):
-            work[i] = work[i - 1] * z0 + work[i]
-        out.append(work.pop())
-    return out  # out[k] = p^(k)(z0) / k!
-
-
-def _seeds(coeffs_desc):
-    """Numpy roots of the monic float coefficients, or None (mpmath's default
-    start) unless coefficients and roots are finite and the roots distinct."""
-    fc = np.array([float(c / coeffs_desc[0]) for c in coeffs_desc])
-    if not np.isfinite(fc).all():
-        return None  # np.roots raises LinAlgError on inf
-    seeds = np.roots(fc).tolist()
-    if not np.isfinite(seeds).all() or len(set(seeds)) < len(seeds):
-        return None
-    return [mp.mpc(z) for z in seeds]
-
-
-def _certify_squarefree(q: TPoly, dps: int):
-    """Return [(center complex, radius float)] or None if certification fails.
-
-    Durand–Kerner (``mp.polyroots``) starts from :func:`_seeds`.  Each root is
-    certified by Smale's alpha test ``beta * gamma < 0.15``, with ``beta =
-    |p/p'|`` and ``gamma = max_k |p^(k)/(k! p')|^(1/(k-1))``, evaluated
-    root-free as ``beta^(k-1) |p^(k)/k!| < 0.15^(k-1) |p'|`` for all ``k >= 2``.
+def _taylor_shift(zq: list, x: Fraction, y: Fraction, count: int):
+    """The first ``count`` Taylor coefficients at ``a + bi`` of ``Q(s) = D^n zq(s / D)``,
+    as Gaussian-integer ``(re, im)`` pairs, and ``e``, where ``x + iy = (a + bi) / D``
+    and ``D = 2^e``.  So ``zq``'s own coefficients at ``x + iy`` are ``q_k D^(k - n)``.
     """
-    deg = q.degree
-    coeffs_desc = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in reversed(q.coeffs)]
+    (a, da), (b, db) = x.as_integer_ratio(), y.as_integer_ratio()
+    den = max(da, db)  # both are powers of two
+    a, b, e, n = a * (den // da), b * (den // db), den.bit_length() - 1, len(zq) - 1
+    re = [c << (e * (n - j)) for j, c in enumerate(zq)][::-1]
+    im = [0] * len(re)
+    out = []
+    while len(out) < count:  # repeated synthetic division by s - (a + bi)
+        for i in range(1, len(re)):
+            r, m = re[i - 1], im[i - 1]
+            re[i], im[i] = re[i] + r * a - m * b, im[i] + r * b + m * a
+        out.append((re.pop(), im.pop()))
+    return out, e
+
+
+def _norm(z) -> int:
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _sqrt_up(r: Fraction) -> float:
+    """An upper bound on sqrt(r), r >= 0: the root of ``r / 4^s`` (near 1, so that
+    no rounding under- or overflows) times ``2^s``, raised 2 ulps for the roundings."""
+    s = (r.numerator.bit_length() - r.denominator.bit_length()) // 2
+    root = math.ldexp(math.sqrt(r / Fraction(4) ** s), s)
+    return math.nextafter(math.nextafter(root, math.inf), math.inf) if r else 0.0
+
+
+def _newton_double(q: TPoly, zq: list):
+    """First rung: ``np.roots`` of q's float coefficients, each refined by at most
+    ``_NEWTON_STEPS`` double-precision Newton steps ``q0 / (D q1)`` taken from the
+    exact Taylor values, as exact binary fractions; None if a float overflows or
+    a center is not finite."""
     try:
-        roots = mp.polyroots(
-            coeffs_desc, maxsteps=200, extraprec=4 * dps, roots_init=_seeds(coeffs_desc)
-        )
-    except mp.libmp.libhyper.NoConvergence:
+        zs = np.roots([float(c) for c in reversed(q.coeffs)]).tolist()
+        for i, z in enumerate(zs):
+            for _ in range(_NEWTON_STEPS):
+                ((r0, i0), (r1, i1)), e = _taylor_shift(zq, Fraction(z.real), Fraction(z.imag), 2)
+                den = _norm((r1, i1)) << e
+                step = complex((r0 * r1 + i0 * i1) / den, (i0 * r1 - r0 * i1) / den) if den else 0
+                if z - step == z:
+                    break
+                z -= step
+            zs[i] = (Fraction(z.real), Fraction(z.imag))
+        return zs
+    except (OverflowError, ValueError):  # Fraction of an infinity or a NaN
         return None
-    safe = mp.mpf(_ALPHA_SAFE)
-    balls = []
-    for z0 in roots:
-        z0 = mp.mpc(z0)
-        tay = _taylor_coeffs(coeffs_desc, z0)
-        d1 = abs(tay[1])  # tay has deg + 1 >= 2 entries
-        if d1 == 0:
+
+
+def _mp_roots(q: TPoly, dps: int):
+    """Later rungs: mpmath's Durand–Kerner roots at ``dps`` digits, as exact binary
+    fractions, or None if the iteration does not converge."""
+    import mpmath as mp
+
+    def exact(x):
+        man, exp = x.man_exp  # the mantissa without its sign
+        return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+    with mp.workdps(dps):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(q.coeffs)]
+        try:
+            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=4 * dps)
+        except mp.libmp.libhyper.NoConvergence:
             return None
-        beta = abs(tay[0]) / d1
-        if any(beta ** j * abs(c) >= safe ** j * d1 for j, c in enumerate(tay[2:], 1)):
+        return [(exact(mp.re(z)), exact(mp.im(z))) for z in roots]
+
+
+def _certify_squarefree(zq: list, centers):
+    """Return [(center complex, radius float)], or None if certification fails.
+
+    ``zq`` is a squarefree integer polynomial, ``centers`` one exact binary
+    fraction ``(x, y)`` per root, or None if the finder failed.  Smale's alpha
+    test ``beta * gamma < 0.15``, with ``beta = |p/p'|`` and ``gamma = max_k
+    |p^(k)/(k! p')|^(1/(k-1))``, reads ``400^(k-1) |q0|^(2(k-1)) |qk|^2 <
+    9^(k-1) |q1|^(2k)`` for every ``k >= 2`` on the coefficients of
+    :func:`_taylor_shift`, all powers of ``D`` cancelled: it is exact.  A root
+    then lies within ``2 beta`` of the center.  The balls have radius ``3
+    beta``, with ``beta`` rounded up from the exact ``|q0|^2 / (D^2 |q1|^2)``,
+    and must be disjoint at the exact centers.  Rounding a center to complex
+    moves it by at most ``eps |c|``: each ball is widened by ``4 eps (|c| + 1)``
+    to cover that and the float sum of its radius.
+    """
+    if centers is None:
+        return None
+    n, balls = len(zq) - 1, []
+    for x, y in centers:
+        q, e = _taylor_shift(zq, x, y, n + 1)
+        n0, n1 = _norm(q[0]), _norm(q[1])
+        u, v = 400 * n0, 9 * n1
+        if not n1 or any(u ** (k - 1) * _norm(q[k]) >= v ** (k - 1) * n1 for k in range(2, n + 1)):
             return None
-        scale = 1 + abs(z0)
-        radius = 2 * beta * mp.mpf("1.5") + scale * mp.mpf(10) ** (5 - dps)
-        balls.append((z0, radius))
-    for i in range(deg):
-        for j in range(i + 1, deg):
-            if abs(balls[i][0] - balls[j][0]) <= balls[i][1] + balls[j][1]:
+        balls.append((x, y, 3 * _sqrt_up(Fraction(n0, n1 << 2 * e))))
+    for i, (x, y, r) in enumerate(balls):
+        for x2, y2, r2 in balls[i + 1:]:
+            if (x - x2) ** 2 + (y - y2) ** 2 <= (Fraction(r) + Fraction(r2)) ** 2:
                 return None
-    eps = 2.0 ** -52  # widen each ball by the rounding to double precision
-    balls = [(complex(z), r) for z, r in balls]
-    return [(c, float(r) + eps * (abs(c) + 1.0) * 4.0) for c, r in balls]
+    try:
+        cs = [complex(x, y) for x, y, _r in balls]
+    except OverflowError:  # a center beyond the range of a double
+        return None
+    eps = 2.0 ** -52
+    return [(c, r + eps * (abs(c) + 1.0) * 4.0) for c, (_x, _y, r) in zip(cs, balls)]
 
 
 def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):
     """Isolate all complex roots of p into certified disjoint balls.
 
     Works factor-by-factor on the exact squarefree decomposition so that
-    multiple roots are handled with their true multiplicities.  Precision is
-    escalated until the Newton contraction test and pairwise disjointness
-    both hold.  A caller isolating several polynomials may pass one dict as
-    ``isolated`` to all of them, so that a repeated factor is certified once.
+    multiple roots are handled with their true multiplicities.  The centers of
+    each factor come from :func:`_newton_double`, and only if
+    :func:`_certify_squarefree` rejects those, from :func:`_mp_roots` at
+    ``_DPS`` digits, doubled until the certifier accepts.  A caller isolating
+    several polynomials may pass one dict as ``isolated`` to all of them, so
+    that a repeated factor is certified once.
 
     Raises:
         PrecisionExhausted: if certification fails at ``_MAX_DPS`` digits.
@@ -207,17 +280,17 @@ def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):
     out = []
     prov = (provenance,) if provenance else ()
     for q, mult in squarefree_decomposition(p):
-        working = _DPS
-        while q not in isolated:
-            with mp.workdps(working):
-                balls = _certify_squarefree(q, working)
-            if balls is not None:
-                isolated[q] = balls
-            elif 2 * working > _MAX_DPS:
+        if q not in isolated:
+            zq = tpolys_to_z([q])[0][0]  # q is monic: this is its primitive multiple
+            balls, working = _certify_squarefree(zq, _newton_double(q, zq)), _DPS
+            while balls is None and working <= _MAX_DPS:
+                balls = _certify_squarefree(zq, _mp_roots(q, working))
+                working *= 2
+            if balls is None:
                 raise PrecisionExhausted(
                     f"root certification failed at {_MAX_DPS} digits for {q.to_str()}"
                 )
-            working *= 2
+            isolated[q] = balls
         for c, r in isolated[q]:
             out.append(RootBall(center=c, radius=r, multiplicity=mult, provenance=prov))
     total = sum(b.multiplicity for b in out)

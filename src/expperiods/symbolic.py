@@ -18,8 +18,10 @@ The heavy exact work runs fraction-free over Z[t], on plain lists of Python
 ints ("zpolys"), and converts back to ``TPoly`` once at the end:
 
 * :func:`zpoly_gcd` — the one polynomial gcd (primitive PRS); ``tpoly_gcd``
-  (monic, over Q[t]) and the coefficient normalization
-  :func:`zpoly_primitive_vector` are built on it;
+  (monic, over Q[t]), the coefficient normalization
+  :func:`zpoly_primitive_vector` and the squarefree decomposition of the
+  singular set (``singular.squarefree_decomposition``, Yun's algorithm on
+  primitive zpolys) are built on it;
 * :func:`bareiss` — the one exact elimination: fraction-free Gaussian
   elimination that returns either a determinant (the Sylvester resultants of
   the singular set) or the first linear dependence among its columns as
@@ -703,9 +705,10 @@ def parse_tpoly(s: str) -> TPoly:
 #
 # A Z[t] polynomial ("zpoly") is a list of Python ints, lowest degree first,
 # with no trailing zeros; the zero polynomial is [].  The large exact
-# computations (cyclic vectors, resultants, gcds) run on zpolys and convert
-# to TPoly once at the end: Fraction arithmetic pays an integer gcd on every
-# coefficient operation, and Euclid over Q[t] lets coefficients swell.
+# computations (cyclic vectors, resultants, gcds, squarefree decompositions)
+# run on zpolys and convert to TPoly once at the end: Fraction arithmetic pays
+# an integer gcd on every coefficient operation, and Euclid over Q[t] lets
+# coefficients swell.
 
 
 def _zp_trim(a: list) -> list:
@@ -765,7 +768,7 @@ def zpoly_exact_div(a: list, b: list) -> list:
     return quo
 
 
-def _zp_primitive(a: list) -> list:
+def zpoly_primitive(a: list) -> list:
     """``a`` divided by its integer content, with positive leading coefficient."""
     if not a:
         return a
@@ -801,11 +804,11 @@ def zpoly_gcd(a: list, b: list) -> list:
         g = a or b
         return [-c for c in g] if g and g[-1] < 0 else list(g)
     content = math.gcd(math.gcd(*a), math.gcd(*b))
-    a, b = _zp_primitive(a), _zp_primitive(b)
+    a, b = zpoly_primitive(a), zpoly_primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        a, b = b, _zp_primitive(_zp_prem(a, b))
+        a, b = b, zpoly_primitive(_zp_prem(a, b))
     g = a if not b else [1]
     return g if content == 1 else [c * content for c in g]
 

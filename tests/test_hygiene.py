@@ -3,7 +3,8 @@
 The package modules are parsed with ``ast``; ``__init__.py`` is left out
 because its imports are the public re-exports.  Nothing in the package loads
 scipy: neither the import, nor the verify battery, nor the ``monodromy``
-command.  Every module-level
+command.  mpmath loads only when root isolation escalates past double
+precision (or on ``periods --dps``).  Every module-level
 function and class has a caller in the package (a re-export counts) or in
 ``demos/``: code that only tests need does not belong in ``src/``.
 """
@@ -163,4 +164,34 @@ def test_verify_and_monodromy_do_not_load_scipy():
     )
     proc = run_python(code)
     assert proc.returncode != 10, "run_all or the monodromy command loaded scipy"
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_singular_set_do_not_load_mpmath():
+    code = (
+        "import sys\n"
+        "import expperiods, expperiods.cli\n"
+        "from expperiods import FiberType, ProblemSpec, parse_laurent, singular_set\n"
+        "for g in ('u^3/3 - t*u', 'u^7-t*u^3+t^2*u'):\n"
+        "    singular_set(ProblemSpec(FiberType.AFFINE_LINE, parse_laurent(g)))\n"
+        "sys.exit(10 if 'mpmath' in sys.modules else 0)\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode != 10, "the import or singular_set loaded mpmath"
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_escalation_rung_loads_mpmath_on_demand():
+    code = (
+        "import sys\n"
+        "from expperiods import TPoly, parse_tpoly, root_isolate\n"
+        "from fractions import Fraction\n"
+        "tiny = TPoly([-Fraction(1, 10**30)] + [0] * 9 + [1])\n"
+        "assert len(root_isolate(tiny)) == 10\n"
+        "(ball,) = root_isolate(parse_tpoly('(t - 1)*(t - 1 - 1/10^20)'))\n"
+        "assert ball.multiplicity == 2\n"
+        "sys.exit(0 if 'mpmath' in sys.modules else 10)\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode != 10, "the clustered pair did not reach the mpmath rung"
     assert proc.returncode == 0, proc.stderr

@@ -287,6 +287,34 @@ SWEEP = (
 EPS = 2.0 ** -52
 
 
+class TestIntegrand:
+    def test_bit_identical_to_one_power_per_term(self, monkeypatch):
+        # the shared powers of u must not move a single bit of any period
+        # value at the stored sweep points
+        from test_cycles import sweep_cases
+
+        def per_term(gmap, pmaps):
+            def ev(cmap, u):
+                return sum((c * u ** k for k, c in cmap.items()), np.zeros(u.shape, dtype=complex))
+
+            return lambda u: np.stack([ev(p, u) for p in pmaps]) * np.exp(ev(gmap, u))
+
+        def entries(spec, basis, cycles):
+            P = period_matrix(spec, basis, cycles, tol=1e-10)
+            return [(e.value, e.error, e.neval) for row in P.entries for e in row]
+
+        cases = sweep_cases()
+        assert len(cases) == 56
+        shared = quadrature._integrand
+        for label, spec, t in cases:
+            basis, cycles = fiber_basis(spec), cycle_basis(spec, t)
+            got = entries(spec, basis, cycles)
+            monkeypatch.setattr(quadrature, "_integrand", per_term)
+            want = entries(spec, basis, cycles)
+            monkeypatch.setattr(quadrature, "_integrand", shared)
+            assert got == want, label
+
+
 class TestVectorKernel:
     @pytest.mark.parametrize("label, fiber, g, points", SWEEP, ids=[f[0] for f in SWEEP])
     def test_sweep_entries_certified_and_match_scalar_runs(self, label, fiber, g, points):

@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expperiods.cohomology import FiberType, ProblemSpec, connection_matrix, fiber_basis
+from expperiods import singular
 from expperiods.errors import DegenerateFamily, PrecisionExhausted
 from expperiods.singular import (
     CONNECTION_POLE,
     CRITICAL_POINT_DEGENERATION,
     LEADING_COEFF_VANISHES,
     RootBall,
-    _seeds,
+    _certify_squarefree,
+    _newton_double,
     resultant_u,
     root_isolate,
     singular_set,
@@ -45,6 +47,19 @@ def from_roots(roots):
     return p
 
 
+def from_gaussian_roots(points):
+    """The rational polynomial with roots a + bi and a - bi for each (a, b) in
+    ``points``, stopping before its degree passes 7; and its roots as pairs."""
+    p, roots = TPoly.one(), []
+    for a, b in points:
+        pair = [(a, b), (a, -b)] if b else [(a, b)]
+        if len(roots) + len(pair) > 7:
+            break
+        roots += pair
+        p = p * (TPoly((a * a + b * b, -2 * a, 1)) if b else TPoly((-a, 1)))
+    return p, roots
+
+
 def isolate_strict(p):
     """root_isolate with every warning turned into an error."""
     with warnings.catch_warnings():
@@ -57,6 +72,13 @@ class TestSquarefree:
         p = parse_tpoly("(t - 1)*(t - 1)*(t^2 + 1)")
         out = squarefree_decomposition(p)
         assert [(q.to_str(), m) for q, m in out] == [("t^2 + 1", 1), ("t - 1", 2)]
+        # integer content, a negative leading coefficient and a gap in the
+        # multiplicities: Yun's steps stay exact over Z[t]
+        p = parse_tpoly("-6*(t - 1/2)^3*(3*t + 1)")
+        out = squarefree_decomposition(p)
+        assert [(q.to_str(), m) for q, m in out] == [("t + 1/3", 1), ("t - 1/2", 3)]
+        assert squarefree_decomposition(TPoly.zero()) == []
+        assert squarefree_decomposition(TPoly.const(5)) == []
 
     def test_random_reconstruction(self):
         rng = random.Random(57)
@@ -167,34 +189,68 @@ class TestIsolationRobustness:
             assert b.radius < 1e-6
 
     def test_huge_coefficient_exhausts_precision(self):
-        # the float coefficients overflow, so Durand-Kerner starts from
-        # mpmath's default points; certification then fails as before
+        # the float coefficients overflow, so only the mpmath rungs run, and
+        # Durand-Kerner does not converge from its default points
         with pytest.raises(PrecisionExhausted):
             isolate_strict(TPoly([10**400, 0, 1]))
 
-    def test_seed_guard(self):
-        def seeds(p):
-            return _seeds([mp.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)])
+    def test_first_rung_guard(self, monkeypatch):
+        rungs = []
+        mp_roots = singular._mp_roots
+        monkeypatch.setattr(
+            singular, "_mp_roots", lambda q, dps: rungs.append(dps) or mp_roots(q, dps)
+        )
+        huge = TPoly([10**400, 0, 1])
+        assert _newton_double(huge, [10**400, 0, 1]) is None  # infinite float coefficient
+        with pytest.raises(PrecisionExhausted):
+            isolate_strict(huge)
+        assert rungs == [singular._DPS, 2 * singular._DPS]
+        rungs.clear()
+        # both roots round to the double 1.0: the first rung's centers are not
+        # disjoint, and the mp rung's exact centers are
+        pair = from_roots([1, 1 + Fraction(1, 10**20)])
+        zq = [10**20 + 1, -(2 * 10**20 + 1), 10**20]
+        assert _certify_squarefree(zq, _newton_double(pair, zq)) is None
+        (ball,) = isolate_strict(pair)
+        assert rungs == [singular._DPS]
+        assert ball.multiplicity == 2 and abs(ball.center - 1) <= ball.radius
 
-        assert seeds(TPoly([10**400, 0, 1])) is None  # infinite float coefficient
-        assert seeds(from_roots([1, 1 + Fraction(1, 10**20)])) is None  # repeated seed
-        got = seeds(from_roots([1, 2, 3]))
-        assert sorted(float(z.real) for z in got) == pytest.approx([1, 2, 3])
+    def test_alpha_threshold_is_sharp(self):
+        # t^2 - 1 at a real center z has beta = |z^2 - 1| / |2z| and gamma =
+        # 1 / |2z|, so alpha = |z^2 - 1| / (4 z^2): 0.15 at z^2 = 2.5
+        zq = [-1, 0, 1]
+        above, below = Fraction(1.582), Fraction(1.58)  # exact binary fractions
+        alpha = lambda z: (z * z - 1) / (4 * z * z)  # noqa: E731
+        assert alpha(below) < Fraction(3, 20) < alpha(above)
+        assert _certify_squarefree(zq, [(above, 0), (Fraction(-1), 0)]) is None
+        (c0, r0), (c1, r1) = _certify_squarefree(zq, [(below, 0), (Fraction(-1), 0)])
+        beta = (below * below - 1) / (2 * below)
+        assert 3 * beta <= r0 <= 3 * beta + 1e-14 and abs(c0 - 1) <= r0
+        # the exact roots have beta = 0: only the widening is left
+        (c0, r0), (c1, r1) = _certify_squarefree(zq, [(Fraction(1), 0), (Fraction(-1), 0)])
+        assert (c0, c1) == (1, -1) and r0 == r1 == 8 * 2.0**-52
 
     @PROPERTY
     @given(
         st.lists(
-            st.fractions(min_value=-8, max_value=8, max_denominator=6),
+            st.tuples(
+                st.fractions(min_value=-8, max_value=8, max_denominator=6),
+                st.fractions(min_value=0, max_value=8, max_denominator=6),
+            ),
             min_size=1,
             max_size=7,
             unique=True,
         )
     )
-    def test_each_ball_holds_exactly_one_root(self, roots):
-        balls = isolate_strict(from_roots(roots))
+    def test_each_ball_holds_exactly_one_root(self, points):
+        p, roots = from_gaussian_roots(points)
+        balls = isolate_strict(p)
         assert sum(b.multiplicity for b in balls) == len(roots)
-        for b in balls:
-            assert sum(abs(b.center - float(r)) <= b.radius for r in roots) == 1
+        with mp.workdps(60):
+            exact = [mp.mpf(a.numerator) / a.denominator + mp.mpf(b.numerator) / b.denominator * 1j
+                     for a, b in roots]
+            for b in balls:
+                assert sum(abs(mp.mpc(b.center) - r) <= b.radius for r in exact) == 1
 
 
 class TestSingularSet:
