@@ -201,7 +201,7 @@ def _newton_double(q: TPoly, zq: list):
                 z -= step
             zs[i] = (Fraction(z.real), Fraction(z.imag))
         return zs
-    except (OverflowError, ValueError):  # Fraction of an infinity or a NaN
+    except (OverflowError, ValueError):  # an infinity or a NaN, or np.roots failed
         return None
 
 
@@ -241,23 +241,23 @@ def _certify_squarefree(zq: list, centers):
     if centers is None:
         return None
     n, balls = len(zq) - 1, []
-    for x, y in centers:
-        q, e = _taylor_shift(zq, x, y, n + 1)
-        n0, n1 = _norm(q[0]), _norm(q[1])
-        u, v = 400 * n0, 9 * n1
-        if not n1 or any(u ** (k - 1) * _norm(q[k]) >= v ** (k - 1) * n1 for k in range(2, n + 1)):
-            return None
-        balls.append((x, y, 3 * _sqrt_up(Fraction(n0, n1 << 2 * e))))
-    for i, (x, y, r) in enumerate(balls):
-        for x2, y2, r2 in balls[i + 1:]:
+    try:
+        for x, y in centers:
+            q, e = _taylor_shift(zq, x, y, n + 1)
+            n0, n1 = _norm(q[0]), _norm(q[1])
+            u, v = 400 * n0, 9 * n1
+            fails = (u ** (k - 1) * _norm(q[k]) >= v ** (k - 1) * n1 for k in range(2, n + 1))
+            if not n1 or any(fails):
+                return None
+            balls.append((x, y, complex(x, y), 3 * _sqrt_up(Fraction(n0, n1 << 2 * e))))
+    except OverflowError:  # a center or a radius beyond the range of a double
+        return None
+    for i, (x, y, _c, r) in enumerate(balls):
+        for x2, y2, _c2, r2 in balls[i + 1:]:
             if (x - x2) ** 2 + (y - y2) ** 2 <= (Fraction(r) + Fraction(r2)) ** 2:
                 return None
-    try:
-        cs = [complex(x, y) for x, y, _r in balls]
-    except OverflowError:  # a center beyond the range of a double
-        return None
     eps = 2.0 ** -52
-    return [(c, r + eps * (abs(c) + 1.0) * 4.0) for c, (_x, _y, r) in zip(cs, balls)]
+    return [(c, r + eps * (abs(c) + 1.0) * 4.0) for _x, _y, c, r in balls]
 
 
 def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):

@@ -193,6 +193,8 @@ class TestIsolationRobustness:
         # Durand-Kerner does not converge from its default points
         with pytest.raises(PrecisionExhausted):
             isolate_strict(TPoly([10**400, 0, 1]))
+        with pytest.raises(PrecisionExhausted):  # the root is beyond the double range
+            isolate_strict(TPoly([10**400, 1]))
 
     def test_first_rung_guard(self, monkeypatch):
         rungs = []
