@@ -35,11 +35,9 @@ from .symbolic import (
     LaurentPoly,
     TPoly,
     bareiss,
-    tpolys_to_z,
     zpoly_derivative,
     zpoly_exact_div,
     zpoly_gcd,
-    zpoly_primitive,
     zpoly_sub,
 )
 
@@ -94,10 +92,10 @@ class SingularSet:
 def squarefree_decomposition(p: TPoly):
     """Return [(q_i, i)] with p ~ prod q_i^i, q_i monic, squarefree and coprime.
 
-    Yun's algorithm over Z[t]: on primitive polynomials every gcd is primitive,
-    so every quotient is exact in Z[t] (Gauss's lemma).
+    Yun's algorithm over Z[t] on ``p.prim``: on primitive polynomials every gcd
+    is primitive, so every quotient is exact in Z[t] (Gauss's lemma).
     """
-    c = zpoly_primitive(tpolys_to_z([p])[0][0])
+    c = p.prim
     d = zpoly_derivative(c)
     b = zpoly_gcd(c, d) or [1]  # [] only for p = 0
     c, d = zpoly_exact_div(c, b), zpoly_exact_div(d, b)
@@ -133,19 +131,19 @@ def resultant_u(p: LaurentPoly, q: LaurentPoly) -> TPoly:
     size = m + n
     if size == 0:
         return TPoly.one()
-    # Sylvester rows over Z[t]: the n rows of a carry the scale La, the m rows
-    # of b carry Lb, and the determinant is divided by La^n * Lb^m at the end.
-    za, La = tpolys_to_z(a)
-    zb, Lb = tpolys_to_z(b)
-    rows = []
-    for coeffs, shifts in ((za, n), (zb, m)):
+    # Sylvester rows over Z[t]: the rows of a and of b each carry the lcm L of
+    # their content denominators; the determinant is divided by the L's at the end.
+    rows, scale = [], 1
+    for cs, shifts in ((a, n), (b, m)):
+        L = math.lcm(*(c.content.denominator for c in cs))
+        scale *= L ** shifts
+        coeffs = [[x * (c.content * L).numerator for x in c.prim] for c in cs]
         for i in range(shifts):
             row = [[] for _ in range(size)]
             row[i:i + len(coeffs)] = reversed(coeffs)
             rows.append(row)
     det, _ = bareiss(rows)  # rows as columns: det(M^T) = det(M)
-    scale = La ** n * Lb ** m
-    return TPoly(Fraction(c, scale) for c in det)
+    return TPoly(det) * Fraction(1, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,7 @@ def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):
     prov = (provenance,) if provenance else ()
     for q, mult in squarefree_decomposition(p):
         if q not in isolated:
-            zq = tpolys_to_z([q])[0][0]  # q is monic: this is its primitive multiple
+            zq = q.prim
             balls, working = _certify_squarefree(zq, _newton_double(q, zq)), _DPS
             while balls is None and working <= _MAX_DPS:
                 balls = _certify_squarefree(zq, _mp_roots(q, working))
@@ -355,22 +353,17 @@ def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None) -> SingularSet:
             )
         defining.append((res, CRITICAL_POINT_DEGENERATION))
 
-    seen = set()
-    for den in A.denominators():
-        key = den.monic()
-        if key not in seen:
-            seen.add(key)
-            defining.append((key, CONNECTION_POLE))
+    # the denominators are monic already; each distinct one is defining once
+    defining += [(den, CONNECTION_POLE) for den in dict.fromkeys(A.denominators())]
 
     balls = []
     isolated = {}  # squarefree factor -> its balls, for this call only
-    roots = {}  # monic defining polynomial -> its balls (they often repeat)
+    roots = {}  # primitive part of a defining polynomial -> its balls (they often repeat)
     for poly, prov in defining:
         if poly.is_zero():
             raise DegenerateFamily("a defining polynomial vanishes identically")
         if poly.degree >= 1:
-            key = poly.monic()
-            if key not in roots:
-                roots[key] = root_isolate(key, isolated=isolated)
-            balls.extend(replace(b, provenance=(prov,)) for b in roots[key])
+            if poly.prim not in roots:
+                roots[poly.prim] = root_isolate(poly, isolated=isolated)
+            balls.extend(replace(b, provenance=(prov,)) for b in roots[poly.prim])
     return SingularSet(balls=tuple(_merge_balls(balls)), defining=tuple(defining))

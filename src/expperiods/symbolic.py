@@ -2,7 +2,8 @@
 
 The API edge uses three small exact types:
 
-* :class:`TPoly` — dense univariate polynomials in ``t`` over ``Fraction``;
+* :class:`TPoly` — univariate polynomials in ``t`` over Q, each stored as a
+  ``Fraction`` content times a primitive Z[t] polynomial;
 * :class:`RatFun` — reduced fractions of two ``TPoly`` with monic denominator
   (the entries of a connection matrix ``A(t)``);
 * :class:`LaurentPoly` — finite sums ``sum_k c_k(t) * u^k`` with ``k`` ranging
@@ -14,20 +15,21 @@ object for the CLI.  A tiny expression parser reads ``TPoly`` and
 ``LaurentPoly`` back; every divisor in it must be a nonzero rational
 constant, so ``RatFun`` prints but does not parse.
 
-The heavy exact work runs fraction-free over Z[t], on plain lists of Python
-ints ("zpolys"), and converts back to ``TPoly`` once at the end:
+All polynomial arithmetic runs fraction-free over Z[t], on plain lists of
+Python ints ("zpolys"): ``TPoly`` applies the ``zpoly_*`` helpers to its
+primitive part and keeps the rational scale in its one content.
 
 * :func:`zpoly_gcd` — the one polynomial gcd (primitive PRS); ``tpoly_gcd``
   (monic, over Q[t]), the coefficient normalization
   :func:`zpoly_primitive_vector` and the squarefree decomposition of the
   singular set (``singular.squarefree_decomposition``, Yun's algorithm on
-  primitive zpolys) are built on it;
+  ``TPoly.prim``) are built on it;
 * :func:`bareiss` — the one exact elimination: fraction-free Gaussian
   elimination that returns either a determinant (the Sylvester resultants of
   the singular set) or the first linear dependence among its columns as
   Cramer minors (the cyclic-vector ODE);
-* :func:`clear_denominators` and :func:`tpolys_to_z` move ``RatFun`` and
-  ``TPoly`` data onto Z[t] with one common denominator.
+* :func:`clear_denominators` moves ``RatFun`` data onto Z[t] with one
+  common denominator.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import AtSingularT, SpecFormatError
+from .errors import AtSingularT, PrecisionExhausted, SpecFormatError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,89 +53,86 @@ def _as_fraction(x) -> Fraction:
 
 
 class TPoly:
-    """Dense polynomial in ``t`` with ``Fraction`` coefficients.
+    """Polynomial in ``t`` over Q, stored as ``content * prim``.
 
-    ``coeffs[k]`` is the coefficient of ``t^k``; trailing zeros are trimmed,
-    and the zero polynomial stores an empty tuple (degree ``-1``).
+    ``prim`` is a primitive Z[t] tuple, lowest degree first: its coefficients
+    have gcd 1 and the last one is positive.  ``content`` is a ``Fraction``.
+    The zero polynomial is ``content = 0``, ``prim = ()`` (degree ``-1``).
+    The pair is unique, so ``==`` and ``hash`` compare it.  By Gauss's lemma a
+    product or exact quotient of primitive polynomials is primitive, so ``*``
+    and :meth:`exact_div` need no gcd, and ``+`` takes one.
     """
 
-    __slots__ = ("coeffs", "_fc")
+    __slots__ = ("content", "prim", "_fc")
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_fc", None)
+        cs = [c if isinstance(c, int) else _as_fraction(c) for c in coeffs]
+        L = math.lcm(*(c.denominator for c in cs))
+        self.content, self.prim = _normalize([c.numerator * (L // c.denominator) for c in cs], 1, L)
+        self._fc = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls) -> "TPoly":
-        return cls(())
+        return _tp(_ZERO, ())
 
     @classmethod
     def one(cls) -> "TPoly":
-        return cls((1,))
+        return _tp(_ONE, (1,))
 
     @classmethod
     def const(cls, c) -> "TPoly":
-        return cls((_as_fraction(c),))
+        c = _as_fraction(c)
+        return _tp(c, (1,)) if c else _tp(_ZERO, ())
 
     @classmethod
     def t(cls) -> "TPoly":
-        return cls((0, 1))
+        return _tp(_ONE, (0, 1))
 
     # -- structure ---------------------------------------------------------
     @property
+    def coeffs(self) -> tuple:
+        """``coeffs[k]`` is the ``Fraction`` coefficient of ``t^k`` (computed, not stored)."""
+        c = self.content
+        return tuple(c * x for x in self.prim)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def is_one(self) -> bool:
-        return self.coeffs == (_ONE,)
+        return self.prim == (1,) and self.content == 1
 
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return _ZERO
-        return self.coeffs[-1]
-
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return _ZERO
+        return self.content * self.prim[-1] if self.prim else _ZERO
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "TPoly") -> "TPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return TPoly(out)
+        if not other.prim:
+            return self
+        if not self.prim:
+            return other
+        a, b, pa, pb = self.content, other.content, self.prim, other.prim
+        den = math.lcm(a.denominator, b.denominator)
+        na, nb = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        h = math.gcd(na, nb)
+        na, nb = na // h, nb // h
+        out = zpoly_add([na * c for c in pa], [nb * c for c in pb])
+        return _tp(*_normalize(out, h, den))
 
     def __neg__(self) -> "TPoly":
-        return TPoly(tuple(-c for c in self.coeffs))
+        return _tp(-self.content, self.prim)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "TPoly":
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return TPoly(tuple(c * f for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return TPoly(())
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return TPoly(out)
+            return _tp(self.content * other, self.prim) if other else TPoly.zero()
+        return _tp(self.content * other.content, tuple(zpoly_mul(self.prim, other.prim)))
 
     __rmul__ = __mul__
 
@@ -149,50 +148,35 @@ class TPoly:
             n >>= 1
         return r
 
-    def __divmod__(self, other: "TPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return TPoly(()), TPoly(rem)
-        quo = [_ZERO] * (dq + 1)
-        dlc = other.lc()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / dlc
-            quo[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
-        return TPoly(quo), TPoly(rem)
-
     def exact_div(self, other: "TPoly") -> "TPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ArithmeticError("division was expected to be exact")
-        return q
+        prim = tuple(zpoly_exact_div(self.prim, other.prim))  # first: it checks for zero
+        return _tp(self.content / other.content, prim)
 
     def derivative(self) -> "TPoly":
-        return TPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        c = self.content
+        return _tp(*_normalize(zpoly_derivative(self.prim), c.numerator, c.denominator))
 
     def monic(self) -> "TPoly":
-        if self.is_zero():
-            return self
-        inv = 1 / self.lc()
-        return TPoly(tuple(c * inv for c in self.coeffs))
+        return _tp(Fraction(1, self.prim[-1]), self.prim) if self.prim else self
 
     # -- evaluation ----------------------------------------------------------
-    def eval_exact(self, x: Fraction) -> Fraction:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def _float_coeffs(self):
+        """The coefficients, each rounded once to a double (cached).
+
+        Raises:
+            PrecisionExhausted: if a coefficient is beyond the double range.
+        """
         fc = self._fc
         if fc is None:
-            fc = tuple(float(c) for c in self.coeffs)
-            object.__setattr__(self, "_fc", fc)
+            n, d = self.content.numerator, self.content.denominator
+            try:
+                fc = self._fc = tuple(n * c / d for c in self.prim)
+            except OverflowError:  # then so does the coefficient of largest size
+                k = max(range(len(self.prim)), key=lambda k: abs(self.prim[k]))
+                size = len(str(abs(n * self.prim[k]) // d)) - 1
+                raise PrecisionExhausted(
+                    f"the coefficient of t^{k}, about 10^{size}, is beyond the double range"
+                ) from None
         return fc
 
     def eval(self, x):
@@ -209,10 +193,10 @@ class TPoly:
 
     # -- comparison / printing ------------------------------------------------
     def __eq__(self, other) -> bool:
-        return isinstance(other, TPoly) and self.coeffs == other.coeffs
+        return isinstance(other, TPoly) and self.prim == other.prim and self.content == other.content
 
     def __hash__(self):
-        return hash(("TPoly", self.coeffs))
+        return hash(("TPoly", self.content, self.prim))
 
     def __repr__(self):
         return f"TPoly({self.to_str()!r})"
@@ -220,13 +204,22 @@ class TPoly:
     def to_str(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            parts.append(_term_str(c, var, k))
+        cs = self.coeffs
+        parts = [_term_str(cs[k], var, k) for k in range(self.degree, -1, -1) if cs[k]]
         return _join_terms(parts)
+
+
+def _tp(content: Fraction, prim: tuple) -> TPoly:
+    """The ``TPoly`` with this (already canonical) content and primitive part."""
+    p = object.__new__(TPoly)
+    p.content, p.prim, p._fc = content, prim, None
+    return p
+
+
+def _normalize(zs: list, num: int, den: int):
+    """``(content, prim)`` of ``(num / den) * zs`` for an integer list ``zs``."""
+    prim = zpoly_primitive(_zp_trim(zs))
+    return (Fraction(num * (zs[-1] // prim[-1]), den), tuple(prim)) if prim else (_ZERO, ())
 
 
 def _frac_str(c: Fraction) -> str:
@@ -271,10 +264,8 @@ class RatFun:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            inv = 1 / den.lc()
-            if inv != 1:
-                num = num * inv
-                den = den * inv
+            num = num * (1 / den.lc())
+            den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -292,9 +283,6 @@ class RatFun:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
 
     def __add__(self, other) -> "RatFun":
         other = _as_ratfun(other)
@@ -452,7 +440,7 @@ class LaurentPoly:
             if len(self.terms) == 1:
                 ((k, c),) = self.terms.items()
                 if c.degree == 0:
-                    return LaurentPoly({k * n: TPoly.const(1 / c.coeffs[0]) ** (-n)})
+                    return LaurentPoly({k * n: TPoly.const(1 / c.lc()) ** (-n)})
             raise ValueError("only a rational monomial c*u^k has a negative power")
         r = LaurentPoly.one()
         base = self
@@ -511,7 +499,7 @@ class LaurentPoly:
 
 
 def _nonzero_terms(p: TPoly):
-    return [c for c in p.coeffs if c]
+    return [c for c in p.prim if c]
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +667,7 @@ def _inverse_constant(w: LaurentPoly) -> Fraction:
         raise SpecFormatError(
             f"division by {c.to_str()}: coefficients must be polynomials in t"
         )
-    return 1 / c.coeffs[0]
+    return 1 / c.lc()
 
 
 def parse_laurent(s: str) -> LaurentPoly:
@@ -704,11 +692,10 @@ def parse_tpoly(s: str) -> TPoly:
 # ---------------------------------------------------------------------------
 #
 # A Z[t] polynomial ("zpoly") is a list of Python ints, lowest degree first,
-# with no trailing zeros; the zero polynomial is [].  The large exact
-# computations (cyclic vectors, resultants, gcds, squarefree decompositions)
-# run on zpolys and convert to TPoly once at the end: Fraction arithmetic pays
-# an integer gcd on every coefficient operation, and Euclid over Q[t] lets
-# coefficients swell.
+# with no trailing zeros; the zero polynomial is [].  A TPoly's ``prim`` is a
+# zpoly as a tuple, and every TPoly ring operation runs on it through these
+# helpers.  Cyclic vectors, resultants and squarefree decompositions call them
+# directly.
 
 
 def _zp_trim(a: list) -> list:
@@ -833,18 +820,16 @@ def zpoly_primitive_vector(polys: Sequence[list]) -> list:
     return list(polys)
 
 
-def tpolys_to_z(ps: Sequence[TPoly]):
-    """Integer coefficient lists and one positive integer ``L`` with ``ps[i] = zs[i] / L``."""
-    L = 1
-    for p in ps:
-        for c in p.coeffs:
-            L = L * c.denominator // math.gcd(L, c.denominator)
-    return [[c.numerator * (L // c.denominator) for c in p.coeffs] for p in ps], L
-
-
 def clear_denominators(fs: Sequence[RatFun]):
-    """Z[t] numerators and one common Z[t] denominator: ``fs[i] = nums[i] / den``."""
-    pairs = [tpolys_to_z((f.num, f.den))[0] for f in fs]
+    """Z[t] numerators and one common Z[t] denominator: ``fs[i] = nums[i] / den``.
+
+    Each ``f`` is ``(r.numerator * f.num.prim) / (r.denominator * f.den.prim)``
+    with ``r = f.num.content / f.den.content``, a coprime Z[t] pair.
+    """
+    pairs = []
+    for f in fs:
+        r = f.num.content / f.den.content
+        pairs.append(([c * r.numerator for c in f.num.prim], [c * r.denominator for c in f.den.prim]))
     den = [1]
     for _, d in pairs:
         if d != den:
@@ -853,9 +838,8 @@ def clear_denominators(fs: Sequence[RatFun]):
 
 
 def tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
-    """Monic gcd over Q[t], computed over Z[t] by :func:`zpoly_gcd`."""
-    za, zb = tpolys_to_z((a, b))[0]
-    return TPoly(zpoly_gcd(za, zb)).monic()
+    """Monic gcd over Q[t]: :func:`zpoly_gcd` of the primitive parts."""
+    return TPoly(zpoly_gcd(a.prim, b.prim)).monic()
 
 
 def bareiss(columns: Iterable[Sequence[list]]):

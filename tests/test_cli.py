@@ -285,3 +285,37 @@ class TestMonodromy:
 
     def test_bad_tol_exit_two(self, capsys):
         assert_bad_tol_exits_two(capsys, "monodromy", GAUSSIAN, "--center", "0", "--tol", "-1")
+
+
+class TestHugeCoefficient:
+    """A coefficient beyond the double range: the exact commands still run, and
+    every numeric command stops with exit 4 instead of an uncaught OverflowError."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        path = tmp_path / "huge.spec"
+        path.write_text("fiber = affine_line\ng = 10^400*u^3/3 - t*u\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["derive", "singular"])
+    def test_exact_commands_run(self, capsys, huge, command):
+        code, out, _err = run(capsys, command, huge)
+        assert code == 0
+        assert json.loads(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("periods", "--t", "1"),
+            ("cycles", "--t", "1"),
+            ("samples", "--path", "1", "2", "--n", "2"),
+            ("verify",),
+            ("monodromy", "--center", "0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_numeric_commands_exit_four(self, capsys, huge, argv):
+        code, _out, err = run(capsys, argv[0], huge, *argv[1:])
+        assert code == 4
+        assert "budget exhausted" in err and "beyond the double range" in err
+        assert "Traceback" not in err

@@ -77,6 +77,10 @@ class TestSquarefree:
         p = parse_tpoly("-6*(t - 1/2)^3*(3*t + 1)")
         out = squarefree_decomposition(p)
         assert [(q.to_str(), m) for q, m in out] == [("t + 1/3", 1), ("t - 1/2", 3)]
+        # rational content: the decomposition reads only the primitive part
+        p = TPoly([Fraction(3, 2)]) * parse_tpoly("(t - 1)^2*(t + 2)")
+        out = squarefree_decomposition(p)
+        assert [(q.to_str(), m) for q, m in out] == [("t + 2", 1), ("t - 1", 2)]
         assert squarefree_decomposition(TPoly.zero()) == []
         assert squarefree_decomposition(TPoly.const(5)) == []
 
