@@ -190,10 +190,10 @@ def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
     Raises:
         NonDecayingTail: if no radius gives the demanded decay.
     """
-    t = cfg.t
-    gp = spec.g.partial_u()  # critical points of g in the fiber (poles cleared)
-    lo, hi = min(min(gp.terms), 0), max(gp.terms)
-    coeffs = [complex(gp.coeff(k).eval(t)) for k in range(hi, lo - 1, -1)]
+    gmap = spec.g.coeffs_at(cfg.t)
+    gp = {k - 1: k * c for k, c in gmap.items() if k}  # critical points of g (poles cleared)
+    lo, hi = min(min(gp), 0), max(gp)
+    coeffs = [gp.get(k, 0j) for k in range(hi, lo - 1, -1)]
     crit = [abs(complex(z)) for z in np.roots(coeffs)] if len(coeffs) > 1 else []
     rho_w = 1.0 + max(crit, default=0.0)
     rho_in = min(1.0, min((c / 2.0 for c in crit), default=1.0))
@@ -201,13 +201,14 @@ def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
 
     def search(r: float, factor: float, sectors, where: str) -> float:
         for _ in range(200):
-            if all(spec.g.eval(t, r * cmath.exp(1j * s.center)).real <= -target for s in sectors):
+            rays = (r * cmath.exp(1j * s.center) for s in sectors)
+            if all(sum(c * u ** k for k, c in gmap.items()).real <= -target for u in rays):
                 return r
             r *= factor
         raise NonDecayingTail(f"no radius gives the demanded decay at {where}")
 
     d = spec.top_degree
-    lc_inf = abs(spec.g.top_coeff().eval(t))
+    lc_inf = abs(gmap[d])
     r_inf = search(
         max((2.0 * target / lc_inf) ** (1.0 / d), 2.5 * rho_w + 1.0), 1.25, cfg.at_infinity,
         "infinity",
@@ -215,7 +216,7 @@ def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
     r_zero = 0.0
     if cfg.at_zero:
         e = -spec.bottom_order
-        lc_zero = abs(spec.g.bottom_coeff().eval(t))
+        lc_zero = abs(gmap[-e])
         r_zero = search(
             min(rho_in / 2.0, (lc_zero / (2.0 * target)) ** (1.0 / e)), 0.6, cfg.at_zero, "zero"
         )
@@ -292,8 +293,11 @@ def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: Val
                 f"(Re g = {decay:.3g} at {node})"
             )
     if spec.fiber is FiberType.PUNCTURED_LINE:
-        mind = min(_segment_distance(a, b, 0.0) for a, b in zip(cycle.nodes, cycle.nodes[1:]))
-        assert mind > 1e-12, "cycle must stay away from the puncture at u = 0"
+        z = np.array(cycle.nodes)  # the point of each segment [a, a + ab] nearest to 0
+        a, ab = z[:-1], np.diff(z)
+        den = np.abs(ab) ** 2
+        s = np.clip(-(a * ab.conj()).real / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+        assert np.abs(a + s * ab).min() > 1e-12, "cycle must stay away from the puncture at u = 0"
     return cycle
 
 

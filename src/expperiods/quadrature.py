@@ -5,16 +5,18 @@ a rapid-decay cycle.  One kernel serves every double-precision caller: the
 global adaptive 15-point Gauss-Kronrod strategy of QUADPACK ``qag`` (Piessens
 et al., 1983), vectorized over a vector integrand and over several polylines.
 A period matrix (the basis forms u^e over every cycle) is one run, so the
-integrand is called once per round for the whole matrix.  Each round bisects,
-in one numpy batch, every panel that some entry (cycle i, form j) still needs
-among the panels of cycle i; the run stops when every entry meets its target
+integrand, which takes the powers of u from one table built by multiplication
+rather than from numpy's complex ``**``, is called once per round for the whole
+matrix.  Each round bisects, in one numpy batch, every panel that some entry
+(cycle i, form j) still needs among the panels of cycle i; the run stops when
+every entry meets its target
 
     err_ij <= tol * |value_ij| + max(abs_floor, machine_floor_ij),
 
 where machine_floor_ij = 50 * eps * integral(|f_j|) along cycle i is the
 roundoff limit of double precision.  Truncated tails at the non-compact ends
-are bounded analytically by a geometric-decay estimate and added to the
-reported error.
+are bounded analytically by a geometric-decay estimate, with g and g' taken
+once per open end, and added to the reported error.
 
 The extended-precision mode re-evaluates every segment with mpmath's
 tanh-sinh rule at a requested number of digits, for use as an independent
@@ -131,20 +133,35 @@ def _form_coeffs(form, t: complex) -> dict:
     raise TypeError("form must be an integer exponent or a LaurentPoly")
 
 
-def _map_eval(cmap: dict, powers: dict, zero):
-    return sum((c * powers[k] for k, c in cmap.items()), zero)
-
-
 def _integrand(gmap: dict, pmaps: list):
-    """The vector integrand [P_j(u) e^{g(u)}]_j, with exp(g) and each power of u
-    taken once per call (``u**0`` and ``u**1`` without ``**``, which is as slow
-    as a higher power)."""
+    """The vector integrand [P_j(u) e^{g(u)}]_j from one table of the powers of u.
+
+    numpy takes ``u**k`` of a complex array through its general complex power,
+    element by element, at about nine complex products' time.  The table is
+    built by multiplication instead, u^k = u^(k-1) * u, one product per power,
+    whose roundings add up independently (the squarings of binary powering
+    double theirs); a negative power is the reciprocal of the positive one, not
+    a power of a rounded 1/u.  Overflow at far nodes and blow-up near the
+    puncture stay inside the caller's errstate.
+    """
     ks = set(gmap).union(*pmaps)
+    top = max(abs(k) for k in ks)
 
     def f(u):
-        pw = {k: 1.0 if k == 0 else u if k == 1 else u ** k for k in ks}
-        zero = np.zeros(u.shape, dtype=complex)
-        return np.stack([_map_eval(p, pw, zero) for p in pmaps]) * np.exp(_map_eval(gmap, pw, zero))
+        pw = [1.0, u]
+        for k in range(2, top + 1):
+            pw.append(pw[-1] * u)
+        pw = {k: pw[k] if k >= 0 else 1.0 / pw[-k] for k in ks}
+
+        def ev(cmap):  # a unit coefficient (every monomial form's) costs no product
+            terms = [pw[k] if c == 1 else c * pw[k] for k, c in cmap.items()]
+            return sum(terms[1:], terms[0]) if terms else 0.0
+
+        e = np.exp(ev(gmap))
+        out = np.empty((len(pmaps),) + u.shape, dtype=complex)  # no per-form temporaries
+        for row, p in zip(out, pmaps):
+            np.multiply(ev(p), e, out=row)
+        return out
 
     return f
 
@@ -154,54 +171,32 @@ def _integrand(gmap: dict, pmaps: list):
 # ---------------------------------------------------------------------------
 
 
-def _poly_abs_sum(pmap: dict, r: float) -> float:
-    return sum(abs(c) * r ** k for k, c in pmap.items())
+def _tail_bounds(gmap: dict, pmaps: list, end: complex, into_zero: bool) -> list:
+    """Bound, per form, the integral dropped beyond an open end: outward to infinity,
+    or along u = end e^{-s} into the puncture.  g'(end) and e^{Re g(end)} are taken
+    once per end; a form adds only its sum |c_k| r^k and its extreme exponent."""
+    r = abs(end)
+    m = math.exp(sum(c * end ** k for k, c in gmap.items()).real)
+    if into_zero:  # decay rate of Re g under u -> u e^{-s}, plus prefactor power and r ds
+        slope = sum(k * c * end ** k for k, c in gmap.items()).real
+        slopes, scale = [slope + min(p, default=0) + 1.0 for p in pmaps], r
+    else:
+        gprime = sum(k * c * end ** (k - 1) for k, c in gmap.items())
+        slope = -(cmath.exp(1j * cmath.phase(end)) * gprime).real
+        slopes, scale = [slope - max(max(p, default=0), 0) / r for p in pmaps], 1.0
+    if min(slopes) <= 0.0:
+        way = "inward" if into_zero else "outward"
+        raise NonDecayingTail(f"integrand does not decay along the {way} ray at {end}")
+    return [2.0 * (sum(abs(c) * r ** k for k, c in p.items()) * m) * scale / s
+            for p, s in zip(pmaps, slopes)]
 
 
-def _tail_bound_inf(pmap: dict, gmap: dict, endpoint: complex) -> float:
-    """Bound the dropped integral along the outward ray from an endpoint."""
-    r = abs(endpoint)
-    theta = cmath.phase(endpoint)
-    gprime = sum(k * c * endpoint ** (k - 1) for k, c in gmap.items())
-    slope = -(cmath.exp(1j * theta) * gprime).real
-    max_exp = max(pmap) if pmap else 0
-    slope_eff = slope - max(max_exp, 0) / r
-    if slope_eff <= 0.0:
-        raise NonDecayingTail(
-            f"integrand does not decay along the outward ray at {endpoint}"
-        )
-    m = _poly_abs_sum(pmap, r) * math.exp(
-        sum(c * endpoint ** k for k, c in gmap.items()).real
-    )
-    return 2.0 * m / slope_eff
-
-
-def _tail_bound_zero(pmap: dict, gmap: dict, endpoint: complex) -> float:
-    """Bound the dropped integral along the inward ray into the puncture."""
-    r = abs(endpoint)
-    udg = sum(k * c * endpoint ** k for k, c in gmap.items())  # u * g'(u)
-    slope = udg.real  # decay rate of Re g under u -> u e^{-s}
-    min_exp = min(pmap) if pmap else 0
-    slope_eff = slope + min_exp + 1.0  # prefactor power and measure r ds
-    if slope_eff <= 0.0:
-        raise NonDecayingTail(
-            f"integrand does not decay along the inward ray at {endpoint}"
-        )
-    m = _poly_abs_sum(pmap, r) * math.exp(
-        sum(c * endpoint ** k for k, c in gmap.items()).real
-    )
-    return 2.0 * m * r / slope_eff
-
-
-def _truncation_bound(cycle: RapidDecayCycle, pmap: dict, gmap: dict) -> float:
-    if cycle.closed:
-        return 0.0
-    bound = 0.0
+def _truncation_bounds(cycle: RapidDecayCycle, gmap: dict, pmaps: list) -> np.ndarray:
+    """Per form, the sum of the tail bounds at the cycle's open ends."""
+    bound = np.zeros(len(pmaps))
     for tag, node in ((cycle.start, cycle.nodes[0]), (cycle.end, cycle.nodes[-1])):
-        if tag.kind == "valley_inf":
-            bound += _tail_bound_inf(pmap, gmap, node)
-        elif tag.kind == "valley_zero":
-            bound += _tail_bound_zero(pmap, gmap, node)
+        if tag.kind != "interior":
+            bound += _tail_bounds(gmap, pmaps, node, tag.kind == "valley_zero")
     return bound
 
 
@@ -314,7 +309,7 @@ def period_rows(spec: ProblemSpec, cycles, forms, t: complex, tol: float = 1e-10
     t = complex(t)
     gmap = spec.g.coeffs_at(t)
     pmaps = [_form_coeffs(form, t) for form in forms]
-    trunc = np.array([[_truncation_bound(cyc, pmap, gmap) for pmap in pmaps] for cyc in cycles])
+    trunc = np.array([_truncation_bounds(cyc, gmap, pmaps) for cyc in cycles])
     values, errs, resabs, neval = _gk_vector(
         _integrand(gmap, pmaps), [cyc.nodes for cyc in cycles], tol, abs_floor
     )
@@ -383,7 +378,8 @@ def integrate_absolute(
 def _integrate_mp(spec, cycle, form, t, dps):
     import mpmath as mp
 
-    truncation = _truncation_bound(cycle, _form_coeffs(form, t), spec.g.coeffs_at(t))
+    pmaps = [_form_coeffs(form, t)]
+    truncation = float(_truncation_bounds(cycle, spec.g.coeffs_at(t), pmaps)[0])
     with mp.workdps(dps):
         tm = mp.mpc(t)
         gmap, pmap = spec.g.coeffs_at(tm), _form_coeffs(form, tm)

@@ -135,6 +135,26 @@ class TestCycleBasis:
         for cyc in basis.cycles:
             assert min(abs(z) for z in cyc.nodes) > 1e-12
 
+    def test_puncture_guard_measures_segments(self):
+        # the guard in _cycle must reject a loop whose vertices clear 1e-12
+        # but whose chords do not, exactly when the per-segment distance of
+        # _segment_distance is at most 1e-12
+        from expperiods.cycles import EndTag, _cycle, _radii, _realize, _segment_distance
+
+        cfg = valley_config(BESSEL, 1.0)
+        r_inf, rho_w, _rho_in, r_zero = _radii(BESSEL, cfg, 1e-12)
+        loop = EndTag("interior", -1)
+        for rho_in in (0.99e-12, 1.01e-12, 1.03e-12, 0.5):
+            nodes = _realize([(rho_in, 0.0), (rho_in, TWO_PI)], True)
+            near = min(_segment_distance(a, b, 0.0) for a, b in zip(nodes, nodes[1:])) <= 1e-12
+            assert near == (rho_in < 1.02e-12)
+            radii = (r_inf, rho_w, rho_in, r_zero)
+            if near:
+                with pytest.raises(AssertionError, match="puncture"):
+                    _cycle(BESSEL, loop, loop, 0, cfg, radii, 1e-12)
+            else:
+                assert _cycle(BESSEL, loop, loop, 0, cfg, radii, 1e-12).nodes == nodes
+
     def test_polyline_angular_resolution(self):
         basis = cycle_basis(AIRY, 0.0)
         for cyc in basis.cycles:

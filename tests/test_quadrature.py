@@ -21,7 +21,7 @@ from expperiods.quadrature import (
     WEIGHTS_G,
     WEIGHTS_K,
     _gk_vector,
-    _tail_bound_inf,
+    _tail_bounds,
     adaptive_polyline,
     integrate_absolute,
     integrate_period,
@@ -179,13 +179,49 @@ class TestTailBounds:
         assert pv.truncation < 1e-20
 
     def test_growth_direction_rejected(self):
-        # fabricate an endpoint pointing at a growth direction of e^{u}
-        with pytest.raises(NonDecayingTail):
-            _tail_bound_inf({0: 1.0 + 0j}, {1: 1.0 + 0j}, 10.0 + 0j)
+        # fabricate an endpoint pointing at a growth direction of e^{u}, and
+        # one whose inward ray climbs e^{-1/u} into the puncture
+        with pytest.raises(NonDecayingTail, match="outward"):
+            _tail_bounds({1: 1.0 + 0j}, [{0: 1.0 + 0j}], 10.0 + 0j, False)
+        with pytest.raises(NonDecayingTail, match="inward"):
+            _tail_bounds({-1: -1.0 + 0j}, [{0: 1.0 + 0j}], -0.1 + 0j, True)
 
     def test_decay_direction_bound_is_small(self):
-        bound = _tail_bound_inf({0: 1.0 + 0j}, {1: 1.0 + 0j}, -50.0 + 0j)
+        (bound,) = _tail_bounds({1: 1.0 + 0j}, [{0: 1.0 + 0j}], -50.0 + 0j, False)
         assert bound < 2.1 * math.exp(-50.0)
+
+    def test_per_end_bounds_match_per_form_formulas(self):
+        # g(end), g'(end) and e^{Re g(end)} are shared by the forms of an end;
+        # each bound must still be the per-form formula's, to 2 ulp
+        from test_cycles import sweep_cases
+
+        def per_form(pmap, gmap, end, into_zero):
+            r = abs(end)
+            m = sum(abs(c) * r ** k for k, c in pmap.items()) * math.exp(
+                sum(c * end ** k for k, c in gmap.items()).real
+            )
+            if into_zero:
+                slope = sum(k * c * end ** k for k, c in gmap.items()).real
+                return 2.0 * m * r / (slope + (min(pmap) if pmap else 0) + 1.0)
+            gprime = sum(k * c * end ** (k - 1) for k, c in gmap.items())
+            slope = -(cmath.exp(1j * cmath.phase(end)) * gprime).real
+            return 2.0 * m / (slope - max(max(pmap) if pmap else 0, 0) / r)
+
+        kinds = set()
+        for label, spec, t in sweep_cases():
+            gmap = spec.g.coeffs_at(complex(t))
+            pmaps = [{e: 1.0 + 0j} for e in fiber_basis(spec).exponents]
+            for cyc in cycle_basis(spec, t).cycles:
+                for tag, end in ((cyc.start, cyc.nodes[0]), (cyc.end, cyc.nodes[-1])):
+                    if tag.kind == "interior":
+                        continue
+                    kinds.add(tag.kind)
+                    into_zero = tag.kind == "valley_zero"
+                    got = _tail_bounds(gmap, pmaps, end, into_zero)
+                    for pmap, b in zip(pmaps, got):
+                        want = per_form(pmap, gmap, end, into_zero)
+                        assert abs(b - want) <= 2.0 * math.ulp(want), label
+        assert kinds == {"valley_inf", "valley_zero"}
 
 
 class TestPeriodMatrix:
@@ -287,32 +323,86 @@ SWEEP = (
 EPS = 2.0 ** -52
 
 
+def power_operator_integrand(gmap, pmaps):
+    """The integrand with every power of u taken by numpy's ``**``."""
+    ks = set(gmap).union(*pmaps)
+
+    def f(u):
+        pw = {k: 1.0 if k == 0 else u if k == 1 else u ** k for k in ks}
+        zero = np.zeros(u.shape, dtype=complex)
+
+        def ev(cmap):
+            return sum((c * pw[k] for k, c in cmap.items()), zero)
+
+        return np.stack([ev(p) for p in pmaps]) * np.exp(ev(gmap))
+
+    return f
+
+
 class TestIntegrand:
-    def test_bit_identical_to_one_power_per_term(self, monkeypatch):
-        # the shared powers of u must not move a single bit of any period
-        # value at the stored sweep points
+    @pytest.mark.parametrize("family", [f[0] for f in SWEEP])
+    def test_no_less_accurate_than_power_operator(self, family):
+        # at the first-round GK nodes of every cycle at the family's stored
+        # points, the power table's largest relative error against a 40-digit
+        # evaluation of the same double coefficients and nodes is at most that
+        # of the ``**`` integrand (the error of exp(g) dominates both)
+        import mpmath as mp
         from test_cycles import sweep_cases
 
-        def per_term(gmap, pmaps):
-            def ev(cmap, u):
-                return sum((c * u ** k for k, c in cmap.items()), np.zeros(u.shape, dtype=complex))
+        errs = {"table": 0.0, "power": 0.0}
+        for label, spec, t in sweep_cases():
+            if label != family:
+                continue
+            gmap = spec.g.coeffs_at(complex(t))
+            exps = fiber_basis(spec).exponents
+            pmaps = [{e: 1.0 + 0j} for e in exps]
+            u = []
+            for cyc in cycle_basis(spec, t).cycles:
+                z = np.array(cyc.nodes)
+                step = z[:-1] != z[1:]
+                a, b = z[:-1][step], z[1:][step]
+                u.append((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * NODES)
+            u = np.concatenate(u).ravel()
+            lo, hi = min(min(gmap), min(exps), 0), max(max(gmap), max(exps))
+            ref = np.empty((len(exps), u.size), dtype=complex)
+            with mp.workdps(40):
+                gm = {k: mp.mpc(c.real, c.imag) for k, c in gmap.items()}
+                for i, x in enumerate(u):
+                    x = mp.mpc(x.real, x.imag)
+                    pw = {0: mp.mpc(1)}
+                    for k in range(1, hi + 1):
+                        pw[k] = pw[k - 1] * x
+                    for k in range(1, -lo + 1):
+                        pw[-k] = pw[1 - k] / x
+                    e = mp.exp(mp.fsum(c * pw[k] for k, c in gm.items()))
+                    ref[:, i] = [complex(pw[k] * e) for k in exps]
+            keep = np.abs(ref) > 1e-280  # normal doubles: no underflow at far nodes
+            builds = {"table": quadrature._integrand, "power": power_operator_integrand}
+            for name, build in builds.items():
+                with np.errstate(all="ignore"):
+                    got = build(gmap, pmaps)(u)
+                rel = np.abs(got - ref)[keep] / np.abs(ref)[keep]
+                errs[name] = max(errs[name], float(rel.max()))
+        assert 0.0 < errs["table"] <= errs["power"], errs
 
-            return lambda u: np.stack([ev(p, u) for p in pmaps]) * np.exp(ev(gmap, u))
-
-        def entries(spec, basis, cycles):
-            P = period_matrix(spec, basis, cycles, tol=1e-10)
-            return [(e.value, e.error, e.neval) for row in P.entries for e in row]
+    def test_sweep_entries_agree_with_power_operator_run(self, monkeypatch):
+        # at every stored sweep point the period matrix stays certified
+        # (period_matrix raises otherwise) and each entry agrees with the
+        # ``**`` integrand's run within the sum of the two reported errors
+        from test_cycles import sweep_cases
 
         cases = sweep_cases()
         assert len(cases) == 56
-        shared = quadrature._integrand
+        table = quadrature._integrand
         for label, spec, t in cases:
             basis, cycles = fiber_basis(spec), cycle_basis(spec, t)
-            got = entries(spec, basis, cycles)
-            monkeypatch.setattr(quadrature, "_integrand", per_term)
-            want = entries(spec, basis, cycles)
-            monkeypatch.setattr(quadrature, "_integrand", shared)
-            assert got == want, label
+            got = period_matrix(spec, basis, cycles, tol=1e-10)
+            monkeypatch.setattr(quadrature, "_integrand", power_operator_integrand)
+            want = period_matrix(spec, basis, cycles, tol=1e-10)
+            monkeypatch.setattr(quadrature, "_integrand", table)
+            for row, wrow in zip(got.entries, want.entries):
+                for e, w in zip(row, wrow):
+                    assert abs(e.value - w.value) <= e.error + w.error, label
 
 
 class TestVectorKernel:
