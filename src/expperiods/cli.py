@@ -282,7 +282,7 @@ def cmd_samples(args) -> int:
         if idx > 0:
             current = track_cycles(spec, current, [samples[idx - 1], t], singular=sigma)
         row = [format(t.real, ".17g"), format(t.imag, ".17g")]
-        for pv in period_rows(spec, [current.cycles[args.cycle]], basis.exponents, t, tol)[0][0]:
+        for pv in period_rows(spec, [current.cycles[args.cycle]], basis.exponents, [t], tol)[0][0]:
             row += [
                 format(pv.value.real, ".17g"),
                 format(pv.value.imag, ".17g"),

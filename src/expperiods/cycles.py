@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class ValleyConfig(object):
     t: complex
     at_infinity: tuple
     at_zero: tuple  # empty tuple on the affine line
+    gmap: dict = field(compare=False, repr=False)  # g's numeric coefficients at t
 
 
 @dataclass(frozen=True)
@@ -132,18 +133,15 @@ class CycleBasis(object):
 # ---------------------------------------------------------------------------
 
 
-def _leading_coefficients(spec: ProblemSpec, t: complex):
-    """(lc_inf, lc_zero) at t; AtSingularT if either vanishes numerically."""
-    t = complex(t)
-    scale = 1.0 + max(
-        (abs(c.eval(t)) for c in spec.g.terms.values()), default=0.0
-    )
-    lc_inf = complex(spec.g.top_coeff().eval(t))
+def _leading_coefficients(spec: ProblemSpec, gmap: dict, t: complex):
+    """(lc_inf, lc_zero) from g's coefficient map at t; AtSingularT if either vanishes."""
+    scale = 1.0 + max((abs(c) for c in gmap.values()), default=0.0)
+    lc_inf = gmap.get(spec.top_degree, 0j)
     if abs(lc_inf) <= 1e-13 * scale:
         raise AtSingularT(f"top leading coefficient vanishes at t={t}")
     lc_zero = None
     if spec.fiber is FiberType.PUNCTURED_LINE:
-        lc_zero = complex(spec.g.bottom_coeff().eval(t))
+        lc_zero = gmap.get(spec.bottom_order, 0j)
         if abs(lc_zero) <= 1e-13 * scale:
             raise AtSingularT(f"bottom leading coefficient vanishes at t={t}")
     return lc_inf, lc_zero
@@ -159,7 +157,8 @@ def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:
             structure is not defined.
     """
     t = complex(t)
-    lc_inf, lc_zero = _leading_coefficients(spec, t)
+    gmap = spec.g.coeffs_at(t)
+    lc_inf, lc_zero = _leading_coefficients(spec, gmap, t)
 
     def sectors(base: float, n: int):
         centers = sorted((base + TWO_PI * j / n) % TWO_PI for j in range(n))
@@ -177,6 +176,7 @@ def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:
         t=t,
         at_infinity=sectors((math.pi - cmath.phase(lc_inf)) / d, d),
         at_zero=zero_sectors,
+        gmap=gmap,
     )
 
 
@@ -190,7 +190,7 @@ def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
     Raises:
         NonDecayingTail: if no radius gives the demanded decay.
     """
-    gmap = spec.g.coeffs_at(cfg.t)
+    gmap = cfg.gmap
     gp = {k - 1: k * c for k, c in gmap.items() if k}  # critical points of g (poles cleared)
     lo, hi = min(min(gp), 0), max(gp)
     coeffs = [gp.get(k, 0j) for k in range(hi, lo - 1, -1)]
@@ -287,7 +287,7 @@ def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: Val
     target = -math.log(tol)
     for tag, node in ((start, cycle.nodes[0]), (end, cycle.nodes[-1])):
         if tag.kind != "interior":
-            decay = spec.g.eval(cfg.t, node).real
+            decay = sum(c * node ** k for k, c in cfg.gmap.items()).real
             assert decay < -target, (
                 "cycle endpoint must sit deep in a decay valley "
                 f"(Re g = {decay:.3g} at {node})"
@@ -373,8 +373,9 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
     d = spec.top_degree
     e = -spec.bottom_order if spec.fiber is FiberType.PUNCTURED_LINE else 0
 
-    def lcs(t):
-        return _leading_coefficients(spec, t)
+    def lcs(t):  # (lc_inf, lc_zero, g's coefficient map) at t
+        gmap = spec.g.coeffs_at(t)
+        return (*_leading_coefficients(spec, gmap, t), gmap)
 
     drift_inf = 0.0
     drift_zero = 0.0
@@ -420,6 +421,7 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
         at_zero=tuple(
             replace(s, center=s.center + drift_zero) for s in basis.config.at_zero
         ),
+        gmap=cur_lc[2],
     )
     radii = _radii(spec, cfg, basis.tol)
     cycles = tuple(

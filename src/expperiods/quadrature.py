@@ -4,12 +4,13 @@ Periods are integrals of P(u) e^{g(u,t)} du along the polyline realization of
 a rapid-decay cycle.  One kernel serves every double-precision caller: the
 global adaptive 15-point Gauss-Kronrod strategy of QUADPACK ``qag`` (Piessens
 et al., 1983), vectorized over a vector integrand and over several polylines.
-A period matrix (the basis forms u^e over every cycle) is one run, so the
-integrand, which takes the powers of u from one table built by multiplication
-rather than from numpy's complex ``**``, is called once per round for the whole
-matrix.  Each round bisects, in one numpy batch, every panel that some entry
-(cycle i, form j) still needs among the panels of cycle i; the run stops when
-every entry meets its target
+A period matrix (the basis forms u^e over every cycle) is one run, as are
+several matrices at different t, each polyline with its own coefficients of g.
+The integrand, which takes the powers of u from one table built by
+multiplication rather than numpy's complex ``**``, is called once per round for
+the whole run.  Each round bisects, in one numpy batch, every panel that some
+entry (cycle i, form j) still needs among the panels of cycle i; the run stops
+when every entry meets its target
 
     err_ij <= tol * |value_ij| + max(abs_floor, machine_floor_ij),
 
@@ -133,9 +134,22 @@ def _form_coeffs(form, t: complex) -> dict:
     raise TypeError("form must be an integer exponent or a LaurentPoly")
 
 
-def _integrand(gmap: dict, pmaps: list):
+def _merged(maps) -> dict:
+    """One map for a polynomial's coefficient maps on the polylines of a run: a
+    coefficient they share stays a scalar, one that differs a (polylines, 1) array."""
+    if all(m is maps[0] for m in maps):  # one t: the map itself
+        return maps[0]
+    cols = {k: [m[k] for m in maps] for k in maps[0]}
+    return {k: cs[0] if cs.count(cs[0]) == len(cs) else np.array(cs)[:, None]
+            for k, cs in cols.items()}
+
+
+def _integrand(gmaps, pmaps):
     """The vector integrand [P_j(u) e^{g(u)}]_j from one table of the powers of u.
 
+    ``gmaps``/``pmaps`` hold g's/the forms' coefficient maps on each polyline;
+    ``f(u, own)`` reads a coefficient that differs between polylines by each
+    node row's owner, and at one shared t every coefficient stays a scalar.
     numpy takes ``u**k`` of a complex array through its general complex power,
     element by element, at about nine complex products' time.  The table is
     built by multiplication instead, u^k = u^(k-1) * u, one product per power,
@@ -144,17 +158,19 @@ def _integrand(gmap: dict, pmaps: list):
     a power of a rounded 1/u.  Overflow at far nodes and blow-up near the
     puncture stay inside the caller's errstate.
     """
+    gmap, pmaps = _merged(gmaps), [_merged(col) for col in zip(*pmaps)]
     ks = set(gmap).union(*pmaps)
     top = max(abs(k) for k in ks)
 
-    def f(u):
+    def f(u, own):
         pw = [1.0, u]
         for k in range(2, top + 1):
             pw.append(pw[-1] * u)
         pw = {k: pw[k] if k >= 0 else 1.0 / pw[-k] for k in ks}
 
         def ev(cmap):  # a unit coefficient (every monomial form's) costs no product
-            terms = [pw[k] if c == 1 else c * pw[k] for k, c in cmap.items()]
+            terms = [c[own] * pw[k] if isinstance(c, np.ndarray) else pw[k] if c == 1
+                     else c * pw[k] for k, c in cmap.items()]
             return sum(terms[1:], terms[0]) if terms else 0.0
 
         e = np.exp(ev(gmap))
@@ -205,11 +221,11 @@ def _truncation_bounds(cycle: RapidDecayCycle, gmap: dict, pmaps: list) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _gk_panels(fs, a, b):
+def _gk_panels(fs, a, b, own):
     """GK15 on the panels [a_i, b_i]: Kronrod values, |K - G| and resabs, each (m, n)."""
     half = 0.5 * (b - a)
     with np.errstate(all="ignore"):
-        vals = fs((0.5 * (a + b))[:, None] + half[:, None] * NODES)
+        vals = fs((0.5 * (a + b))[:, None] + half[:, None] * NODES, own)
         kg, res = vals @ _KG, np.abs(half) * (np.abs(vals) @ WEIGHTS_K)
     if not np.all(np.isfinite(res)):  # as any value is not: the weights are positive
         raise NonDecayingTail("integrand overflowed on the contour")
@@ -220,11 +236,12 @@ def _gk_panels(fs, a, b):
 def _gk_vector(fs, polylines, tol: float, abs_floor: float):
     """Global adaptive GK15 of a vector integrand along several polylines at once.
 
-    ``fs`` maps an (n, 15) array of nodes to an (m, n, 15) array of values.
-    All panels sit in one array beside an owner array; component (c, j) sums
-    f_j over the panels of polyline c.  Each round bisects, in one batch, the
-    panels that some component over its target needs: its largest-error
-    panels, until the errors of the rest sum to at most half of that target.
+    ``fs`` maps an (n, 15) array of nodes and the (n,) owner polyline of each
+    row to an (m, n, 15) array of values, so polylines may carry different
+    integrands.  Component (c, j) sums f_j over the panels of polyline c.  Each
+    round bisects, in one batch, the panels that some component over its
+    target needs: its largest-error panels among those of its polyline, until
+    the errors of the rest sum to at most half of that target.
     Polyline c is refined, as in a run of its own, until every j has
 
         err_cj <= tol*|value_cj| + max(abs_floor, 50*eps*resabs_cj).
@@ -244,7 +261,7 @@ def _gk_vector(fs, polylines, tol: float, abs_floor: float):
     step = (z[1:] != z[:-1]) & (own[1:] == own[:-1])
     a, b, own = z[:-1][step], z[1:][step], own[1:][step]
     first = count = np.bincount(own, minlength=len(zs))  # panels of each polyline
-    kron, err, res = _gk_panels(fs, a, b)
+    kron, err, res = _gk_panels(fs, a, b, own)
     while True:
         w = (own[:, None] == np.arange(len(zs))).astype(float)  # (n, c): panel owners
         value, err_sum, resabs = kron @ w, err @ w, res @ w
@@ -271,9 +288,10 @@ def _gk_vector(fs, polylines, tol: float, abs_floor: float):
             )
         mid = 0.5 * (a[split] + b[split])
         a_new, b_new = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        fresh = _gk_panels(fs, a_new, b_new)
+        halves = own[split]
+        fresh = _gk_panels(fs, a_new, b_new, np.concatenate([halves, halves]))
         a, b = np.concatenate([a[~split], a_new]), np.concatenate([b[~split], b_new])
-        own = np.concatenate([own[~split], own[split], own[split]])
+        own = np.concatenate([own[~split], halves, halves])
         kron, err, res = (np.concatenate([old[:, ~split], new], axis=1)
                           for old, new in zip((kron, err, res), fresh))
 
@@ -286,14 +304,16 @@ def adaptive_polyline(f, nodes, tol: float):
     exhausted before err <= tol*|value| + machine_floor.
     """
     value, err, resabs, neval = _gk_vector(
-        lambda us: np.broadcast_to(f(us), us.shape)[None], [nodes], tol, 0.0
+        lambda us, own: np.broadcast_to(f(us), us.shape)[None], [nodes], tol, 0.0
     )
     return complex(value[0, 0]), float(err[0, 0]), float(resabs[0, 0]), neval[0]
 
 
-def period_rows(spec: ProblemSpec, cycles, forms, t: complex, tol: float = 1e-10,
+def period_rows(spec: ProblemSpec, cycles, forms, ts, tol: float = 1e-10,
                 abs_floor: float = 0.0):
     """The periods of several forms over several cycles, from one kernel run.
+
+    ``ts`` holds each cycle's t; a cycle's integrand and tail bounds use its own.
 
     Returns (rows, resabs): per cycle, a PeriodValue per form, whose error
     adds the tail truncation bound; and a (cycles, forms) array of the
@@ -306,12 +326,12 @@ def period_rows(spec: ProblemSpec, cycles, forms, t: complex, tol: float = 1e-10
     """
     if not cycles:  # a rank-zero matrix
         return [], np.empty((0, len(forms)))
-    t = complex(t)
-    gmap = spec.g.coeffs_at(t)
-    pmaps = [_form_coeffs(form, t) for form in forms]
-    trunc = np.array([_truncation_bounds(cyc, gmap, pmaps) for cyc in cycles])
+    ts = [complex(t) for t in ts]
+    at = {t: (spec.g.coeffs_at(t), [_form_coeffs(form, t) for form in forms]) for t in set(ts)}
+    gmaps, pmaps = zip(*(at[t] for t in ts))
+    trunc = np.array([_truncation_bounds(cyc, *at[t]) for cyc, t in zip(cycles, ts)])
     values, errs, resabs, neval = _gk_vector(
-        _integrand(gmap, pmaps), [cyc.nodes for cyc in cycles], tol, abs_floor
+        _integrand(gmaps, pmaps), [cyc.nodes for cyc in cycles], tol, abs_floor
     )
     over = (trunc > 0.3 * (tol * np.abs(values) + np.maximum(abs_floor, errs))) & (trunc > abs_floor)
     if over.any():
@@ -320,8 +340,8 @@ def period_rows(spec: ProblemSpec, cycles, forms, t: complex, tol: float = 1e-10
             "rebuild the cycles with a smaller decay tolerance"
         )
     return [
-        [PeriodValue(complex(v), float(e + tr), float(tr), n) for v, e, tr in zip(vs, es, ts)]
-        for vs, es, ts, n in zip(values, errs, trunc, neval)
+        [PeriodValue(complex(v), float(e + tr), float(tr), n) for v, e, tr in zip(vs, es, trs)]
+        for vs, es, trs, n in zip(values, errs, trunc, neval)
     ], resabs
 
 
@@ -349,7 +369,7 @@ def integrate_period(
     """
     if dps is not None:
         return _integrate_mp(spec, cycle, form, complex(t), dps)
-    rows, _resabs = period_rows(spec, [cycle], [form], t, tol, abs_floor)
+    rows, _resabs = period_rows(spec, [cycle], [form], [t], tol, abs_floor)
     return rows[0][0]
 
 
@@ -366,11 +386,11 @@ def integrate_absolute(
     edge at every vertex, so u(s) is linear on every panel.
     """
     t = complex(t)
-    fs = _integrand(spec.g.coeffs_at(t), [_form_coeffs(form, t)])
+    fs = _integrand([spec.g.coeffs_at(t)], [[_form_coeffs(form, t)]])
     z = np.asarray(cycle.nodes, dtype=complex)
     s = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(z)))])
     value, _err, _resabs, _n = adaptive_polyline(
-        lambda us: np.abs(fs(np.interp(us.real, s, z))[0]), s, tol
+        lambda us: np.abs(fs(np.interp(us.real, s, z), None)[0]), s, tol
     )
     return value.real
 
@@ -409,6 +429,32 @@ def _integrate_mp(spec, cycle, form, t, dps):
     return PeriodValue(value=value, error=error, truncation=truncation, neval=neval)
 
 
+def _certified(t: complex, exponents, rows, resabs_rows, tol: float) -> PeriodMatrix:
+    """The period matrix of ``rows``, once each entry passes its certified target."""
+    scale = max((abs(e.value) for row in rows for e in row), default=0.0)
+    for row, rrow in zip(rows, resabs_rows):
+        for e, resabs in zip(row, rrow):
+            floor = max(1e-30 * scale, 100.0 * _EPS * resabs)
+            if e.error > tol * abs(e.value) + floor:
+                raise ToleranceNotMet(
+                    f"period entry error {e.error:.3e} exceeds the certified "
+                    f"target {tol * abs(e.value) + floor:.3e}"
+                )
+    return PeriodMatrix(t=t, exponents=tuple(exponents), entries=tuple(tuple(row) for row in rows))
+
+
+def period_matrices(spec: ProblemSpec, basis: CohomologyBasis, bases, tol: float = 1e-10) -> list:
+    """The period matrices of several cycle bases, possibly at different t, from one
+    kernel run.  Each cycle is refined and tail-bounded as in a run of its own, and
+    each matrix is certified on its own entries as ``period_matrix`` describes."""
+    cycles = [cyc for cb in bases for cyc in cb.cycles]
+    ts = [cb.t for cb in bases for _ in cb.cycles]
+    rows, resabs = period_rows(spec, cycles, basis.exponents, ts, tol)
+    ends = np.cumsum([cb.rank for cb in bases])
+    return [_certified(cb.t, basis.exponents, rows[i - cb.rank:i], resabs[i - cb.rank:i], tol)
+            for cb, i in zip(bases, ends)]
+
+
 def period_matrix(
     spec: ProblemSpec,
     basis: CohomologyBasis,
@@ -425,27 +471,9 @@ def period_matrix(
     where the second floor is the roundoff attainability limit of double
     precision; entries that cannot meet this raise ToleranceNotMet.
     """
-    t = cycles.t
     if dps is None:
-        rows, resabs_rows = period_rows(spec, cycles.cycles, basis.exponents, t, tol)
-    else:
-        rows = [
-            [integrate_period(spec, cyc, k, t, tol=tol, dps=dps) for k in basis.exponents]
-            for cyc in cycles.cycles
-        ]
-        resabs_rows = [[abs(pv.value) for pv in row] for row in rows]
-
-    scale = max((abs(e.value) for row in rows for e in row), default=0.0)
-    for row, rrow in zip(rows, resabs_rows):
-        for e, resabs in zip(row, rrow):
-            floor = max(1e-30 * scale, 100.0 * _EPS * resabs)
-            if e.error > tol * abs(e.value) + floor:
-                raise ToleranceNotMet(
-                    f"period entry error {e.error:.3e} exceeds the certified "
-                    f"target {tol * abs(e.value) + floor:.3e}"
-                )
-    return PeriodMatrix(
-        t=t,
-        exponents=tuple(basis.exponents),
-        entries=tuple(tuple(row) for row in rows),
-    )
+        return period_matrices(spec, basis, [cycles], tol)[0]
+    rows = [[integrate_period(spec, cyc, k, cycles.t, tol=tol, dps=dps) for k in basis.exponents]
+            for cyc in cycles.cycles]
+    resabs = [[abs(pv.value) for pv in row] for row in rows]
+    return _certified(cycles.t, basis.exponents, rows, resabs, tol)

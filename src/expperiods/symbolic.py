@@ -403,12 +403,6 @@ class LaurentPoly:
     def coeff(self, k: int) -> TPoly:
         return self.terms.get(k, TPoly.zero())
 
-    def top_coeff(self) -> TPoly:
-        return self.coeff(self.u_degree) if self.terms else TPoly.zero()
-
-    def bottom_coeff(self) -> TPoly:
-        return self.coeff(self.u_order) if self.terms else TPoly.zero()
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for k, c in other.terms.items():

@@ -6,7 +6,8 @@ threshold:
 * **solution property** — every row of the period matrix solves the derived
   system Y' = A(t) Y.  The derivative is formed with a four-point cross
   stencil (two real, two imaginary displacements), whose cycles are obtained
-  by continuation from the base point, never rebuilt from scratch.
+  by continuation from the base point, never built anew at the displaced
+  points; the five period matrices come from one quadrature run.
 * **vanishing on coboundaries** — for random gauge forms Q, the integral of
   the twisted differential of Q against every rapid-decay cycle vanishes
   relative to the size of the integrand.
@@ -46,7 +47,7 @@ from .cohomology import (
 )
 from .cycles import CycleBasis, cycle_basis, track_cycles
 from .errors import LoopHitsSingularity, SingularProximity
-from .quadrature import integrate_absolute, integrate_period, period_matrix
+from .quadrature import integrate_absolute, integrate_period, period_matrices, period_matrix
 from .singular import SingularSet, singular_set
 from .symbolic import LaurentPoly, TPoly
 
@@ -147,7 +148,7 @@ def check_ode(
     (f(t+h) - f(t-h))/(2h) averaged with (f(t+ih) - f(t-ih))/(2ih); all four
     displaced period matrices are computed on cycle bases *continued* from t
     (from ``cycles`` when given), so no branch re-selection can contaminate
-    the difference quotient.
+    the difference quotient.  The five matrices are one kernel run.
     """
     t = complex(t)
     basis = fiber_basis(spec)
@@ -167,15 +168,12 @@ def check_ode(
             )
 
     base = cycles if cycles is not None else cycle_basis(spec, t)
-    P0 = period_matrix(spec, basis, base, tol=quad_tol).values()
-
-    def shifted(dt: complex) -> np.ndarray:
-        moved = track_cycles(spec, base, [t, t + dt], singular=singular)
-        return period_matrix(spec, basis, moved, tol=quad_tol).values()
-
-    d_real = (shifted(h) - shifted(-h)) / (2.0 * h)
-    d_imag = (shifted(1j * h) - shifted(-1j * h)) / (2j * h)
-    deriv = 0.5 * (d_real + d_imag)
+    moved = [track_cycles(spec, base, [t, t + dt], singular=singular)
+             for dt in (h, -h, 1j * h, -1j * h)]
+    P0, east, west, north, south = (
+        P.values() for P in period_matrices(spec, basis, [base] + moved, tol=quad_tol)
+    )
+    deriv = 0.5 * ((east - west) / (2.0 * h) + (north - south) / (2j * h))
 
     Am = np.array(A.eval(t))
     expected = (Am @ P0.T).T

@@ -34,17 +34,33 @@ LINEAR = make(FiberType.AFFINE_LINE, "t*u", "linear")
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def sweep_cases():
-    """(label, spec, t) for the stored points of the benchmark's sweep families."""
+FIBERS = {"affine_line": FiberType.AFFINE_LINE, "punctured_line": FiberType.PUNCTURED_LINE}
+
+
+def bench_gen_and_refs():
+    """The benchmark's family generator module and its stored references."""
     loader = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
     gen = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(gen)
-    refs = json.loads((BENCH / "refs" / "references.json").read_text())
-    fibers = {"affine_line": FiberType.AFFINE_LINE, "punctured_line": FiberType.PUNCTURED_LINE}
+    return gen, json.loads((BENCH / "refs" / "references.json").read_text())
+
+
+def sweep_cases():
+    """(label, spec, t) for the stored points of the benchmark's sweep families."""
+    gen, refs = bench_gen_and_refs()
     return [
-        (label, make(fibers[fiber], g, label), complex(*p["t"]))
+        (label, make(FIBERS[fiber], g, label), complex(*p["t"]))
         for label, fiber, g in gen.SWEEP
         for p in refs["sweep"][label]["points"]
+    ]
+
+
+def verify_cases():
+    """(label, spec, t) for the fixtures and the verify pool at their stored points."""
+    gen, refs = bench_gen_and_refs()
+    return [
+        (label, make(FIBERS[fiber], g, label), complex(*refs["verify"][label]["t"]))
+        for label, fiber, g in list(gen.FIXTURES) + gen.pool(gen.VERIFY_POOL)
     ]
 
 
@@ -235,6 +251,30 @@ class TestTracking:
         sigma = singular_set(AIRY)
         moved = track_cycles(AIRY, basis, [1.0, -1.0], singular=sigma)
         assert moved.t == -1.0
+
+    def test_exact_coefficients_evaluated_once_per_parameter(self, monkeypatch):
+        # cycle_basis evaluates g's exact coefficients once, and track_cycles
+        # once per step; the valleys, radii and endpoint checks read the
+        # numeric map that the config carries
+        from expperiods.symbolic import TPoly
+
+        calls = []
+        real = TPoly.eval
+
+        def counting(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(TPoly, "eval", counting)
+        for spec, t in ((AIRY, 1.0 + 0.5j), (BESSEL, 1.5)):
+            calls.clear()
+            base = cycle_basis(spec, t)
+            assert len(calls) == len(spec.g.terms)
+            calls.clear()
+            moved = track_cycles(spec, base, [t, t + 0.05, t + 0.1j])
+            assert len(calls) == 3 * len(spec.g.terms)
+            for cb in (base, moved):
+                assert cb.config.gmap == spec.g.coeffs_at(cb.t)
 
     def test_radii_refresh_with_parameter(self):
         basis = cycle_basis(GAUSSIAN, 1.0)

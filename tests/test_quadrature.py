@@ -2,6 +2,7 @@
 
 import cmath
 import csv
+import dataclasses
 import io
 import math
 import warnings
@@ -21,14 +22,18 @@ from expperiods.quadrature import (
     WEIGHTS_G,
     WEIGHTS_K,
     _gk_vector,
+    _integrand,
+    _merged,
     _tail_bounds,
     adaptive_polyline,
     integrate_absolute,
     integrate_period,
+    period_matrices,
     period_matrix,
     period_rows,
 )
 from expperiods.symbolic import parse_laurent
+from test_cycles import verify_cases
 
 
 def make(fiber, g, label=""):
@@ -323,11 +328,13 @@ SWEEP = (
 EPS = 2.0 ** -52
 
 
-def power_operator_integrand(gmap, pmaps):
-    """The integrand with every power of u taken by numpy's ``**``."""
+def power_operator_integrand(gmaps, pmaps):
+    """The integrand with every power of u taken by numpy's ``**``, for
+    polylines that share one t."""
+    gmap, pmaps = gmaps[0], pmaps[0]
     ks = set(gmap).union(*pmaps)
 
-    def f(u):
+    def f(u, own):
         pw = {k: 1.0 if k == 0 else u if k == 1 else u ** k for k in ks}
         zero = np.zeros(u.shape, dtype=complex)
 
@@ -380,7 +387,7 @@ class TestIntegrand:
             builds = {"table": quadrature._integrand, "power": power_operator_integrand}
             for name, build in builds.items():
                 with np.errstate(all="ignore"):
-                    got = build(gmap, pmaps)(u)
+                    got = build([gmap], [pmaps])(u, None)
                 rel = np.abs(got - ref)[keep] / np.abs(ref)[keep]
                 errs[name] = max(errs[name], float(rel.max()))
         assert 0.0 < errs["table"] <= errs["power"], errs
@@ -405,6 +412,49 @@ class TestIntegrand:
                     assert abs(e.value - w.value) <= e.error + w.error, label
 
 
+STENCIL_CASES = [c for c in verify_cases() if fiber_basis(c[1]).rank > 0]
+
+
+class TestSeveralParameterValues:
+    @pytest.mark.parametrize("label, spec, t", STENCIL_CASES, ids=[c[0] for c in STENCIL_CASES])
+    def test_stencil_run_matches_separate_runs(self, label, spec, t):
+        # check_ode's five matrices (the stored t and its cross stencil) from
+        # one run: every entry agrees with the matrix's own run within the sum
+        # of the two reported errors, and every cycle is refined as alone
+        basis, base = fiber_basis(spec), cycle_basis(spec, t)
+        h = 0.02 * max(1.0, abs(t))
+        bases = [base] + [track_cycles(spec, base, [t, t + dt]) for dt in (h, -h, 1j * h, -1j * h)]
+        together = period_matrices(spec, basis, bases, tol=1e-11)
+        assert len(together) == 5
+        for cycles, P in zip(bases, together):
+            alone = period_matrix(spec, basis, cycles, tol=1e-11)
+            assert P.t == cycles.t and P.rank == basis.rank
+            for row, arow in zip(P.entries, alone.entries):
+                for e, a in zip(row, arow):
+                    assert e.neval == a.neval
+                    assert abs(e.value - a.value) <= e.error + a.error
+
+    def test_shared_run_keeps_every_check(self, monkeypatch):
+        # the per-cycle budget, and the tail bounds of a shifted basis's cycle
+        # taken with that basis's own coefficients, still raise from one run
+        spec = make(FiberType.AFFINE_LINE, "u^5/5-t*u^2+u")
+        basis, base = fiber_basis(spec), cycle_basis(spec, 1.224225 + 0.861377j)
+        moved = track_cycles(spec, base, [base.t, base.t + 0.02])
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_BUDGET", len(base.cycles[0].nodes))
+            with pytest.raises(ToleranceNotMet, match="budget"):
+                period_matrices(spec, basis, [base, moved], tol=1e-10)
+        base = cycle_basis(AIRY, 1.0)
+        moved = track_cycles(AIRY, base, [1.0, 1.02])
+        for cut, error, match in ((3, ToleranceNotMet, "tail truncation"),
+                                  (5, NonDecayingTail, "outward")):
+            # the first cycle cut short on both ends, nearer the hill of Re g
+            short = dataclasses.replace(moved.cycles[0], nodes=moved.cycles[0].nodes[cut:-cut])
+            cut_basis = dataclasses.replace(moved, cycles=(short,) + moved.cycles[1:])
+            with pytest.raises(error, match=match):
+                period_matrices(AIRY, fiber_basis(AIRY), [base, cut_basis], tol=1e-11)
+
+
 class TestVectorKernel:
     @pytest.mark.parametrize("label, fiber, g, points", SWEEP, ids=[f[0] for f in SWEEP])
     def test_sweep_entries_certified_and_match_scalar_runs(self, label, fiber, g, points):
@@ -416,7 +466,7 @@ class TestVectorKernel:
             P = period_matrix(spec, basis, cycles, tol=tol)
             scale = float(np.max(np.abs(P.values())))
             for cyc, prow in zip(cycles.cycles, P.entries):
-                (row,), (resabs,) = period_rows(spec, [cyc], basis.exponents, t, tol)
+                (row,), (resabs,) = period_rows(spec, [cyc], basis.exponents, [t], tol)
                 for k, e, alone, r in zip(basis.exponents, prow, row, resabs):
                     # the matrix's one run refines each cycle as a run of its own
                     # does; only the roundoff of the sums depends on the batch
@@ -432,7 +482,7 @@ class TestVectorKernel:
         # long before they meet their own targets
         pole = 0.5 + 0.01j
 
-        def fs(u):
+        def fs(u, own):
             return np.stack(
                 [np.ones_like(u), 1e-6 * np.sqrt(u), 1e-8 * np.exp(100j * u), 1.0 / (u - pole)]
             )
@@ -457,7 +507,7 @@ class TestVectorKernel:
         # past its own target
         pole = -1.5 + 1e-3j
 
-        def fs(u):
+        def fs(u, own):
             return (np.exp(30.0 * u) + 1.0 / (u - pole))[None]
 
         lines = [[0.0, 1.0], [-2.0, -1.0]]
@@ -474,7 +524,7 @@ class TestVectorKernel:
             assert abs(values[k, 0] - exact) <= errs[k, 0]
 
     def test_budget_counts_panels_per_line(self, monkeypatch):
-        def fs(u):
+        def fs(u, own):
             return np.exp(200j * u)[None]
 
         lines = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
@@ -488,10 +538,33 @@ class TestVectorKernel:
         with pytest.raises(ToleranceNotMet, match="budget"):
             _gk_vector(fs, lines, 1e-12, 0.0)
 
+    def test_lines_with_different_g_each_as_alone(self):
+        # two copies of one segment in one run, each under its own g: every
+        # line reads its own coefficients (the shared one stays a scalar) and
+        # is refined exactly as in a run of its own
+        gmaps = [{2: -1.0 + 0j, 1: 0.5j, 0: 0.25 + 0j}, {2: -3.0 + 1j, 1: 1.0 + 0j, 0: 0.25 + 0j}]
+        pmaps = [{0: 1.0 + 0j}, {1: 1.0 + 0j}]
+        merged = _merged(gmaps)
+        assert merged[0] == 0.25 and merged[2].shape == merged[1].shape == (2, 1)
+        line, tol = [-8.0, 8.0], 1e-12
+        values, errs, resabs, neval = _gk_vector(
+            _integrand(gmaps, [pmaps, pmaps]), [line, line], tol, 0.0
+        )
+        for k, g in enumerate(gmaps):
+            alone = _gk_vector(_integrand([g], [pmaps]), [line], tol, 0.0)
+            assert neval[k] == alone[3][0]
+            a, b = -g[2], g[1]
+            gauss = cmath.sqrt(math.pi / a) * cmath.exp(b * b / (4.0 * a) + g[0])
+            for j, exact in enumerate((gauss, b / (2.0 * a) * gauss)):
+                assert abs(values[k, j] - alone[0][0, j]) <= 4.0 * EPS * resabs[k, j]
+                assert abs(values[k, j] - exact) <= errs[k, j]
+
     def test_non_finite_value_on_one_line_raises(self):
         # the midpoint node of the second line sits on the pole
         with pytest.raises(NonDecayingTail, match="overflow"):
-            _gk_vector(lambda u: (1.0 / (u - 2.5))[None], [[0.0, 1.0], [2.0, 3.0]], 1e-10, 0.0)
+            _gk_vector(
+                lambda u, own: (1.0 / (u - 2.5))[None], [[0.0, 1.0], [2.0, 3.0]], 1e-10, 0.0
+            )
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         spec = make(FiberType.AFFINE_LINE, "u^5/5-t*u^2+u")

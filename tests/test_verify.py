@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from expperiods import verify
+from expperiods import quadrature, verify
 from expperiods.cohomology import FiberType, ProblemSpec, fiber_basis
 from expperiods.errors import LoopHitsSingularity, SingularProximity
 from expperiods.singular import CRITICAL_POINT_DEGENERATION, RootBall, singular_set
@@ -64,6 +64,33 @@ class TestOde:
     def test_stencil_near_pole_rejected(self):
         with pytest.raises(SingularProximity):
             check_ode(GAUSSIAN, 0.01, h=0.02)
+
+    def test_one_kernel_run(self, monkeypatch):
+        # P0 and the four stencil matrices come from one quadrature run
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        real = quadrature._gk_vector
+        monkeypatch.setattr(quadrature, "_gk_vector", counting)
+        for spec, t in ((AIRY, 1.0 + 0.5j), (BESSEL, 1.5), (GAUSSIAN, 2.0)):
+            runs.clear()
+            assert check_ode(spec, t).passed
+            assert len(runs) == 1
+
+    def test_fails_exactly_on_known_failures(self):
+        # on the fixtures and the verify pool at their stored points, check_ode
+        # fails on exactly the ops that bench/refs records as failing
+        from test_cycles import bench_gen_and_refs, verify_cases
+
+        known = bench_gen_and_refs()[1]["known_failures"]["verify_battery"]
+        failing = {
+            label for label, spec, t in verify_cases() if not check_ode(spec, t).passed
+        }
+        assert failing == {k.split(":")[1] for k in known if k.endswith(":check_ode")}
+        assert len(failing) == 7
 
 
 class TestStokes:
