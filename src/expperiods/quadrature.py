@@ -8,9 +8,12 @@ A period matrix (the basis forms u^e over every cycle) is one run, as are
 several matrices at different t, each polyline with its own coefficients of g.
 The integrand, which takes the powers of u from one table built by
 multiplication rather than numpy's complex ``**``, is called once per round for
-the whole run.  Each round bisects, in one numpy batch, every panel that some
-entry (cycle i, form j) still needs among the panels of cycle i; the run stops
-when every entry meets its target
+the whole run.  Each round splits, in one numpy batch, every panel over its
+equal share (half the target over the panel count) of a failing entry (cycle
+i, form j) of its cycle, in halves or, past one halving's gain at GK15's
+order, in quarters.  The pieces take the panel's slot: each cycle's panels stay
+in path order and its sums are segment sums.  The run stops when every entry
+meets its target
 
     err_ij <= tol * |value_ij| + max(abs_floor, machine_floor_ij),
 
@@ -40,6 +43,9 @@ from .symbolic import LaurentPoly
 _EPS = 2.0 ** -52
 # Most panels one kernel run may hold before it raises ToleranceNotMet.
 _BUDGET = 6000
+# GK15's error estimate |K - G| is 7-point Gauss's, of order h**15: a halving divides it by at
+# most 2**15 per half, so a panel over this many times its share is quartered, not halved.
+_QUARTER = 2.0 ** 15
 
 # 15-point Kronrod extension of 7-point Gauss (nodes ascending on [-1, 1]).
 _K_POS = (
@@ -238,10 +244,11 @@ def _gk_vector(fs, polylines, tol: float, abs_floor: float):
 
     ``fs`` maps an (n, 15) array of nodes and the (n,) owner polyline of each
     row to an (m, n, 15) array of values, so polylines may carry different
-    integrands.  Component (c, j) sums f_j over the panels of polyline c.  Each
-    round bisects, in one batch, the panels that some component over its
-    target needs: its largest-error panels among those of its polyline, until
-    the errors of the rest sum to at most half of that target.
+    integrands.  Component (c, j) sums f_j over the panels of polyline c, kept
+    contiguous and in path order.  Each round splits, in one batch, the panels
+    over their share of a failing component of their polyline, half its target
+    over the polyline's panel count: the panels left whole hold at most half of
+    it.  A panel is halved, or quartered if over ``_QUARTER`` times its share.
     Polyline c is refined, as in a run of its own, until every j has
 
         err_cj <= tol*|value_cj| + max(abs_floor, 50*eps*resabs_cj).
@@ -260,25 +267,22 @@ def _gk_vector(fs, polylines, tol: float, abs_floor: float):
     # no panel on a zero-length segment, nor from one polyline to the next
     step = (z[1:] != z[:-1]) & (own[1:] == own[:-1])
     a, b, own = z[:-1][step], z[1:][step], own[1:][step]
-    first = count = np.bincount(own, minlength=len(zs))  # panels of each polyline
+    count = np.bincount(own, minlength=len(zs))  # panels of each polyline
+    neval = 15 * count
     kron, err, res = _gk_panels(fs, a, b, own)
     while True:
-        w = (own[:, None] == np.arange(len(zs))).astype(float)  # (n, c): panel owners
-        value, err_sum, resabs = kron @ w, err @ w, res @ w
+        some, starts = count > 0, (np.cumsum(count) - count)[count > 0]  # 0 for no panel
+        value, err_sum, resabs = (np.zeros((len(x), len(zs)), x.dtype) for x in (kron, err, res))
+        for out, x in zip((value, err_sum, resabs), (kron, err, res)):
+            out[:, some] = np.add.reduceat(x, starts, axis=1)
         target = tol * np.abs(value) + np.maximum(abs_floor, 50.0 * _EPS * resabs)
         fail = err_sum > target
         if not fail.any():
-            neval = 15 * (2 * count - first)  # a bisection adds one panel and evaluates two
             return value.T, (err_sum + 50.0 * _EPS * resabs).T, resabs.T, neval.tolist()
-        j, c = np.nonzero(fail)
-        key = np.where(own == c[:, None], err[j], 0.0)  # 0 off the component's polyline
-        order = np.argsort(-key, axis=1, kind="stable")
-        ranked = key[np.arange(len(j))[:, None], order]
-        rest = np.cumsum(ranked[:, ::-1], axis=1)[:, ::-1]  # rest[:, k]: sum of ranks >= k
-        # bisect rank k while ranks >= k hold over half the target (rank 0 of a failure does)
-        split = np.zeros(len(a), dtype=bool)
-        split[order[rest > 0.5 * target[j, c, None]]] = True
-        count = count + np.bincount(own[split], minlength=len(zs))
+        share = np.where(fail, 0.5 * target / np.maximum(count, 1), np.inf)[:, own]
+        pieces = 1 + (err > share).any(axis=0) + 2 * (err > _QUARTER * share).any(axis=0)
+        own = np.repeat(own, pieces)
+        count = np.bincount(own, minlength=len(zs))
         if count.max() > _BUDGET:
             k = int(np.argmax(count > _BUDGET))
             worst = int(np.argmax(err_sum[:, k] - target[:, k]))
@@ -286,14 +290,15 @@ def _gk_vector(fs, polylines, tol: float, abs_floor: float):
                 f"quadrature budget of {_BUDGET} panels exhausted "
                 f"(error {err_sum[worst, k]:.3e}, target {target[worst, k]:.3e})"
             )
-        mid = 0.5 * (a[split] + b[split])
-        a_new, b_new = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        halves = own[split]
-        fresh = _gk_panels(fs, a_new, b_new, np.concatenate([halves, halves]))
-        a, b = np.concatenate([a[~split], a_new]), np.concatenate([b[~split], b_new])
-        own = np.concatenate([own[~split], halves, halves])
-        kron, err, res = (np.concatenate([old[:, ~split], new], axis=1)
-                          for old, new in zip((kron, err, res), fresh))
+        # a split panel's pieces take its slot: piece k of p spans [k/p, (k+1)/p] of it
+        k = np.arange(len(own)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        p, a, b = (np.repeat(x, pieces) for x in (pieces, a, b))
+        new = p > 1
+        a, b = a + (b - a) * (k / p), np.where(k + 1 == p, b, a + (b - a) * ((k + 1) / p))
+        neval = neval + 15 * np.bincount(own[new], minlength=len(zs))
+        kron, err, res = (np.repeat(x, pieces, axis=1) for x in (kron, err, res))
+        for x, piece in zip((kron, err, res), _gk_panels(fs, a[new], b[new], own[new])):
+            x[:, new] = piece
 
 
 def adaptive_polyline(f, nodes, tol: float):

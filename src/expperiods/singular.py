@@ -26,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -151,10 +152,10 @@ def resultant_u(p: LaurentPoly, q: LaurentPoly) -> TPoly:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_shift(zq: list, x: Fraction, y: Fraction, count: int):
+def _taylor_shift(zq: list, x, y, count: int):
     """The first ``count`` Taylor coefficients at ``a + bi`` of ``Q(s) = D^n zq(s / D)``,
     as Gaussian-integer ``(re, im)`` pairs, and ``e``, where ``x + iy = (a + bi) / D``
-    and ``D = 2^e``.  So ``zq``'s own coefficients at ``x + iy`` are ``q_k D^(k - n)``.
+    and ``D = 2^e`` (any exact binary x, y).  So zq's own coefficients there are ``q_k D^(k - n)``.
     """
     (a, da), (b, db) = x.as_integer_ratio(), y.as_integer_ratio()
     den = max(da, db)  # both are powers of two
@@ -174,30 +175,30 @@ def _norm(z) -> int:
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _sqrt_up(r: Fraction) -> float:
-    """An upper bound on sqrt(r), r >= 0: the root of ``r / 4^s`` (near 1, so that
-    no rounding under- or overflows) times ``2^s``, raised 2 ulps for the roundings."""
-    s = (r.numerator.bit_length() - r.denominator.bit_length()) // 2
-    root = math.ldexp(math.sqrt(r / Fraction(4) ** s), s)
-    return math.nextafter(math.nextafter(root, math.inf), math.inf) if r else 0.0
+def _sqrt_up(num: int, den: int) -> float:
+    """An upper bound on sqrt(num / den) >= 0: the root of ``num / (den 4^s)``, an integer true
+    division near 1 (correctly rounded, no under- or overflow), times ``2^s``, raised 2 ulps."""
+    s = (num.bit_length() - den.bit_length()) // 2
+    root = math.ldexp(math.sqrt(num / (den << 2 * s) if s >= 0 else (num << -2 * s) / den), s)
+    return math.nextafter(math.nextafter(root, math.inf), math.inf) if num else 0.0
 
 
 def _newton_double(q: TPoly, zq: list):
     """First rung: ``np.roots`` of q's float coefficients, each refined by at most
     ``_NEWTON_STEPS`` double-precision Newton steps ``q0 / (D q1)`` taken from the
-    exact Taylor values, as exact binary fractions; None if a float overflows or
-    a center is not finite."""
+    exact Taylor values, as float ``(x, y)`` pairs; None if a float coefficient
+    overflows, a step meets a non-finite center or np.roots fails."""
     try:
         zs = np.roots([float(c) for c in reversed(q.coeffs)]).tolist()
         for i, z in enumerate(zs):
             for _ in range(_NEWTON_STEPS):
-                ((r0, i0), (r1, i1)), e = _taylor_shift(zq, Fraction(z.real), Fraction(z.imag), 2)
+                ((r0, i0), (r1, i1)), e = _taylor_shift(zq, z.real, z.imag, 2)
                 den = _norm((r1, i1)) << e
                 step = complex((r0 * r1 + i0 * i1) / den, (i0 * r1 - r0 * i1) / den) if den else 0
                 if z - step == z:
                     break
                 z -= step
-            zs[i] = (Fraction(z.real), Fraction(z.imag))
+            zs[i] = (z.real, z.imag)
         return zs
     except (OverflowError, ValueError):  # an infinity or a NaN, or np.roots failed
         return None
@@ -232,9 +233,10 @@ def _certify_squarefree(zq: list, centers):
     :func:`_taylor_shift`, all powers of ``D`` cancelled: it is exact.  A root
     then lies within ``2 beta`` of the center.  The balls have radius ``3
     beta``, with ``beta`` rounded up from the exact ``|q0|^2 / (D^2 |q1|^2)``,
-    and must be disjoint at the exact centers.  Rounding a center to complex
-    moves it by at most ``eps |c|``: each ball is widened by ``4 eps (|c| + 1)``
-    to cover that and the float sum of its radius.
+    and must be disjoint at the exact centers (tested on integers: the centers
+    and radii times one power of two).  Rounding a center to complex moves it
+    by at most ``eps |c|``: each ball is widened by ``4 eps (|c| + 1)`` to cover
+    that and the float sum of its radius.
     """
     if centers is None:
         return None
@@ -243,16 +245,19 @@ def _certify_squarefree(zq: list, centers):
         for x, y in centers:
             q, e = _taylor_shift(zq, x, y, n + 1)
             n0, n1 = _norm(q[0]), _norm(q[1])
-            u, v = 400 * n0, 9 * n1
-            fails = (u ** (k - 1) * _norm(q[k]) >= v ** (k - 1) * n1 for k in range(2, n + 1))
-            if not n1 or any(fails):
+            pu = accumulate([400 * n0] * (n - 1), operator.mul)  # u^(k-1) for k = 2..n
+            pv = accumulate([9 * n1] * (n - 1), operator.mul)  # v^(k-1)
+            if not n1 or any(s * _norm(qk) >= w * n1 for s, w, qk in zip(pu, pv, q[2:])):
                 return None
-            balls.append((x, y, complex(x, y), 3 * _sqrt_up(Fraction(n0, n1 << 2 * e))))
-    except OverflowError:  # a center or a radius beyond the range of a double
+            balls.append((x, y, complex(x, y), 3 * _sqrt_up(n0, n1 << 2 * e)))
+        ratios = [[v.as_integer_ratio() for v in (x, y, r)] for x, y, _c, r in balls]
+        den = max((d for ball in ratios for _m, d in ball), default=1)  # powers of two
+        xyr = [[m * (den // d) for m, d in ball] for ball in ratios]  # integers over one den
+    except (OverflowError, ValueError):  # a center or a radius not finite as a double
         return None
-    for i, (x, y, _c, r) in enumerate(balls):
-        for x2, y2, _c2, r2 in balls[i + 1:]:
-            if (x - x2) ** 2 + (y - y2) ** 2 <= (Fraction(r) + Fraction(r2)) ** 2:
+    for i, (x, y, r) in enumerate(xyr):
+        for x2, y2, r2 in xyr[i + 1:]:
+            if (x - x2) ** 2 + (y - y2) ** 2 <= (r + r2) ** 2:
                 return None
     eps = 2.0 ** -52
     return [(c, r + eps * (abs(c) + 1.0) * 4.0) for _x, _y, c, r in balls]

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -528,15 +529,81 @@ class TestVectorKernel:
             return np.exp(200j * u)[None]
 
         lines = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-        neval = _gk_vector(fs, lines, 1e-12, 0.0)[3]
-        # one panel per line to start; each bisection adds one and evaluates two
-        panels = [(n // 15 + 1) // 2 for n in neval]
+        # a split only adds edges, so a line's final panels lie between all
+        # the edges of the panels evaluated on it
+        edges = [set() for _ in lines]
+        gk_panels = quadrature._gk_panels
+
+        def spy(fs, a, b, own):
+            for x, y, k in zip(a, b, own):
+                edges[k].update((x, y))
+            return gk_panels(fs, a, b, own)
+
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_gk_panels", spy)
+            neval = _gk_vector(fs, lines, 1e-12, 0.0)[3]
+        panels = [len(e) - 1 for e in edges]
         monkeypatch.setattr(quadrature, "_BUDGET", max(panels))
         assert sum(panels) > quadrature._BUDGET
         assert _gk_vector(fs, lines, 1e-12, 0.0)[3] == neval
         monkeypatch.setattr(quadrature, "_BUDGET", max(panels) - 1)
         with pytest.raises(ToleranceNotMet, match="budget"):
             _gk_vector(fs, lines, 1e-12, 0.0)
+
+    @pytest.mark.parametrize("over, pieces", [(1e2, 2), (1e6, 4)])
+    def test_split_rule_halves_or_quarters(self, monkeypatch, over, pieces):
+        # one panel of a fast oscillation, its error planted ``over`` times its
+        # share (half the target, on a line of one panel) by the choice of tol:
+        # it is halved under _QUARTER times its share, quartered over it
+        def fs(u, own):
+            return np.exp(200j * u)[None]
+
+        z0, z1 = 0.0, 2.0
+        ends = np.array([z0 + 0j]), np.array([z1 + 0j])
+        kron, err, res = (float(abs(x[0, 0])) for x in quadrature._gk_panels(fs, *ends, [0]))
+        tol = (2.0 * err / over - 50.0 * EPS * res) / kron
+        assert tol > 0.0 and (over > quadrature._QUARTER) == (pieces == 4)
+        calls = []
+        gk_panels = quadrature._gk_panels
+
+        def spy(fs, a, b, own):
+            calls.append((a, b))
+            return gk_panels(fs, a, b, own)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", spy)
+        (value,), (error,), _resabs, _neval = _gk_vector(fs, [[z0, z1]], tol, 0.0)
+        cuts = np.linspace(z0, z1, pieces + 1)
+        assert np.array_equal(calls[1][0], cuts[:-1]) and np.array_equal(calls[1][1], cuts[1:])
+        exact = (cmath.exp(200j * z1) - cmath.exp(200j * z0)) / 200j
+        assert abs(value[0] - exact) <= error[0]
+
+    def test_memory_grows_linearly_with_lines(self):
+        # per round the kernel holds O(forms x panels): no (panels x lines)
+        # owner matrix, no ranking of each failing entry over every panel
+        basis, cycles = fiber_basis(AIRY), cycle_basis(AIRY, 1.0)
+        fs = _integrand([AIRY.g.coeffs_at(1.0)], [[{k: 1.0 + 0j} for k in basis.exponents]])
+
+        def peak(copies):
+            tracemalloc.start()
+            try:
+                _gk_vector(fs, [cycles.cycles[0].nodes] * copies, 1e-10, 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= 20 * peak(16)
+
+    def test_line_without_panel_yields_zero(self):
+        # a polyline whose nodes all coincide has no panel, among lines that do
+        def fs(u, own):
+            return np.stack([np.exp(30.0 * u), np.exp(200j * u)])
+
+        lines = [[0.0, 1.0], [2.0, 2.0, 2.0], [1.0, 2.0]]
+        values, errs, resabs, neval = _gk_vector(fs, lines, 1e-12, 0.0)
+        assert neval[1] == 0 and not values[1].any() and not errs[1].any() and not resabs[1].any()
+        for k in (0, 2):
+            alone = _gk_vector(fs, [lines[k]], 1e-12, 0.0)
+            assert neval[k] == alone[3][0] and np.array_equal(values[k], alone[0][0])
 
     def test_lines_with_different_g_each_as_alone(self):
         # two copies of one segment in one run, each under its own g: every

@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from expperiods.singular import (
     squarefree_decomposition,
 )
 from expperiods.symbolic import TPoly, parse_laurent, parse_tpoly
+from test_cycles import FIBERS, bench_gen_and_refs
 
 
 def make(fiber, g, label=""):
@@ -257,6 +259,124 @@ class TestIsolationRobustness:
                      for a, b in roots]
             for b in balls:
                 assert sum(abs(mp.mpc(b.center) - r) <= b.radius for r in exact) == 1
+
+
+# The certifier and Newton step over Fraction centers, one denominator per
+# center, as the reference that the integer versions must reproduce ball for ball.
+
+
+def ref_taylor_shift(zq, x, y, count):
+    (a, da), (b, db) = x.as_integer_ratio(), y.as_integer_ratio()
+    den = max(da, db)
+    a, b, e, n = a * (den // da), b * (den // db), den.bit_length() - 1, len(zq) - 1
+    re = [c << (e * (n - j)) for j, c in enumerate(zq)][::-1]
+    im = [0] * len(re)
+    out = []
+    while len(out) < count:
+        for i in range(1, len(re)):
+            r, m = re[i - 1], im[i - 1]
+            re[i], im[i] = re[i] + r * a - m * b, im[i] + r * b + m * a
+        out.append((re.pop(), im.pop()))
+    return out, e
+
+
+def ref_norm(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def ref_sqrt_up(r):
+    s = (r.numerator.bit_length() - r.denominator.bit_length()) // 2
+    root = math.ldexp(math.sqrt(r / Fraction(4) ** s), s)
+    return math.nextafter(math.nextafter(root, math.inf), math.inf) if r else 0.0
+
+
+def ref_newton_double(q, zq):
+    try:
+        zs = np.roots([float(c) for c in reversed(q.coeffs)]).tolist()
+        for i, z in enumerate(zs):
+            for _ in range(singular._NEWTON_STEPS):
+                ((r0, i0), (r1, i1)), e = ref_taylor_shift(zq, Fraction(z.real), Fraction(z.imag), 2)
+                den = ref_norm((r1, i1)) << e
+                step = complex((r0 * r1 + i0 * i1) / den, (i0 * r1 - r0 * i1) / den) if den else 0
+                if z - step == z:
+                    break
+                z -= step
+            zs[i] = (Fraction(z.real), Fraction(z.imag))
+        return zs
+    except (OverflowError, ValueError):
+        return None
+
+
+def ref_certify_squarefree(zq, centers):
+    if centers is None:
+        return None
+    n, balls = len(zq) - 1, []
+    try:
+        for x, y in centers:
+            q, e = ref_taylor_shift(zq, Fraction(x), Fraction(y), n + 1)
+            n0, n1 = ref_norm(q[0]), ref_norm(q[1])
+            u, v = 400 * n0, 9 * n1
+            fails = (u ** (k - 1) * ref_norm(q[k]) >= v ** (k - 1) * n1 for k in range(2, n + 1))
+            if not n1 or any(fails):
+                return None
+            balls.append((x, y, complex(x, y), 3 * ref_sqrt_up(Fraction(n0, n1 << 2 * e))))
+    except OverflowError:
+        return None
+    for i, (x, y, _c, r) in enumerate(balls):
+        for x2, y2, _c2, r2 in balls[i + 1:]:
+            if (x - x2) ** 2 + (y - y2) ** 2 <= (Fraction(r) + Fraction(r2)) ** 2:
+                return None
+    eps = 2.0 ** -52
+    return [(c, r + eps * (abs(c) + 1.0) * 4.0) for _x, _y, c, r in balls]
+
+
+def bench_factors():
+    """Every squarefree factor (q, zq) that singular_set certifies on the ladder,
+    exact-pool, fixture and verify-pool families of the benchmark."""
+    gen, _refs = bench_gen_and_refs()
+    families = list(gen.LADDER) + gen.pool(gen.EXACT_POOL) + list(gen.FIXTURES) + gen.pool(gen.VERIFY_POOL)
+    factors, newton = {}, singular._newton_double
+
+    def spy(q, zq):
+        factors[q] = zq
+        return newton(q, zq)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(singular, "_newton_double", spy)
+        for label, fiber, g in families:
+            singular_set(make(FIBERS[fiber], g, label))
+    return factors
+
+
+class TestIntegerCertifier:
+    def test_balls_identical_to_fraction_reference(self):
+        factors = bench_factors()
+        assert len(factors) >= 40
+        for q, zq in factors.items():
+            centers = _newton_double(q, zq)
+            assert centers == ref_newton_double(q, zq)  # floats == their exact fractions
+            balls = _certify_squarefree(zq, centers)
+            assert balls is not None and balls == ref_certify_squarefree(zq, centers)
+
+    def test_overlapping_balls_rejected(self):
+        # two centers that both pass the alpha test near the root 1 of t^2 - 1:
+        # their balls overlap, as the integer disjointness test must find
+        zq = [-1, 0, 1]
+        for centers, certified in (([(1, 0), (1 + 2.0**-10, 0)], False),
+                                   ([(1.0, 0.0), (Fraction(-1), 0)], True)):
+            expected = ref_certify_squarefree(zq, centers)
+            assert _certify_squarefree(zq, centers) == expected
+            assert (expected is not None) == certified
+
+    def test_mp_rung_identical_to_fraction_reference(self):
+        # both roots round to the double 1.0: only the mp rung's exact binary
+        # fraction centers certify, through the same integer path
+        pair = from_roots([1, 1 + Fraction(1, 10**20)])
+        zq = pair.prim
+        assert _certify_squarefree(zq, _newton_double(pair, zq)) is None
+        centers = singular._mp_roots(pair, singular._DPS)
+        balls = _certify_squarefree(zq, centers)
+        assert balls is not None and balls == ref_certify_squarefree(zq, centers)
 
 
 class TestSingularSet:
