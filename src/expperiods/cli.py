@@ -271,18 +271,21 @@ def cmd_samples(args) -> int:
         for k in range(1, per_leg + 1):
             samples.append(a + (b - a) * k / per_leg)
 
+    # track the cycle to every sample, then integrate all of them in one kernel run
+    tracked = [cycle_basis(spec, samples[0])]
+    for a, b in zip(samples, samples[1:]):
+        tracked.append(track_cycles(spec, tracked[-1], [a, b], singular=sigma))
+    cycles = [cb.cycles[args.cycle] for cb in tracked]
+    rows, _resabs = period_rows(spec, cycles, basis.exponents, samples, tol)
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     header = ["t_re", "t_im"]
     for e in basis.exponents:
         header += [f"p{e}_re", f"p{e}_im", f"p{e}_err"]
     writer.writerow(header)
-
-    current = cycle_basis(spec, samples[0])
-    for idx, t in enumerate(samples):
-        if idx > 0:
-            current = track_cycles(spec, current, [samples[idx - 1], t], singular=sigma)
+    for t, pvs in zip(samples, rows):
         row = [format(t.real, ".17g"), format(t.imag, ".17g")]
-        for pv in period_rows(spec, [current.cycles[args.cycle]], basis.exponents, [t], tol)[0][0]:
+        for pv in pvs:
             row += [
                 format(pv.value.real, ".17g"),
                 format(pv.value.imag, ".17g"),

@@ -22,9 +22,10 @@ roundoff limit of double precision.  Truncated tails at the non-compact ends
 are bounded analytically by a geometric-decay estimate, with g and g' taken
 once per open end, and added to the reported error.
 
-The extended-precision mode re-evaluates every segment with mpmath's
-tanh-sinh rule at a requested number of digits, for use as an independent
-cross-check of the double-precision path.
+The extended-precision mode re-integrates every polyline segment with
+mpmath's tanh-sinh rule at a requested number of digits, for use as an
+independent cross-check of the double-precision path.  It returns the sum
+rounded to a double, and its ``neval`` counts segments, not evaluations.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class PeriodValue(object):
     value: complex
     error: float  # quadrature estimate + tail truncation + roundoff floor
     truncation: float
-    neval: int  # integrand evaluations on the entry's cycle, shared by its row
+    neval: int  # integrand evaluations on the entry's cycle, shared by its row (dps: segments)
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,8 @@ def integrate_period(
         form: integer exponent k for P = u^k, or a LaurentPoly P(u, t).
         tol: relative error target.
         abs_floor: absolute error floor added to the target.
-        dps: if given, evaluate in extended precision with this many digits.
+        dps: if given, integrate in extended precision with this many digits
+            (the value is still a double, and ``neval`` counts segments).
 
     Raises:
         ToleranceNotMet: if the budget runs out, or the unavoidable tail
@@ -451,13 +453,14 @@ def _certified(t: complex, exponents, rows, resabs_rows, tol: float) -> PeriodMa
 def period_matrices(spec: ProblemSpec, basis: CohomologyBasis, bases, tol: float = 1e-10) -> list:
     """The period matrices of several cycle bases, possibly at different t, from one
     kernel run.  Each cycle is refined and tail-bounded as in a run of its own, and
-    each matrix is certified on its own entries as ``period_matrix`` describes."""
-    cycles = [cyc for cb in bases for cyc in cb.cycles]
-    ts = [cb.t for cb in bases for _ in cb.cycles]
-    rows, resabs = period_rows(spec, cycles, basis.exponents, ts, tol)
-    ends = np.cumsum([cb.rank for cb in bases])
-    return [_certified(cb.t, basis.exponents, rows[i - cb.rank:i], resabs[i - cb.rank:i], tol)
-            for cb, i in zip(bases, ends)]
+    each matrix is certified on its own entries as ``period_matrix`` describes.  A
+    cycle that occurs at one t in several bases is integrated once, so its rows
+    agree to the last bit."""
+    at = {}  # each distinct (cycle, t) -> its row of the run, in first-seen order
+    idx = [[at.setdefault((cyc, cb.t), len(at)) for cyc in cb.cycles] for cb in bases]
+    rows, resabs = period_rows(spec, [c for c, _ in at], basis.exponents, [t for _, t in at], tol)
+    return [_certified(cb.t, basis.exponents, [rows[i] for i in ix], resabs[ix], tol)
+            for cb, ix in zip(bases, idx)]
 
 
 def period_matrix(

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from expperiods import cli
+from expperiods import cli, quadrature
 from expperiods.cli import load_problem, main, parse_complex_arg
+from expperiods.cohomology import fiber_basis
+from expperiods.cycles import cycle_basis, track_cycles
 from expperiods.errors import SpecFormatError
 
 AIRY = "fixtures/airy.spec"
@@ -208,6 +210,34 @@ class TestSamples:
         assert len(lines) == 6  # header + endpoint + 4 leg samples
         code, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_one_kernel_run_matches_one_run_per_sample(self, capsys, monkeypatch):
+        # every sample is tracked first and all of them are integrated in one
+        # kernel run; the CSV is the one of a separate run per sample
+        spec, tol = load_problem(BESSEL)
+        exponents = fiber_basis(spec).exponents
+        samples = [1.0, 1.25 + 0.25j, 1.5 + 0.5j, 1.75 + 0.4j, 2.0 + 0.3j]
+        current, want = cycle_basis(spec, samples[0]), []
+        for i, t in enumerate(samples):
+            if i:
+                current = track_cycles(spec, current, [samples[i - 1], t])
+            (pvs,), _ = quadrature.period_rows(spec, [current.cycles[1]], exponents, [t], tol)
+            want.append([f"{t.real:.17g}", f"{t.imag:.17g}"] + [
+                x for pv in pvs
+                for x in (f"{pv.value.real:.17g}", f"{pv.value.imag:.17g}", f"{pv.error:.3e}")
+            ])
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        real = quadrature._gk_vector
+        monkeypatch.setattr(quadrature, "_gk_vector", counting)
+        code, out, _ = run(capsys, "samples", BESSEL, "--path", "1", "1.5,0.5", "2,0.3",
+                           "--n", "4", "--cycle", "1")
+        assert code == 0 and len(runs) == 1
+        assert [line.split(",") for line in out.strip().splitlines()[1:]] == want
 
     def test_path_through_pole_exit_two(self, capsys):
         code, _out, _err = run(

@@ -6,10 +6,14 @@ scipy: neither the import, nor the verify battery, nor the ``monodromy``
 command.  mpmath loads only when root isolation escalates past double
 precision (or on ``periods --dps``).  Every module-level
 function and class has a caller in the package (a re-export counts) or in
-``demos/``: code that only tests need does not belong in ``src/``.
+``demos/``: code that only tests need does not belong in ``src/``.  Every
+function the traced benchmark reads a metric from still exists, so no metric
+of a traced run reads ``null``.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -122,6 +126,22 @@ def test_detector_flags_unused_and_keeps_used():
 def test_every_definition_has_a_caller_outside_tests():
     callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     assert not uncalled_definitions(MODULES, callers)
+
+
+def test_traced_bench_sources_exist():
+    # bench/spans.py maps each traced metric to the function it is read from; a
+    # metric whose function has gone missing is reported as null
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    (source,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_SOURCE"]
+    ]
+    for metric, name in ast.literal_eval(source).items():
+        layer, func = name.split(".")
+        assert callable(getattr(importlib.import_module(f"expperiods.{layer}"), func, None)), metric
+    from expperiods.quadrature import period_matrix
+
+    assert "tol" in inspect.signature(period_matrix).parameters
 
 
 def test_caller_detector(tmp_path):
