@@ -15,10 +15,10 @@ order, in quarters.  The pieces take the panel's slot: each cycle's panels stay
 in path order and its sums are segment sums.  The run stops when every entry
 meets its target
 
-    err_ij <= tol * |value_ij| + max(abs_floor, machine_floor_ij),
+    err_ij <= tol * |value_ij| + 50 * eps * resabs_ij,
 
-where machine_floor_ij = 50 * eps * integral(|f_j|) along cycle i is the
-roundoff limit of double precision.  Truncated tails at the non-compact ends
+where resabs_ij = integral(|f_j|) along cycle i, which the run returns, sets
+the roundoff limit of double precision.  Truncated tails at the non-compact ends
 are bounded analytically by a geometric-decay estimate, with g and g' taken
 once per open end, and added to the reported error.
 
@@ -240,7 +240,7 @@ def _gk_panels(fs, a, b, own):
     return kron, np.abs(half * (kg[..., 0] - kg[..., 1])), res
 
 
-def _gk_vector(fs, polylines, tol: float, abs_floor: float):
+def _gk_vector(fs, polylines, tol: float):
     """Global adaptive GK15 of a vector integrand along several polylines at once.
 
     ``fs`` maps an (n, 15) array of nodes and the (n,) owner polyline of each
@@ -252,7 +252,7 @@ def _gk_vector(fs, polylines, tol: float, abs_floor: float):
     it.  A panel is halved, or quartered if over ``_QUARTER`` times its share.
     Polyline c is refined, as in a run of its own, until every j has
 
-        err_cj <= tol*|value_cj| + max(abs_floor, 50*eps*resabs_cj).
+        err_cj <= tol*|value_cj| + 50*eps*resabs_cj.
 
     Returns (values, errors, resabs, neval): (c, m) arrays, the errors
     including the roundoff floor 50*eps*resabs, and the evaluation count
@@ -276,7 +276,7 @@ def _gk_vector(fs, polylines, tol: float, abs_floor: float):
         value, err_sum, resabs = (np.zeros((len(x), len(zs)), x.dtype) for x in (kron, err, res))
         for out, x in zip((value, err_sum, resabs), (kron, err, res)):
             out[:, some] = np.add.reduceat(x, starts, axis=1)
-        target = tol * np.abs(value) + np.maximum(abs_floor, 50.0 * _EPS * resabs)
+        target = tol * np.abs(value) + 50.0 * _EPS * resabs
         fail = err_sum > target
         if not fail.any():
             return value.T, (err_sum + 50.0 * _EPS * resabs).T, resabs.T, neval.tolist()
@@ -310,13 +310,12 @@ def adaptive_polyline(f, nodes, tol: float):
     exhausted before err <= tol*|value| + machine_floor.
     """
     value, err, resabs, neval = _gk_vector(
-        lambda us, own: np.broadcast_to(f(us), us.shape)[None], [nodes], tol, 0.0
+        lambda us, own: np.broadcast_to(f(us), us.shape)[None], [nodes], tol
     )
     return complex(value[0, 0]), float(err[0, 0]), float(resabs[0, 0]), neval[0]
 
 
-def period_rows(spec: ProblemSpec, cycles, forms, ts, tol: float = 1e-10,
-                abs_floor: float = 0.0):
+def period_rows(spec: ProblemSpec, cycles, forms, ts, tol: float = 1e-10):
     """The periods of several forms over several cycles, from one kernel run.
 
     ``ts`` holds each cycle's t; a cycle's integrand and tail bounds use its own.
@@ -337,9 +336,9 @@ def period_rows(spec: ProblemSpec, cycles, forms, ts, tol: float = 1e-10,
     gmaps, pmaps = zip(*(at[t] for t in ts))
     trunc = np.array([_truncation_bounds(cyc, *at[t]) for cyc, t in zip(cycles, ts)])
     values, errs, resabs, neval = _gk_vector(
-        _integrand(gmaps, pmaps), [cyc.nodes for cyc in cycles], tol, abs_floor
+        _integrand(gmaps, pmaps), [cyc.nodes for cyc in cycles], tol
     )
-    over = (trunc > 0.3 * (tol * np.abs(values) + np.maximum(abs_floor, errs))) & (trunc > abs_floor)
+    over = trunc > 0.3 * (tol * np.abs(values) + errs)
     if over.any():
         raise ToleranceNotMet(
             f"tail truncation {trunc[over][0]:.3e} exceeds the error target; "
@@ -357,15 +356,14 @@ def integrate_period(
     form,
     t: complex,
     tol: float = 1e-10,
-    abs_floor: float = 0.0,
     dps: int = None,
 ) -> PeriodValue:
     """Integrate P(u) e^{g(u,t)} du over one rapid-decay cycle.
 
     Args:
         form: integer exponent k for P = u^k, or a LaurentPoly P(u, t).
-        tol: relative error target.
-        abs_floor: absolute error floor added to the target.
+        tol: relative error target; the kernel stops at
+            err <= tol*|value| + 50*eps*integral(|integrand|).
         dps: if given, integrate in extended precision with this many digits
             (the value is still a double, and ``neval`` counts segments).
 
@@ -376,7 +374,7 @@ def integrate_period(
     """
     if dps is not None:
         return _integrate_mp(spec, cycle, form, complex(t), dps)
-    rows, _resabs = period_rows(spec, [cycle], [form], [t], tol, abs_floor)
+    rows, _resabs = period_rows(spec, [cycle], [form], [t], tol)
     return rows[0][0]
 
 
@@ -390,7 +388,9 @@ def integrate_absolute(
     """Integrate |P(u) e^{g}| |du| over a cycle (a positive scale factor).
 
     One kernel run in the arc length s of the whole polyline, with a panel
-    edge at every vertex, so u(s) is linear on every panel.
+    edge at every vertex, so u(s) is linear on every panel.  No program code
+    calls it: a run's resabs gives the same scale (``verify.check_stokes``).
+    Tests keep it as the reference for that scale.
     """
     t = complex(t)
     fs = _integrand([spec.g.coeffs_at(t)], [[_form_coeffs(form, t)]])

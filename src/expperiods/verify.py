@@ -10,7 +10,7 @@ threshold:
   quadrature run and must differ by the transition matrix of the step.
 * **vanishing on coboundaries** — for random gauge forms Q, the integral of
   the twisted differential of Q against every rapid-decay cycle vanishes
-  relative to the size of the integrand.
+  relative to the scale integral |Q e^g| |du|, taken from the same run.
 * **perfect duality** — the period matrix is robustly non-degenerate:
   |det P| must exceed a fixed fraction of the product of its row norms.
 * **monodromy consistency** — continuing the cycle basis around a closed
@@ -47,7 +47,7 @@ from .cohomology import (
 )
 from .cycles import CycleBasis, cycle_basis, track_cycles
 from .errors import LoopHitsSingularity, SingularProximity
-from .quadrature import integrate_absolute, integrate_period, period_matrices, period_matrix
+from .quadrature import period_matrices, period_matrix, period_rows
 from .singular import SingularSet, singular_set
 from .symbolic import LaurentPoly, TPoly
 
@@ -208,19 +208,20 @@ def check_stokes(spec: ProblemSpec, t: complex, Q: LaurentPoly, cycle=None) -> C
 
     The integral of (dQ/du + Q dg/du) e^{g} du over a rapid-decay cycle must
     vanish; the residual is normalized by the scale integral |Q e^{g}| |du|.
+    One kernel run integrates both forms, and the scale is the resabs it sums
+    for the Q column.
     """
     t = complex(t)
     if fiber_basis(spec).rank == 0:
         return _vacuous("stokes_residual", "rank zero: no cycles to pair against")
     if cycle is None:
         cycle = cycle_basis(spec, t).cycles[0]
-    nabla_q = twisted_differential(Q, spec)
-    scale = integrate_absolute(spec, cycle, Q, t, tol=1e-6)
+    ((pv, _q),), resabs = period_rows(
+        spec, [cycle], [twisted_differential(Q, spec), Q], [t], tol=1e-13
+    )
+    scale = float(resabs[0, 1])
     if scale == 0.0:
         return _vacuous("stokes_residual", "gauge form vanishes on the cycle")
-    pv = integrate_period(
-        spec, cycle, nabla_q, t, tol=1e-13, abs_floor=1e-2 * _STOKES_TOL * scale
-    )
     residual = abs(pv.value) / scale
     return CheckRecord(
         name="stokes_residual",
@@ -407,22 +408,16 @@ def run_all(
         )
     t = complex(t)
 
-    if basis.rank == 0:
-        records = (
-            check_ode(spec, t, singular=sigma, A=A),
-            check_duality(spec, t),
-            _vacuous("stokes_residual", "rank zero: no cycles"),
-        )
-        return VerificationReport(label=spec.label, t=t, records=records)
-    # One cycle basis at t serves the ODE, the duality and every Stokes check.
-    cycles = cycle_basis(spec, t)
+    # One cycle basis at t serves the ODE, the duality and every Stokes check;
+    # at rank zero there is none, and each check is vacuous.
+    cycles = cycle_basis(spec, t) if basis.rank else None
     records = [
         check_ode(spec, t, singular=sigma, A=A, cycles=cycles),
         check_duality(spec, t, cycles=cycles),
     ]
     rng = random.Random(seed)
     for i in range(n_stokes):
-        cyc = cycles.cycles[i % len(cycles.cycles)]
+        cyc = cycles.cycles[i % basis.rank] if basis.rank else None
         records.append(check_stokes(spec, t, random_gauge(spec, rng), cycle=cyc))
     if hard:
         nearest = min(hard, key=lambda b: abs(b.center - t))

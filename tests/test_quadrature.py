@@ -495,7 +495,7 @@ class TestVectorKernel:
             cmath.log(1 - pole) - cmath.log(-pole),
         ]
         tol = 1e-11
-        (values,), (errs,), (resabs,), (neval,) = _gk_vector(fs, [[0.0, 1.0]], tol, 0.0)
+        (values,), (errs,), (resabs,), (neval,) = _gk_vector(fs, [[0.0, 1.0]], tol)
         for v, e, r, x in zip(values, errs, resabs, exact):
             assert e <= tol * abs(v) + 100.0 * EPS * r
             assert abs(v - x) <= e
@@ -513,8 +513,8 @@ class TestVectorKernel:
 
         lines = [[0.0, 1.0], [-2.0, -1.0]]
         tol = 1e-12
-        values, errs, resabs, neval = _gk_vector(fs, lines, tol, 0.0)
-        alone = [_gk_vector(fs, [line], tol, 0.0) for line in lines]
+        values, errs, resabs, neval = _gk_vector(fs, lines, tol)
+        alone = [_gk_vector(fs, [line], tol) for line in lines]
         assert neval == [run[3][0] for run in alone]
         assert all(type(n) is int for n in neval)
         for k, (z0, z1) in enumerate(lines):
@@ -541,14 +541,14 @@ class TestVectorKernel:
 
         with monkeypatch.context() as m:
             m.setattr(quadrature, "_gk_panels", spy)
-            neval = _gk_vector(fs, lines, 1e-12, 0.0)[3]
+            neval = _gk_vector(fs, lines, 1e-12)[3]
         panels = [len(e) - 1 for e in edges]
         monkeypatch.setattr(quadrature, "_BUDGET", max(panels))
         assert sum(panels) > quadrature._BUDGET
-        assert _gk_vector(fs, lines, 1e-12, 0.0)[3] == neval
+        assert _gk_vector(fs, lines, 1e-12)[3] == neval
         monkeypatch.setattr(quadrature, "_BUDGET", max(panels) - 1)
         with pytest.raises(ToleranceNotMet, match="budget"):
-            _gk_vector(fs, lines, 1e-12, 0.0)
+            _gk_vector(fs, lines, 1e-12)
 
     @pytest.mark.parametrize("over, pieces", [(1e2, 2), (1e6, 4)])
     def test_split_rule_halves_or_quarters(self, monkeypatch, over, pieces):
@@ -571,7 +571,7 @@ class TestVectorKernel:
             return gk_panels(fs, a, b, own)
 
         monkeypatch.setattr(quadrature, "_gk_panels", spy)
-        (value,), (error,), _resabs, _neval = _gk_vector(fs, [[z0, z1]], tol, 0.0)
+        (value,), (error,), _resabs, _neval = _gk_vector(fs, [[z0, z1]], tol)
         cuts = np.linspace(z0, z1, pieces + 1)
         assert np.array_equal(calls[1][0], cuts[:-1]) and np.array_equal(calls[1][1], cuts[1:])
         exact = (cmath.exp(200j * z1) - cmath.exp(200j * z0)) / 200j
@@ -586,7 +586,7 @@ class TestVectorKernel:
         def peak(copies):
             tracemalloc.start()
             try:
-                _gk_vector(fs, [cycles.cycles[0].nodes] * copies, 1e-10, 0.0)
+                _gk_vector(fs, [cycles.cycles[0].nodes] * copies, 1e-10)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -599,10 +599,10 @@ class TestVectorKernel:
             return np.stack([np.exp(30.0 * u), np.exp(200j * u)])
 
         lines = [[0.0, 1.0], [2.0, 2.0, 2.0], [1.0, 2.0]]
-        values, errs, resabs, neval = _gk_vector(fs, lines, 1e-12, 0.0)
+        values, errs, resabs, neval = _gk_vector(fs, lines, 1e-12)
         assert neval[1] == 0 and not values[1].any() and not errs[1].any() and not resabs[1].any()
         for k in (0, 2):
-            alone = _gk_vector(fs, [lines[k]], 1e-12, 0.0)
+            alone = _gk_vector(fs, [lines[k]], 1e-12)
             assert neval[k] == alone[3][0] and np.array_equal(values[k], alone[0][0])
 
     def test_lines_with_different_g_each_as_alone(self):
@@ -615,10 +615,10 @@ class TestVectorKernel:
         assert merged[0] == 0.25 and merged[2].shape == merged[1].shape == (2, 1)
         line, tol = [-8.0, 8.0], 1e-12
         values, errs, resabs, neval = _gk_vector(
-            _integrand(gmaps, [pmaps, pmaps]), [line, line], tol, 0.0
+            _integrand(gmaps, [pmaps, pmaps]), [line, line], tol
         )
         for k, g in enumerate(gmaps):
-            alone = _gk_vector(_integrand([g], [pmaps]), [line], tol, 0.0)
+            alone = _gk_vector(_integrand([g], [pmaps]), [line], tol)
             assert neval[k] == alone[3][0]
             a, b = -g[2], g[1]
             gauss = cmath.sqrt(math.pi / a) * cmath.exp(b * b / (4.0 * a) + g[0])
@@ -630,7 +630,7 @@ class TestVectorKernel:
         # the midpoint node of the second line sits on the pole
         with pytest.raises(NonDecayingTail, match="overflow"):
             _gk_vector(
-                lambda u, own: (1.0 / (u - 2.5))[None], [[0.0, 1.0], [2.0, 3.0]], 1e-10, 0.0
+                lambda u, own: (1.0 / (u - 2.5))[None], [[0.0, 1.0], [2.0, 3.0]], 1e-10
             )
 
     def test_budget_exhaustion_raises(self, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from expperiods import quadrature, verify
 from expperiods.cohomology import FiberType, ProblemSpec, connection_matrix, fiber_basis
+from expperiods.cycles import EndTag, cycle_basis
 from expperiods.errors import LoopHitsSingularity
 from expperiods.singular import CRITICAL_POINT_DEGENERATION, RootBall, singular_set
 from expperiods.symbolic import parse_laurent
@@ -103,8 +104,6 @@ class TestStokes:
     def test_seeded_gauges_vanish(self):
         rng = random.Random(STOKES_SEED)
         for spec, t in ((AIRY, 1.0), (BESSEL, 1.0), (GAUSSIAN, 1.0 + 1.0j)):
-            from expperiods.cycles import cycle_basis
-
             cycles = cycle_basis(spec, t)
             for i in range(8):
                 q = random_gauge(spec, rng)
@@ -124,6 +123,45 @@ class TestStokes:
     def test_rank_zero_vacuous(self):
         rec = check_stokes(LINEAR, 1.0, parse_laurent("u"))
         assert rec.passed
+
+    def test_one_kernel_run_gives_the_scale(self, monkeypatch):
+        # the scale is the resabs of the Q column of the check's one run; the
+        # separate arc-length run of integrate_absolute is the reference
+        calls = []
+
+        def spy(name):
+            real = getattr(quadrature, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(quadrature, name, wrapper)
+
+        rng = random.Random(STOKES_SEED)
+        for spec, t in ((AIRY, 1.0), (BESSEL, 1.0), (GAUSSIAN, 1.0 + 1.0j)):
+            for cycle in cycle_basis(spec, t).cycles:
+                q = random_gauge(spec, rng)
+                spy("_gk_vector")
+                spy("integrate_absolute")
+                rec = check_stokes(spec, t, q, cycle=cycle)
+                monkeypatch.undo()
+                assert calls == ["_gk_vector"] and rec.passed
+                calls.clear()
+                ref = quadrature.integrate_absolute(spec, cycle, q, t, tol=1e-9)
+                assert rec.details["scale"] == pytest.approx(ref, rel=1e-6)
+
+    def test_cut_cycle_fails(self):
+        # a polyline cut off mid-way is no rapid-decay cycle: the coboundary's
+        # integral is the boundary term Q e^g at the cut, far from zero
+        cycle = cycle_basis(AIRY, 1.0).cycles[0]
+        cut = dataclasses.replace(
+            cycle, nodes=cycle.nodes[: len(cycle.nodes) // 2 + 1], end=EndTag("interior", -1)
+        )
+        q = random_gauge(AIRY, random.Random(STOKES_SEED))
+        assert check_stokes(AIRY, 1.0, q, cycle=cycle).residual < 1e-14
+        rec = check_stokes(AIRY, 1.0, q, cycle=cut)
+        assert not rec.passed and rec.residual > 0.1
 
 
 class TestDuality:
@@ -253,6 +291,17 @@ class TestRunAll:
         rec = run_all(AIRY, n_stokes=1).records[-1]
         assert rec.name == "monodromy_match" and rec.passed
         assert "no hard singular ball" in rec.details["note"]
+
+    @pytest.mark.parametrize("n_stokes", [0, 2])
+    def test_rank_zero_report_has_every_check(self, n_stokes):
+        # at rank zero the report lists the same checks as at positive rank,
+        # n_stokes Stokes records included, each vacuous
+        report = run_all(LINEAR, n_stokes=n_stokes)
+        names = [r.name for r in report.records]
+        assert names == ["ode_residual", "duality_det"] + ["stokes_residual"] * n_stokes + [
+            "monodromy_match"
+        ]
+        assert all(r.passed and r.residual == 0.0 for r in report.records)
 
     def test_deterministic_given_seed(self):
         r1 = run_all(GAUSSIAN, seed=7, n_stokes=2)
