@@ -263,7 +263,7 @@ def _certify_squarefree(zq: list, centers):
     return [(c, r + eps * (abs(c) + 1.0) * 4.0) for _x, _y, c, r in balls]
 
 
-def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):
+def root_isolate(p: TPoly, isolated: dict = None):
     """Isolate all complex roots of p into certified disjoint balls.
 
     Works factor-by-factor on the exact squarefree decomposition so that
@@ -281,7 +281,6 @@ def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):
         raise DegenerateFamily("cannot isolate the roots of the zero polynomial")
     isolated = {} if isolated is None else isolated
     out = []
-    prov = (provenance,) if provenance else ()
     for q, mult in squarefree_decomposition(p):
         if q not in isolated:
             zq = q.prim
@@ -295,7 +294,7 @@ def root_isolate(p: TPoly, provenance: str = "", isolated: dict = None):
                 )
             isolated[q] = balls
         for c, r in isolated[q]:
-            out.append(RootBall(center=c, radius=r, multiplicity=mult, provenance=prov))
+            out.append(RootBall(center=c, radius=r, multiplicity=mult, provenance=()))
     total = sum(b.multiplicity for b in out)
     assert total == p.degree, "root multiplicities must sum to the degree"
     # Roots closer than about 1e-15 give overlapping double-precision balls:

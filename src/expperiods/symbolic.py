@@ -11,8 +11,8 @@ The API edge uses three small exact types:
 
 Rational scalars are plain :class:`fractions.Fraction`, which already keeps
 ``gcd(num, den) = 1`` and ``den > 0``.  Canonical printers serialize every
-object for the CLI.  A tiny expression parser reads ``TPoly`` and
-``LaurentPoly`` back; every divisor in it must be a nonzero rational
+object for the CLI.  One walk over the ``ast`` of an expression reads ``TPoly``
+and ``LaurentPoly`` back; every divisor in it must be a nonzero rational
 constant, so ``RatFun`` prints but does not parse.
 
 All polynomial arithmetic runs fraction-free over Z[t], on plain lists of
@@ -34,7 +34,9 @@ primitive part and keeps the rational scale in its one content.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -201,11 +203,11 @@ class TPoly:
     def __repr__(self):
         return f"TPoly({self.to_str()!r})"
 
-    def to_str(self, var: str = "t") -> str:
+    def to_str(self) -> str:
         if self.is_zero():
             return "0"
         cs = self.coeffs
-        parts = [_term_str(cs[k], var, k) for k in range(self.degree, -1, -1) if cs[k]]
+        parts = [_term_str(cs[k], k) for k in range(self.degree, -1, -1) if cs[k]]
         return _join_terms(parts)
 
 
@@ -226,10 +228,10 @@ def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _term_str(c: Fraction, var: str, k: int) -> str:
+def _term_str(c: Fraction, k: int) -> str:
     if k == 0:
         return _frac_str(c)
-    v = var if k == 1 else f"{var}^{k}"
+    v = "t" if k == 1 else f"t^{k}"
     if c == 1:
         return v
     if c == -1:
@@ -337,10 +339,10 @@ class RatFun:
     def __repr__(self):
         return f"RatFun({self.to_str()!r})"
 
-    def to_str(self, var: str = "t") -> str:
+    def to_str(self) -> str:
         if self.den.is_one():
-            return self.num.to_str(var)
-        return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
+            return self.num.to_str()
+        return f"({self.num.to_str()})/({self.den.to_str()})"
 
 
 def _as_ratfun(x) -> RatFun:
@@ -470,25 +472,25 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.to_str()!r})"
 
-    def to_str(self, uvar: str = "u", tvar: str = "t") -> str:
+    def to_str(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for k in sorted(self.terms, reverse=True):
             c = self.terms[k]
             if k == 0:
-                s = c.to_str(tvar)
+                s = c.to_str()
                 parts.append(f"({s})" if len(_nonzero_terms(c)) > 1 else s)
                 continue
-            up = uvar if k == 1 else f"{uvar}^{k}"
+            up = "u" if k == 1 else f"u^{k}"
             if c.is_one():
                 parts.append(up)
             elif c == TPoly.const(-1):
                 parts.append(f"-{up}")
             elif len(_nonzero_terms(c)) > 1:
-                parts.append(f"({c.to_str(tvar)})*{up}")
+                parts.append(f"({c.to_str()})*{up}")
             else:
-                parts.append(f"{c.to_str(tvar)}*{up}")
+                parts.append(f"{c.to_str()}*{up}")
         return _join_terms(parts)
 
 
@@ -497,157 +499,53 @@ def _nonzero_terms(p: TPoly):
 
 
 # ---------------------------------------------------------------------------
-# Expression parsing
+# Expression parsing: Python's parser reads the expression, with ``^`` written
+# ``**``, and one walk maps its syntax tree onto LaurentPoly.
 # ---------------------------------------------------------------------------
-#
-# Grammar (whitespace-insensitive):
-#   expr   := term (('+'|'-') term)*
-#   term   := unary (('*'|'/') unary)*
-#   unary  := ('+'|'-')* power
-#   power  := atom (('^'|'**') exponent)?
-#   atom   := INT | 't' | 'u' | '(' expr ')'
-#   exponent := INT | ('-'|'+') INT | '(' ('-'|'+')? INT ')'
-#
-# Values are Laurent polynomials in u over Q[t]; a divisor must be a nonzero
-# rational constant, and only a rational monomial c*u^k has a negative power.
+
+# Only the grammar's characters reach the parser, so Python's other literals
+# (0x10, 1_0, 1.5, 1e3, 1j) and NFKC-folded names never do.
+_NOT_IN_GRAMMAR = re.compile(r"[^0-9tu+\-*/^() ]")
+_SYMBOLS = {"t": LaurentPoly({0: TPoly.t()}), "u": LaurentPoly.u()}
+# what each link of a chain of ``+ - * /`` and signs does to the value below it
+_CHAIN = {
+    ast.Add: lambda v, node: v + _value(node.right),
+    ast.Sub: lambda v, node: v - _value(node.right),
+    ast.Mult: lambda v, node: v * _value(node.right),
+    ast.Div: lambda v, node: v * _inverse_constant(_value(node.right)),
+    ast.UAdd: lambda v, node: v,
+    ast.USub: lambda v, node: -v,
+}
 
 
-class _Tok:
-    __slots__ = ("kind", "text")
-
-    def __init__(self, kind, text):
-        self.kind = kind
-        self.text = text
-
-
-def _tokenize(s: str):
-    toks = []
-    i, n = 0, len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", s[i:j]))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", s[i:j]))
-            i = j
-            continue
-        if s.startswith("**", i):
-            toks.append(_Tok("op", "^"))
-            i += 2
-            continue
-        if ch in "+-*/^()":
-            toks.append(_Tok("op", ch))
-            i += 1
-            continue
-        raise SpecFormatError(f"unexpected character {ch!r} in expression")
-    toks.append(_Tok("end", ""))
-    return toks
+def _value(node) -> LaurentPoly:
+    """The LaurentPoly of an expression node.  Chains of ``+ - * /`` and of
+    signs are walked by a loop, so recursion deepens only with parentheses."""
+    chain = []
+    while isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _CHAIN:
+        chain.append(node)
+        node = node.left if isinstance(node, ast.BinOp) else node.operand
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        v = _value(node.left) ** _exponent(node.right)
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        v = LaurentPoly.const(node.value)
+    elif isinstance(node, ast.Name) and node.id in _SYMBOLS:
+        v = _SYMBOLS[node.id]
+    elif isinstance(node, ast.Name):
+        raise SpecFormatError(f"unknown symbol {node.id!r} (only t and u are allowed)")
+    else:
+        raise SpecFormatError(f"unexpected {ast.unparse(node).replace('**', '^')!r}")
+    for link in reversed(chain):
+        v = _CHAIN[type(link.op)](v, link)
+    return v
 
 
-class _Parser:
-    """Recursive-descent evaluator into :class:`LaurentPoly`."""
-
-    def __init__(self, s: str):
-        self.toks = _tokenize(s)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, text):
-        t = self.take()
-        if t.kind != "op" or t.text != text:
-            raise SpecFormatError(f"expected {text!r}")
-
-    def parse(self) -> LaurentPoly:
-        v = self.expr()
-        if self.peek().kind != "end":
-            raise SpecFormatError(f"trailing input near {self.peek().text!r}")
-        return v
-
-    def expr(self) -> LaurentPoly:
-        v = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
-            w = self.term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term(self) -> LaurentPoly:
-        v = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
-            w = self.unary()
-            v = v * w if op == "*" else v * _inverse_constant(w)
-        return v
-
-    def unary(self) -> LaurentPoly:
-        sign = 1
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            if self.take().text == "-":
-                sign = -sign
-        v = self.power()
-        return v if sign == 1 else -v
-
-    def power(self) -> LaurentPoly:
-        v = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            e = self.exponent()
-            try:
-                v = v ** e
-            except ValueError as exc:
-                raise SpecFormatError(str(exc)) from None
-        return v
-
-    def exponent(self) -> int:
-        t = self.peek()
-        sign = 1
-        if t.kind == "op" and t.text == "(":
-            self.take()
-            e = self.exponent()
-            self.expect_op(")")
-            return e
-        if t.kind == "op" and t.text in "+-":
-            self.take()
-            sign = -1 if t.text == "-" else 1
-            t = self.peek()
-        if t.kind != "int":
-            raise SpecFormatError("expected an integer exponent")
-        self.take()
-        return sign * int(t.text)
-
-    def atom(self) -> LaurentPoly:
-        t = self.take()
-        if t.kind == "int":
-            return LaurentPoly.const(int(t.text))
-        if t.kind == "name":
-            if t.text == "t":
-                return LaurentPoly({0: TPoly.t()})
-            if t.text == "u":
-                return LaurentPoly.u()
-            raise SpecFormatError(f"unknown symbol {t.text!r} (only t and u are allowed)")
-        if t.kind == "op" and t.text == "(":
-            v = self.expr()
-            self.expect_op(")")
-            return v
-        raise SpecFormatError(f"unexpected token {t.text!r}")
+def _exponent(node) -> int:
+    """An integer exponent with at most one sign (its parentheses are gone)."""
+    n = node.operand if isinstance(node, ast.UnaryOp) else node
+    if not (isinstance(n, ast.Constant) and type(n.value) is int):
+        raise SpecFormatError("expected an integer exponent")
+    return ast.literal_eval(node)
 
 
 def _inverse_constant(w: LaurentPoly) -> Fraction:
@@ -667,10 +565,25 @@ def _inverse_constant(w: LaurentPoly) -> Fraction:
 def parse_laurent(s: str) -> LaurentPoly:
     """Parse an expression in ``t`` and ``u`` into a LaurentPoly over Q[t].
 
-    Every divisor must be a nonzero rational constant: phase functions live
-    in Q[t][u, 1/u], so even a t-divisor that would cancel is rejected.
+    The expression is a sum, difference, product or quotient of integers,
+    ``t``, ``u`` and parenthesized expressions, with signs and with powers
+    ``x^n`` (or ``x**n``) whose exponent is an integer with at most one sign.
+    Whitespace separates, and leading zeros are read (``007`` is 7).  Every
+    divisor must be a nonzero rational constant: phase functions live in
+    Q[t][u, 1/u], so even a t-divisor that would cancel is rejected, and only
+    a rational monomial c*u^k has a negative power.
     """
-    return _Parser(s).parse()
+    s = re.sub(r"\s", " ", s)
+    bad = _NOT_IN_GRAMMAR.search(s)
+    if bad:
+        raise SpecFormatError(f"unexpected character {bad.group()!r} in expression")
+    src = re.sub(r"\b0+(?=\d)", "", s.replace("^", "**")).strip()
+    try:
+        return _value(ast.parse(src, mode="eval").body)
+    except (SyntaxError, ValueError) as exc:  # ValueError: a bad power, or an unprintable integer
+        raise SpecFormatError(f"invalid expression: {getattr(exc, 'msg', exc)}") from None
+    except (RecursionError, MemoryError):
+        raise SpecFormatError("expression too deeply nested or too large") from None
 
 
 def parse_tpoly(s: str) -> TPoly:

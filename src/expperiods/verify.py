@@ -135,6 +135,14 @@ def _vacuous(name: str, note: str) -> CheckRecord:
     )
 
 
+def _continue(spec, basis, A, singular, base, path, tol):
+    """Period matrices at both ends of ``path``, from one kernel run, and the transport along it."""
+    moved = track_cycles(spec, base, path, singular=singular)
+    step = transport(A, path, singular.hard_balls())
+    P0, P1 = (P.values() for P in period_matrices(spec, basis, [base, moved], tol=tol))
+    return P0, P1, step
+
+
 # ---------------------------------------------------------------------------
 # Solution property of the period matrix
 # ---------------------------------------------------------------------------
@@ -165,10 +173,8 @@ def check_ode(
         singular = singular_set(spec, A)
     h = 0.02 * max(1.0, abs(t))
     base = cycles if cycles is not None else cycle_basis(spec, t)
-    moved = track_cycles(spec, base, [t, t + h], singular=singular)
-    phi = transport(A, [t, t + h], singular.hard_balls()).matrix
-    P0, P1 = (P.values() for P in period_matrices(spec, basis, [base, moved], tol=_ODE_PERIOD_TOL))
-    residual = _norm(P1 - P0 @ phi.T) / (h * max(_norm(P0), 1e-300))
+    P0, P1, step = _continue(spec, basis, A, singular, base, [t, t + h], _ODE_PERIOD_TOL)
+    residual = _norm(P1 - P0 @ step.matrix.T) / (h * max(_norm(P0), 1e-300))
     return CheckRecord(
         name="ode_residual",
         passed=residual < _ODE_TOL,
@@ -336,14 +342,12 @@ def monodromy(
     loop.append(basepoint)
 
     base = cycle_basis(spec, basepoint)
-    try:
-        moved = track_cycles(spec, base, loop, singular=singular)
-        ode = transport(A, loop, singular.hard_balls())
-    except SingularProximity as exc:
-        raise LoopHitsSingularity(f"monodromy loop about {center}: {exc}") from exc
     # One run gives P0 and P1; a cycle the loop carries back onto its own polyline
     # is integrated once, so its rows agree to the last bit.
-    P0, P1 = (P.values() for P in period_matrices(spec, basis, [base, moved], tol=_PERIOD_TOL))
+    try:
+        P0, P1, ode = _continue(spec, basis, A, singular, base, loop, _PERIOD_TOL)
+    except SingularProximity as exc:
+        raise LoopHitsSingularity(f"monodromy loop about {center}: {exc}") from exc
     m_cycle = np.linalg.solve(P0.T, P1.T).T
     m_ode = np.linalg.solve(P0.T, (P0 @ ode.matrix.T).T).T
 

@@ -76,6 +76,14 @@ class TestProblemFiles:
         assert code == 1
         assert "key = value" in err
 
+    def test_deep_nesting_exits_one(self, capsys, tmp_path):
+        """g nested past Python's parser limit: an error line, not a traceback."""
+        p = tmp_path / "deep.spec"
+        p.write_text("fiber = affine_line\ng = " + "(" * 250 + "t*u" + ")" * 250 + "\n")
+        code, _out, err = run(capsys, "derive", str(p))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _out, err = run(capsys, "derive", "/nonexistent/x.spec")
         assert code == 1

@@ -131,7 +131,7 @@ class TestResultant:
 class TestRootIsolation:
     def test_simple_roots_with_multiplicity(self):
         p = parse_tpoly("(t - 1)*(t - 1)*(t^2 + 1)")
-        balls = root_isolate(p, provenance="Test")
+        balls = root_isolate(p)
         assert sorted(b.multiplicity for b in balls) == [1, 1, 2]
         centers = sorted(balls, key=lambda b: (b.center.real, b.center.imag))
         assert abs(centers[0].center - (-1j)) < 1e-10

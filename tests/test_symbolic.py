@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,89 @@ class TestLaurentPoly:
             }
             p = LaurentPoly(terms)
             assert parse_laurent(p.to_str()) == p
+
+
+def _long_sum():
+    """A 1000-term sum as text, and the same sum built as a LaurentPoly."""
+    text, value = [], LaurentPoly.zero()
+    for k in range(1, 1001):
+        c, e, d = (-1) ** k * k, k % 7 - 3, k % 3
+        text.append(f"{c}*t^{d}*u^{e}")
+        value = value + LaurentPoly({e: TPoly([0] * d + [c])})
+    return "+".join(text).replace("+-", " - "), value
+
+
+class TestParser:
+    # each string parses to the value beside it
+    ACCEPTED = [
+        ("007*u", LaurentPoly({1: 7})),  # leading zeros are read
+        ("u^(+2)", LaurentPoly.u(2)),
+        ("u^((2))", LaurentPoly.u(2)),
+        ("u^-(2)", LaurentPoly.u(-2)),  # a sign before a parenthesized integer
+        ("2^-1*u", LaurentPoly({1: Fraction(1, 2)})),
+        ("(1/2)^-2", LaurentPoly.const(4)),
+        ("-u^2", LaurentPoly({2: -1})),  # the power binds before the sign
+        ("+-+u", LaurentPoly({1: -1})),
+        ("u**2 - 2*t", LaurentPoly({2: 1, 0: TPoly((0, -2))})),
+        (" u\t+\nt ", LaurentPoly({1: 1, 0: TPoly.t()})),  # any whitespace separates
+        ("u/2/3", LaurentPoly({1: Fraction(1, 6)})),
+        ("u/(t-t+2)", LaurentPoly({1: Fraction(1, 2)})),
+    ]
+    REJECTED = [
+        "0x10*u",
+        "1_0*u",
+        "1.5*u",
+        "1e3*u",
+        "1j*u",
+        "\uff55",  # fullwidth u, which Python would fold onto u
+        "\u0663*u",  # a non-ASCII digit
+        "\u00b2*u",
+        "2t",
+        "x*u",
+        "tu",
+        "u^2^3",
+        "u^t",
+        "u//2",
+        "(u)(t)",
+        "u^--2",
+        "()",
+        "",
+        "(" * 250 + "u" + ")" * 250,  # past Python's parser limit
+    ]
+
+    @pytest.mark.parametrize("text, value", ACCEPTED, ids=[a for a, _ in ACCEPTED])
+    def test_accepted(self, text, value):
+        assert parse_laurent(text) == value
+
+    @pytest.mark.parametrize("text", REJECTED, ids=[ascii(r[:12]) for r in REJECTED])
+    def test_rejected(self, text):
+        with pytest.raises(SpecFormatError):
+            parse_laurent(text)
+
+    def test_long_chains(self):
+        text, value = _long_sum()
+        assert parse_laurent(text) == value
+        assert parse_laurent("*".join(["(u+1)"] * 5 + ["u"] * 795)) == LaurentPoly.u(795) * (
+            LaurentPoly.u() + LaurentPoly.one()
+        ) ** 5
+
+    @PROPERTY
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["u", "t", "0", "1", "2", "+", "-", "*", "/", "^", "**", "(", ")", " ", ".", "\u00b2"]
+            ),
+            max_size=16,
+        )
+        .map("".join)
+        # one-digit exponents keep every power small
+        .filter(lambda s: not re.search(r"(\^|\*\*)[\s(+\-]*\d\d", s))
+    )
+    def test_returns_or_raises_spec_format_error(self, text):
+        try:
+            assert isinstance(parse_laurent(text), LaurentPoly)
+        except SpecFormatError:
+            pass
 
 
 def zpolys(max_len=4, bound=9):
