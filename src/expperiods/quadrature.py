@@ -8,12 +8,14 @@ A period matrix (the basis forms u^e over every cycle) is one run, as are
 several matrices at different t, each polyline with its own coefficients of g.
 The integrand, which takes the powers of u from one table built by
 multiplication rather than numpy's complex ``**``, is called once per round for
-the whole run.  Each round splits, in one numpy batch, every panel over its
-equal share (half the target over the panel count) of a failing entry (cycle
-i, form j) of its cycle, in halves or, past one halving's gain at GK15's
-order, in quarters.  The pieces take the panel's slot: each cycle's panels stay
-in path order and its sums are segment sums.  The run stops when every entry
-meets its target
+the whole run.  The first round quarters every polyline segment: a segment has
+no error estimate yet, so it gets the largest split, which saves rounds, each
+of which costs a fixed count of numpy calls.  Each later round splits, in one
+numpy batch, every panel over its equal share (half the target over the panel
+count) of a failing entry (cycle i, form j) of its cycle, in halves or, past
+one halving's gain at GK15's order, in quarters.  The pieces take the panel's
+slot: each cycle's panels stay in path order and its sums are segment sums.
+The run stops when every entry meets its target
 
     err_ij <= tol * |value_ij| + 50 * eps * resabs_ij,
 
@@ -46,6 +48,7 @@ _EPS = 2.0 ** -52
 _BUDGET = 6000
 # GK15's error estimate |K - G| is 7-point Gauss's, of order h**15: a halving divides it by at
 # most 2**15 per half, so a panel over this many times its share is quartered, not halved.
+# A segment, which has no estimate yet, is quartered before the first round.
 _QUARTER = 2.0 ** 15
 
 # 15-point Kronrod extension of 7-point Gauss (nodes ascending on [-1, 1]).
@@ -246,10 +249,12 @@ def _gk_vector(fs, polylines, tol: float):
     ``fs`` maps an (n, 15) array of nodes and the (n,) owner polyline of each
     row to an (m, n, 15) array of values, so polylines may carry different
     integrands.  Component (c, j) sums f_j over the panels of polyline c, kept
-    contiguous and in path order.  Each round splits, in one batch, the panels
-    over their share of a failing component of their polyline, half its target
-    over the polyline's panel count: the panels left whole hold at most half of
-    it.  A panel is halved, or quartered if over ``_QUARTER`` times its share.
+    contiguous and in path order.  The first round evaluates 4 equal panels on
+    every segment of nonzero length, the split step applied with no estimate.
+    Each later round splits, in one batch, the panels over their share of a
+    failing component of their polyline, half its target over the polyline's
+    panel count: the panels left whole hold at most half of it.  A panel is
+    halved, or quartered if over ``_QUARTER`` times its share.
     Polyline c is refined, as in a run of its own, until every j has
 
         err_cj <= tol*|value_cj| + 50*eps*resabs_cj.
@@ -259,7 +264,8 @@ def _gk_vector(fs, polylines, tol: float):
     (an int) of each polyline.
 
     Raises:
-        ToleranceNotMet: if a polyline needs more than ``_BUDGET`` panels.
+        ToleranceNotMet: if a refinement round would give a polyline more than
+            ``_BUDGET`` panels.
         NonDecayingTail: if the integrand is not finite at some node.
     """
     zs = [np.asarray(p, dtype=complex) for p in polylines]
@@ -268,10 +274,24 @@ def _gk_vector(fs, polylines, tol: float):
     # no panel on a zero-length segment, nor from one polyline to the next
     step = (z[1:] != z[:-1]) & (own[1:] == own[:-1])
     a, b, own = z[:-1][step], z[1:][step], own[1:][step]
-    count = np.bincount(own, minlength=len(zs))  # panels of each polyline
-    neval = 15 * count
-    kron, err, res = _gk_panels(fs, a, b, own)
+    neval = np.zeros(len(zs), dtype=int)
+    pieces = np.full(len(a), 4)  # a segment has no error estimate yet: the largest split
     while True:
+        own = np.repeat(own, pieces)
+        count = np.bincount(own, minlength=len(zs))  # panels of each polyline
+        # a split panel's pieces take its slot: piece k of p spans [k/p, (k+1)/p] of it
+        k = np.arange(len(own)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        p, a, b = (np.repeat(x, pieces) for x in (pieces, a, b))
+        new = p > 1
+        a, b = a + (b - a) * (k / p), np.where(k + 1 == p, b, a + (b - a) * ((k + 1) / p))
+        neval = neval + 15 * np.bincount(own[new], minlength=len(zs))
+        fresh = _gk_panels(fs, a[new], b[new], own[new])
+        if new.all():  # the first round, or one that splits every panel
+            kron, err, res = fresh
+        else:
+            kron, err, res = (np.repeat(x, pieces, axis=1) for x in (kron, err, res))
+            for x, piece in zip((kron, err, res), fresh):
+                x[:, new] = piece
         some, starts = count > 0, (np.cumsum(count) - count)[count > 0]  # 0 for no panel
         value, err_sum, resabs = (np.zeros((len(x), len(zs)), x.dtype) for x in (kron, err, res))
         for out, x in zip((value, err_sum, resabs), (kron, err, res)):
@@ -282,24 +302,14 @@ def _gk_vector(fs, polylines, tol: float):
             return value.T, (err_sum + 50.0 * _EPS * resabs).T, resabs.T, neval.tolist()
         share = np.where(fail, 0.5 * target / np.maximum(count, 1), np.inf)[:, own]
         pieces = 1 + (err > share).any(axis=0) + 2 * (err > _QUARTER * share).any(axis=0)
-        own = np.repeat(own, pieces)
-        count = np.bincount(own, minlength=len(zs))
-        if count.max() > _BUDGET:
-            k = int(np.argmax(count > _BUDGET))
+        after = np.bincount(own, pieces, minlength=len(zs))  # panels of each polyline next round
+        if after.max() > _BUDGET:
+            k = int(np.argmax(after > _BUDGET))
             worst = int(np.argmax(err_sum[:, k] - target[:, k]))
             raise ToleranceNotMet(
                 f"quadrature budget of {_BUDGET} panels exhausted "
                 f"(error {err_sum[worst, k]:.3e}, target {target[worst, k]:.3e})"
             )
-        # a split panel's pieces take its slot: piece k of p spans [k/p, (k+1)/p] of it
-        k = np.arange(len(own)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        p, a, b = (np.repeat(x, pieces) for x in (pieces, a, b))
-        new = p > 1
-        a, b = a + (b - a) * (k / p), np.where(k + 1 == p, b, a + (b - a) * ((k + 1) / p))
-        neval = neval + 15 * np.bincount(own[new], minlength=len(zs))
-        kron, err, res = (np.repeat(x, pieces, axis=1) for x in (kron, err, res))
-        for x, piece in zip((kron, err, res), _gk_panels(fs, a[new], b[new], own[new])):
-            x[:, new] = piece
 
 
 def adaptive_polyline(f, nodes, tol: float):

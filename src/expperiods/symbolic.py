@@ -507,6 +507,10 @@ def _nonzero_terms(p: TPoly):
 # (0x10, 1_0, 1.5, 1e3, 1j) and NFKC-folded names never do.
 _NOT_IN_GRAMMAR = re.compile(r"[^0-9tu+\-*/^() ]")
 _SYMBOLS = {"t": LaurentPoly({0: TPoly.t()}), "u": LaurentPoly.u()}
+# Most bits a power's result may hold, as ``_power`` estimates them.  The largest
+# powers under it take at most 0.05 s ((u+t)^63, (1+t)^511, 7^93377), but 0.76 s
+# on a u-only base ((u+u^-1)^361), whose every coefficient is its own object.
+_POWER_BITS = 2 ** 18
 # what each link of a chain of ``+ - * /`` and signs does to the value below it
 _CHAIN = {
     ast.Add: lambda v, node: v + _value(node.right),
@@ -526,7 +530,7 @@ def _value(node) -> LaurentPoly:
         chain.append(node)
         node = node.left if isinstance(node, ast.BinOp) else node.operand
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        v = _value(node.left) ** _exponent(node.right)
+        v = _power(_value(node.left), _exponent(node.right))
     elif isinstance(node, ast.Constant) and type(node.value) is int:
         v = LaurentPoly.const(node.value)
     elif isinstance(node, ast.Name) and node.id in _SYMBOLS:
@@ -546,6 +550,24 @@ def _exponent(node) -> int:
     if not (isinstance(n, ast.Constant) and type(n.value) is int):
         raise SpecFormatError("expected an integer exponent")
     return ast.literal_eval(node)
+
+
+def _power(w: LaurentPoly, n: int) -> LaurentPoly:
+    """``w^n``, refused before any product when its estimated size is over
+    ``_POWER_BITS``.  Each of w's u-span, t-degree and coefficient bits grows
+    n-fold; the bits per factor count the terms too (multinomial growth)."""
+    if w.terms and abs(n) > 1:
+        cs = [c for p in w.terms.values() for c in p.coeffs if c]
+        den = math.lcm(*(c.denominator for c in cs))
+        bits = math.log2(len(cs) * den) + max(math.log2(abs(c.numerator)) for c in cs)
+        span = abs(n) * (w.u_degree - w.u_order) + 1
+        degree = abs(n) * max(p.degree for p in w.terms.values()) + 1
+        size = span * degree * (abs(n) * bits + 1)
+        if size > _POWER_BITS:
+            raise SpecFormatError(
+                f"power ^{n} too large: about {size:.2g} bits, over {_POWER_BITS}"
+            )
+    return w ** n
 
 
 def _inverse_constant(w: LaurentPoly) -> Fraction:

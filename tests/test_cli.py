@@ -84,6 +84,14 @@ class TestProblemFiles:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_huge_power_exits_one(self, capsys, tmp_path):
+        """A 20-byte g whose expansion would take hours: refused before any product."""
+        p = tmp_path / "power.spec"
+        p.write_text("fiber = affine_line\ng = (u+t)^10000\n")
+        code, _out, err = run(capsys, "derive", str(p))
+        assert code == 1
+        assert err.startswith("error:") and "too large" in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _out, err = run(capsys, "derive", "/nonexistent/x.spec")
         assert code == 1

@@ -550,18 +550,47 @@ class TestVectorKernel:
         with pytest.raises(ToleranceNotMet, match="budget"):
             _gk_vector(fs, lines, 1e-12)
 
+    def test_first_round_quarters_every_segment(self, monkeypatch):
+        # the first round evaluates 4 equal panels on each segment of nonzero
+        # length, in path order, and none on a zero-length one
+        def fs(u, own):
+            return np.exp(u)[None]
+
+        lines = [[0.0, 1.0, 1.0, 3.0 + 1j], [2.0, 2.0], [-1.0, -1.0 + 2j]]
+        calls = []
+        gk_panels = quadrature._gk_panels
+
+        def spy(fs, a, b, own):
+            calls.append((a, b, own))
+            return gk_panels(fs, a, b, own)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", spy)
+        _gk_vector(fs, lines, 1e-10)
+        a, b, own = calls[0]
+        segments = [(0.0, 1.0, 0), (1.0, 3.0 + 1j, 0), (-1.0, -1.0 + 2j, 2)]
+        cuts = [(z0 + (z1 - z0) * np.linspace(0.0, 1.0, 5), c) for z0, z1, c in segments]
+        assert np.allclose(a, np.concatenate([z[:-1] for z, _ in cuts]), rtol=0, atol=1e-15)
+        assert np.allclose(b, np.concatenate([z[1:] for z, _ in cuts]), rtol=0, atol=1e-15)
+        assert list(own) == [c for _, c in cuts for _ in range(4)]
+        # the last piece of a segment ends exactly at its end, so a line's panels join up
+        assert np.array_equal(a[1:8], b[:7]) and np.array_equal(a[9:], b[8:-1])
+        assert b[3] == 1.0 and b[7] == 3.0 + 1j and b[11] == -1.0 + 2j
+
     @pytest.mark.parametrize("over, pieces", [(1e2, 2), (1e6, 4)])
     def test_split_rule_halves_or_quarters(self, monkeypatch, over, pieces):
-        # one panel of a fast oscillation, its error planted ``over`` times its
-        # share (half the target, on a line of one panel) by the choice of tol:
-        # it is halved under _QUARTER times its share, quartered over it
+        # a fast oscillation on one segment, whose 4 first-round panels have one
+        # error (a shift of u only turns the phase), planted ``over`` times
+        # their share (half the target over 4 panels) by the choice of tol: a
+        # refinement round halves each under _QUARTER times its share and
+        # quarters each over it
         def fs(u, own):
             return np.exp(200j * u)[None]
 
         z0, z1 = 0.0, 2.0
-        ends = np.array([z0 + 0j]), np.array([z1 + 0j])
-        kron, err, res = (float(abs(x[0, 0])) for x in quadrature._gk_panels(fs, *ends, [0]))
-        tol = (2.0 * err / over - 50.0 * EPS * res) / kron
+        seeded = np.linspace(z0, z1, 5) + 0j
+        kron, err, res = quadrature._gk_panels(fs, seeded[:-1], seeded[1:], np.zeros(4, int))
+        assert np.allclose(err, err[0, 0], rtol=1e-9, atol=0)
+        tol = (8.0 * err.max() / over - 50.0 * EPS * res.sum()) / abs(kron.sum())
         assert tol > 0.0 and (over > quadrature._QUARTER) == (pieces == 4)
         calls = []
         gk_panels = quadrature._gk_panels
@@ -572,10 +601,29 @@ class TestVectorKernel:
 
         monkeypatch.setattr(quadrature, "_gk_panels", spy)
         (value,), (error,), _resabs, _neval = _gk_vector(fs, [[z0, z1]], tol)
-        cuts = np.linspace(z0, z1, pieces + 1)
+        assert np.array_equal(calls[0][0], seeded[:-1]) and np.array_equal(calls[0][1], seeded[1:])
+        cuts = np.linspace(z0, z1, 4 * pieces + 1)
         assert np.array_equal(calls[1][0], cuts[:-1]) and np.array_equal(calls[1][1], cuts[1:])
         exact = (cmath.exp(200j * z1) - cmath.exp(200j * z0)) / 200j
         assert abs(value[0] - exact) <= error[0]
+
+    def test_deg5_sweep_point_in_three_rounds(self, monkeypatch):
+        # with whole segments as its first panels, this ladder_deg5 point took
+        # 6 rounds and 808 panels; the first-round quarters need at most 3
+        # rounds, and no more panels
+        spec = make(FiberType.AFFINE_LINE, "u^5/5-t*u^2+u")
+        basis, cycles = fiber_basis(spec), cycle_basis(spec, 1.224225 + 0.861377j)
+        panels = []
+        gk_panels = quadrature._gk_panels
+
+        def spy(fs, a, b, own):
+            panels.append(len(a))
+            return gk_panels(fs, a, b, own)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", spy)
+        P = period_matrix(spec, basis, cycles, tol=1e-10)
+        assert len(panels) <= 3 and sum(panels) <= 808
+        assert sum(row[0].neval for row in P.entries) == 15 * sum(panels)
 
     def test_memory_grows_linearly_with_lines(self):
         # per round the kernel holds O(forms x panels): no (panels x lines)
@@ -627,16 +675,16 @@ class TestVectorKernel:
                 assert abs(values[k, j] - exact) <= errs[k, j]
 
     def test_non_finite_value_on_one_line_raises(self):
-        # the midpoint node of the second line sits on the pole
+        # the midpoint node of the second line's first panel sits on the pole
         with pytest.raises(NonDecayingTail, match="overflow"):
             _gk_vector(
-                lambda u, own: (1.0 / (u - 2.5))[None], [[0.0, 1.0], [2.0, 3.0]], 1e-10
+                lambda u, own: (1.0 / (u - 2.125))[None], [[0.0, 1.0], [2.0, 3.0]], 1e-10
             )
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         spec = make(FiberType.AFFINE_LINE, "u^5/5-t*u^2+u")
         cycles = cycle_basis(spec, 1.224225 + 0.861377j)
-        # the unrefined polyline, and no more
+        # fewer panels than the first round's quarters: the first refinement runs out
         monkeypatch.setattr(quadrature, "_BUDGET", len(cycles.cycles[0].nodes))
         with pytest.raises(ToleranceNotMet, match="budget"):
             period_matrix(spec, fiber_basis(spec), cycles, tol=1e-10)

@@ -3,12 +3,15 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expperiods import symbolic
 from expperiods.errors import AtSingularT, SpecFormatError
 from expperiods.symbolic import (
     LaurentPoly,
@@ -23,6 +26,7 @@ from expperiods.symbolic import (
     zpoly_gcd,
     zpoly_mul,
 )
+from test_cycles import bench_gen_and_refs
 
 # Derandomized so that the suite stays deterministic from run to run.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -310,6 +314,29 @@ class TestParser:
         assert parse_laurent("*".join(["(u+1)"] * 5 + ["u"] * 795)) == LaurentPoly.u(795) * (
             LaurentPoly.u() + LaurentPoly.one()
         ) ** 5
+
+    @pytest.mark.parametrize("text", ["(u+t)^10000", "7^100000000*u", "2^-100000000*u"])
+    def test_huge_power_refused_at_once(self, text):
+        # by growth, (u+t)^10000 would take hours and 7^100000000 minutes
+        start = time.perf_counter()
+        with pytest.raises(SpecFormatError, match="too large"):
+            parse_laurent(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_power_bound_keeps_every_family(self, monkeypatch):
+        # the benchmark's families, the fixtures' and a large constant power
+        # parse to the values they have with the bound lifted
+        gen, _refs = bench_gen_and_refs()
+        families = list(gen.LADDER + gen.FIXTURES + gen.SWEEP)
+        families += gen.pool(gen.EXACT_POOL) + gen.pool(gen.VERIFY_POOL)
+        texts = [g for _label, _fiber, g in families] + ["10^400*u^3/3 - t*u", "(u+t)^40-7^999*u"]
+        root = Path(__file__).resolve().parents[1]
+        for spec in sorted((root / "fixtures").glob("*.spec")):
+            texts += [line.split("=", 1)[1] for line in spec.read_text().splitlines()
+                      if line.replace(" ", "").startswith("g=")]
+        bounded = [parse_laurent(text) for text in texts]
+        monkeypatch.setattr(symbolic, "_POWER_BITS", math.inf)
+        assert bounded == [parse_laurent(text) for text in texts]
 
     @PROPERTY
     @given(
