@@ -43,7 +43,6 @@ from .errors import (
     ReductionDiverges,
     SingularProximity,
     SpecFormatError,
-    StepCollision,
     ToleranceNotMet,
 )
 from .quadrature import (
@@ -114,7 +113,6 @@ __all__ = [
     "SingularProximity",
     "SingularSet",
     "SpecFormatError",
-    "StepCollision",
     "TPoly",
     "ToleranceNotMet",
     "ValleyConfig",

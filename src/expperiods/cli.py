@@ -16,6 +16,7 @@ check failed, 4 tolerance or precision budget exhausted.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -39,7 +40,6 @@ from .errors import (
     RankZero,
     SingularProximity,
     SpecFormatError,
-    StepCollision,
     ToleranceNotMet,
 )
 from .quadrature import period_matrix, period_rows
@@ -127,16 +127,16 @@ def parse_positive_arg(text: str) -> int:
 
 
 def parse_complex_arg(text: str) -> complex:
-    """Parse 're' or 're,im' into a complex number (argparse type)."""
+    """Parse 're' or 're,im', both parts finite, into a complex number (argparse type)."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+            if cmath.isfinite(z):
+                return z
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected finite 're' or 're,im', got {text!r}")
 
 
 def _emit(payload: dict) -> None:
@@ -147,13 +147,14 @@ def _emit(payload: dict) -> None:
 def _assert_admissible(spec: ProblemSpec, t: complex):
     """Refuse evaluation inside (twice) a hard certified singular ball; return the set."""
     sigma = singular_set(spec)
-    for ball in sigma.hard_balls():
-        if abs(t - ball.center) <= 2.0 * ball.radius:
-            raise AtSingularT(
-                f"t={t} lies inside the certified singular ball at "
-                f"{ball.center} (radius {ball.radius:.3e}, "
-                f"provenance {', '.join(ball.provenance)})"
-            )
+    hit = sigma.near_hard_ball([t])
+    if hit is not None:
+        ball = hit[1]
+        raise AtSingularT(
+            f"t={t} lies inside the certified singular ball at "
+            f"{ball.center} (radius {ball.radius:.3e}, "
+            f"provenance {', '.join(ball.provenance)})"
+        )
     return sigma
 
 
@@ -389,12 +390,7 @@ def main(argv=None) -> int:
     except SpecFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (
-        DegenerateFamily,
-        AtSingularT,
-        SingularProximity,
-        StepCollision,
-    ) as exc:
+    except (DegenerateFamily, AtSingularT, SingularProximity) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return 2
     except (ToleranceNotMet, PrecisionExhausted, NonDecayingTail) as exc:

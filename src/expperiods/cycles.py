@@ -13,27 +13,26 @@ A cycle is its two ends (valley indices) and an integer winding: the number
 of 2*pi turns of the infinity end of the zero-to-infinity path.  One function,
 ``_cycle``, builds the polyline from these and the unwrapped valley centres
 of a ``ValleyConfig``.  Continuation moves the centres with the rotation of
-the leading coefficients, so the ends deform continuously, including their
-winding, rather than jumping between branch choices; the cycles are then
-rebuilt at the new parameter value.
+the leading coefficients, taken in closed form by the argument principle: the
+change of arg lc along a path is the sum, over the roots of lc, of the angle
+that each leg subtends there.  So the ends deform continuously, including
+their winding, rather than jumping between branch choices, and no step is
+taken; the cycles are then rebuilt at the new parameter value.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cohomology import FiberType, ProblemSpec, fiber_basis
-from .errors import (
-    AtSingularT,
-    NonDecayingTail,
-    RankZero,
-    SingularProximity,
-    StepCollision,
-)
+from .errors import AtSingularT, NonDecayingTail, RankZero, SingularProximity
+from .singular import segment_distances, squarefree_decomposition
+from .symbolic import TPoly
 
 TWO_PI = 2.0 * math.pi
 # maximum angular sweep between realized polyline nodes
@@ -239,17 +238,6 @@ def _realize(ring, closed: bool):
     return tuple(pts)
 
 
-def _segment_distance(a: complex, b: complex, p: complex) -> float:
-    """Distance from point p to the segment [a, b]."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    s = ((p - a) * ab.conjugate()).real / denom
-    s = min(1.0, max(0.0, s))
-    return abs(p - (a + s * ab))
-
-
 def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: ValleyConfig,
            radii, tol: float) -> RapidDecayCycle:
     """The one builder of a cycle: its polyline at cfg.t from its ends and winding.
@@ -293,11 +281,9 @@ def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: Val
                 f"(Re g = {decay:.3g} at {node})"
             )
     if spec.fiber is FiberType.PUNCTURED_LINE:
-        z = np.array(cycle.nodes)  # the point of each segment [a, a + ab] nearest to 0
-        a, ab = z[:-1], np.diff(z)
-        den = np.abs(ab) ** 2
-        s = np.clip(-(a * ab.conj()).real / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
-        assert np.abs(a + s * ab).min() > 1e-12, "cycle must stay away from the puncture at u = 0"
+        assert segment_distances(cycle.nodes, [0j]).min() > 1e-12, (
+            "cycle must stay away from the puncture at u = 0"
+        )
     return cycle
 
 
@@ -344,74 +330,77 @@ def cycle_basis(spec: ProblemSpec, t: complex, tol: float = 1e-12) -> CycleBasis
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _roots(lc: TPoly) -> np.ndarray:
+    """The roots of lc, each repeated by its multiplicity: numpy's roots of each
+    exact squarefree factor, so that a multiple root is not split into a cluster."""
+    roots = np.array([
+        z
+        for q, mult in squarefree_decomposition(lc)
+        for z in np.roots([float(c) for c in reversed(q.coeffs)])
+        for _ in range(mult)
+    ], complex)
+    roots.setflags(write=False)  # the cache hands this one array to every caller
+    return roots
+
+
+def _arg_change(lc: TPoly, path: np.ndarray) -> float:
+    """The change of arg lc(t) along the polyline ``path``: by the argument
+    principle, the sum over the roots z of lc of the angle phase((b - z) / (a - z))
+    that each leg [a, b] subtends at z.
+
+    Raises:
+        AtSingularT: if a leg runs through a root: within 1e-12 of it, relative
+            to the size of the root and of the path.
+    """
+    z = _roots(lc)
+    if (segment_distances(path, z) <= 1e-12 * (1.0 + np.abs(path).max() + np.abs(z))).any():
+        raise AtSingularT(f"the path runs through a zero of {lc.to_str()}")
+    return float(np.angle((path[1:, None] - z) / (path[:-1, None] - z)).sum())
+
+
 def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> CycleBasis:
     """Continue a cycle basis along a polyline path in the t-plane.
 
-    The valley centres at infinity and at zero rotate with -arg(lc_inf)/d and
-    +arg(lc_zero)/e respectively; steps are bisected until each leading
-    coefficient turns by at most pi/4 per step, so the argument is tracked
-    continuously and windings accumulate geometrically.  The cycles are then
-    rebuilt from their ends and windings on the moved centres.
+    The valley centres at infinity and at zero turn with -arg(lc_inf)/d and
+    +arg(lc_zero)/e respectively.  The change of each argument along the path
+    is taken in closed form by the argument principle (:func:`_arg_change`),
+    so windings accumulate exactly and no step is taken; g's coefficients are
+    evaluated once, at the end of the path, where the cycles are rebuilt from
+    their ends and windings on the moved centres.
 
     Args:
-        singular: optional SingularSet; legs must keep a distance of at least
+        singular: optional SingularSet; legs must keep a distance of more than
             twice the certified radius from every *hard* ball (vanishing
             leading coefficients and connection poles).  Balls that only mark
             critical-point degeneration are not obstacles to continuation.
 
     Raises:
         SingularProximity: if the path passes too close to a singular ball.
-        StepCollision: if step bisection fails to converge.
-        AtSingularT: if a leading coefficient vanishes along the path.
+        AtSingularT: if the path runs through a zero of a leading coefficient.
     """
     path = [complex(p) for p in path]
     if not path:
         return basis
     if abs(path[0] - basis.t) > 1e-9 * (1.0 + abs(basis.t)):
         raise ValueError("continuation path must start at the basis parameter")
+    if singular is not None:
+        hit = singular.near_hard_ball(path)
+        if hit is not None:
+            k, ball = hit
+            raise SingularProximity(
+                f"path leg {path[k:k + 2]} passes within twice the "
+                f"certified radius of the singular ball at {ball.center}"
+            )
 
+    vertices = np.array(path)
     d = spec.top_degree
-    e = -spec.bottom_order if spec.fiber is FiberType.PUNCTURED_LINE else 0
-
-    def lcs(t):  # (lc_inf, lc_zero, g's coefficient map) at t
-        gmap = spec.g.coeffs_at(t)
-        return (*_leading_coefficients(spec, gmap, t), gmap)
-
-    drift_inf = 0.0
+    drift_inf = -_arg_change(spec.g.coeff(d), vertices) / d
     drift_zero = 0.0
-    cur = path[0]
-    cur_lc = lcs(cur)
-    steps = 0
-    for target in path[1:]:
-        stack = [(cur, target, cur_lc, 0)]
-        while stack:
-            ta, tb, lca, depth = stack.pop()
-            if singular is not None:
-                for ball in singular.hard_balls():
-                    if _segment_distance(ta, tb, ball.center) <= 2.0 * ball.radius:
-                        raise SingularProximity(
-                            f"path leg [{ta}, {tb}] passes within twice the "
-                            f"certified radius of the singular ball at {ball.center}"
-                        )
-            lcb = lcs(tb)
-            da = cmath.phase(lcb[0] / lca[0])
-            dz = cmath.phase(lcb[1] / lca[1]) if e else 0.0
-            if max(abs(da), abs(dz)) > math.pi / 4.0:
-                if depth >= 60:
-                    raise StepCollision(
-                        "leading-coefficient rotation does not settle under bisection"
-                    )
-                mid = 0.5 * (ta + tb)
-                stack.append((mid, tb, lcs(mid), depth + 1))
-                stack.append((ta, mid, lca, depth + 1))
-                continue
-            drift_inf += -da / d
-            if e:
-                drift_zero += dz / e
-            steps += 1
-            if steps > 20000:
-                raise StepCollision("continuation exceeded the step budget")
-            cur, cur_lc = tb, lcb
+    if spec.fiber is FiberType.PUNCTURED_LINE:
+        drift_zero = _arg_change(spec.g.coeff(spec.bottom_order), vertices) / -spec.bottom_order
+    gmap = spec.g.coeffs_at(path[-1])
+    _leading_coefficients(spec, gmap, path[-1])  # the end admits a fresh basis too
 
     cfg = ValleyConfig(
         t=path[-1],
@@ -421,7 +410,7 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
         at_zero=tuple(
             replace(s, center=s.center + drift_zero) for s in basis.config.at_zero
         ),
-        gmap=cur_lc[2],
+        gmap=gmap,
     )
     radii = _radii(spec, cfg, basis.tol)
     cycles = tuple(

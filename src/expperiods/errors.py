@@ -29,10 +29,6 @@ class RankZero(EngineError):
     """The fiberwise cohomology is zero, so there are no cycles to build."""
 
 
-class StepCollision(EngineError):
-    """Valley sectors moved too far within one continuation step."""
-
-
 class SingularProximity(EngineError):
     """A parameter path passes too close to a certified singular ball."""
 

@@ -84,6 +84,26 @@ class SingularSet:
             b for b in self.balls if any(p in hard for p in b.provenance)
         )
 
+    def near_hard_ball(self, path):
+        """The first (leg index, hard ball) whose distance is at most twice the
+        ball's radius, legs in path order, or None.  A point is a one-vertex path."""
+        hard = self.hard_balls()
+        dist = segment_distances(path, [b.center for b in hard])
+        legs, balls = np.nonzero(dist <= 2.0 * np.array([b.radius for b in hard]))
+        return (int(legs[0]), hard[balls[0]]) if len(legs) else None
+
+
+def segment_distances(path, points) -> np.ndarray:
+    """Distances from each point to each leg of the polyline ``path``, shape
+    (legs, points); a one-vertex path is one leg of zero length."""
+    z = np.asarray(path, dtype=complex)
+    a = z[:-1, None] if len(z) > 1 else z[:, None]
+    ab = z[-len(a):, None] - a
+    p = np.asarray(points, dtype=complex)[None, :]
+    den = np.abs(ab) ** 2
+    s = np.clip(((p - a) * ab.conj()).real / np.where(den > 0.0, den, 1.0), 0.0, 1.0)
+    return np.abs(p - a - s * ab)
+
 
 # ---------------------------------------------------------------------------
 # Exact squarefree decomposition and resultants

@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests via main(argv)."""
 
+import argparse
 import json
 
 import pytest
@@ -101,6 +102,28 @@ class TestProblemFiles:
         assert parse_complex_arg("1,-2") == 1.0 - 2.0j
         with pytest.raises(Exception):
             parse_complex_arg("abc")
+        for text in ("nan", "inf", "-inf", "1,nan", "nan,1", "1,-inf", "infinity,0", "1e999"):
+            with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+                parse_complex_arg(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["periods", AIRY, "--t", "nan"],
+            ["cycles", AIRY, "--t", "inf"],
+            ["verify", AIRY, "--t", "1,nan"],
+            ["samples", AIRY, "--path", "1", "nan,1"],
+            ["monodromy", AIRY, "--center", "inf"],
+            ["monodromy", GAUSSIAN, "--center", "0", "--basepoint", "1,inf"],
+        ],
+    )
+    def test_non_finite_complex_argument_exits_two(self, capsys, argv):
+        # refused by argparse, as a bad --tol is: exit 2 before any work
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected finite 're' or 're,im'" in err and "Traceback" not in err
 
 
 class TestDerive:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from expperiods.cli import main, parse_complex_arg
 from expperiods.cohomology import FiberType, ProblemSpec, fiber_basis
 from expperiods.cycles import (
     cycle_basis,
@@ -154,15 +155,16 @@ class TestCycleBasis:
     def test_puncture_guard_measures_segments(self):
         # the guard in _cycle must reject a loop whose vertices clear 1e-12
         # but whose chords do not, exactly when the per-segment distance of
-        # _segment_distance is at most 1e-12
-        from expperiods.cycles import EndTag, _cycle, _radii, _realize, _segment_distance
+        # segment_distances is at most 1e-12
+        from expperiods.cycles import EndTag, _cycle, _radii, _realize
+        from expperiods.singular import segment_distances
 
         cfg = valley_config(BESSEL, 1.0)
         r_inf, rho_w, _rho_in, r_zero = _radii(BESSEL, cfg, 1e-12)
         loop = EndTag("interior", -1)
         for rho_in in (0.99e-12, 1.01e-12, 1.03e-12, 0.5):
             nodes = _realize([(rho_in, 0.0), (rho_in, TWO_PI)], True)
-            near = min(_segment_distance(a, b, 0.0) for a, b in zip(nodes, nodes[1:])) <= 1e-12
+            near = segment_distances(nodes, [0j]).min() <= 1e-12
             assert near == (rho_in < 1.02e-12)
             radii = (r_inf, rho_w, rho_in, r_zero)
             if near:
@@ -239,6 +241,42 @@ class TestTracking:
         # the loop cycle never moves
         assert moved.cycles[1].nodes == basis.cycles[1].nodes
 
+    def test_loop_about_both_roots_of_quadratic_lc(self):
+        # lc = t^2 + 1 has roots +-i; the circle |t| = 2 turns arg lc by 4*pi,
+        # so the d = 3 valleys rotate by exactly -4*pi/3
+        spec = make(FiberType.AFFINE_LINE, "(t^2+1)*u^3/3 - u")
+        basis = cycle_basis(spec, 2.0)
+        loop = [2.0 * cmath.exp(2j * math.pi * k / 24) for k in range(25)]
+        moved = track_cycles(spec, basis, loop)
+        for s0, s1 in zip(basis.config.at_infinity, moved.config.at_infinity, strict=True):
+            assert abs((s1.center - s0.center) - (-2.0 * TWO_PI / 3)) <= 1e-14
+
+    def test_path_near_root_needs_no_extra_vertex(self):
+        # a leg passing 1e-10 above Gaussian's root t = 0 (no singular set given)
+        # moves the basis as the same path with a vertex at its closest point
+        basis = cycle_basis(GAUSSIAN, 1.0 + 1e-10j)
+        one = track_cycles(GAUSSIAN, basis, [1.0 + 1e-10j, -1.0 + 1e-10j])
+        two = track_cycles(GAUSSIAN, basis, [1.0 + 1e-10j, 1e-10j, -1.0 + 1e-10j])
+        turn = math.pi - 2.0 * math.atan(1e-10)  # the angle the leg subtends at 0
+        for s0, s1, s2 in zip(basis.config.at_infinity, one.config.at_infinity,
+                              two.config.at_infinity, strict=True):
+            assert abs((s1.center - s0.center) - (-turn / 2)) <= 1e-14
+            assert abs(s1.center - s2.center) <= 1e-14
+        for c1, c2 in zip(one.cycles, two.cycles, strict=True):
+            assert (c1.start, c1.end, c1.winding) == (c2.start, c2.end, c2.winding)
+            assert len(c1.nodes) == len(c2.nodes)
+            for z1, z2 in zip(c1.nodes, c2.nodes):
+                assert abs(z1 - z2) <= 1e-13 * abs(z2)
+
+    @pytest.mark.parametrize("path", [["1", "-1"], ["1", "0"], ["1", "0,1", "0", "-1"]])
+    def test_path_through_root_raises(self, capsys, path):
+        basis = cycle_basis(GAUSSIAN, 1.0)
+        with pytest.raises(AtSingularT):
+            track_cycles(GAUSSIAN, basis, [parse_complex_arg(t) for t in path])
+        # with the singular set, as samples tracks, the path is refused too: exit 2
+        assert main(["samples", "fixtures/gaussian.spec", "--path", *path, "--n", "2"]) == 2
+        assert "precondition violated" in capsys.readouterr().err
+
     def test_hard_singularity_blocks_path(self):
         basis = cycle_basis(GAUSSIAN, 1.0)
         sigma = singular_set(GAUSSIAN)
@@ -254,8 +292,8 @@ class TestTracking:
 
     def test_exact_coefficients_evaluated_once_per_parameter(self, monkeypatch):
         # cycle_basis evaluates g's exact coefficients once, and track_cycles
-        # once per step; the valleys, radii and endpoint checks read the
-        # numeric map that the config carries
+        # once per call, at the end of its path; the valleys, radii and
+        # endpoint checks read the numeric map that the config carries
         from expperiods.symbolic import TPoly
 
         calls = []
@@ -272,7 +310,7 @@ class TestTracking:
             assert len(calls) == len(spec.g.terms)
             calls.clear()
             moved = track_cycles(spec, base, [t, t + 0.05, t + 0.1j])
-            assert len(calls) == 3 * len(spec.g.terms)
+            assert len(calls) == len(spec.g.terms)
             for cb in (base, moved):
                 assert cb.config.gmap == spec.g.coeffs_at(cb.t)
 

@@ -8,7 +8,8 @@ precision (or on ``periods --dps``).  Every module-level
 function and class has a caller in the package (a re-export counts) or in
 ``demos/``: code that only tests need does not belong in ``src/``.  Every
 function the traced benchmark reads a metric from still exists, so no metric
-of a traced run reads ``null``.
+of a traced run reads ``null``.  Every exception type is raised somewhere in
+the package, or is the base of one that is.
 """
 
 import ast
@@ -126,6 +127,52 @@ def test_detector_flags_unused_and_keeps_used():
 def test_every_definition_has_a_caller_outside_tests():
     callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     assert not uncalled_definitions(MODULES, callers)
+
+
+def unraised_exceptions(errors: ast.Module, sources) -> list:
+    """Classes of ``errors`` other than EngineError that no ``raise`` in
+    ``sources`` names and that are no base of a class that one names."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in errors.body if isinstance(node, ast.ClassDef)
+    }
+    live = set()
+    for tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                live.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    stack = list(live)
+    while stack:
+        for base in bases.get(stack.pop(), []):
+            if base not in live:
+                live.add(base)
+                stack.append(base)
+    return sorted(set(bases) - live - {"EngineError"})
+
+
+def test_every_exception_type_is_raised():
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    assert not unraised_exceptions(ast.parse((PACKAGE / "errors.py").read_text()), trees)
+
+
+def test_unraised_exception_detector():
+    errors = ast.parse(
+        "class EngineError(Exception): pass\n"
+        "class Dead(EngineError): pass\n"
+        "class Base(EngineError): pass\n"
+        "class Child(Base): pass\n"
+        "class Bare(EngineError): pass\n"
+    )
+    app = ast.parse(
+        "from errors import Child, Dead\n"
+        "def f(x):\n"
+        "    if x: raise Child('no')\n"
+        "    raise errors.Bare\n"
+        "def g():\n"
+        "    return Dead\n"
+    )
+    assert unraised_exceptions(errors, [app]) == ["Dead"]
 
 
 def test_traced_bench_sources_exist():
