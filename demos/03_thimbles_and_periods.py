@@ -30,7 +30,7 @@ airy = ProblemSpec(FiberType.AFFINE_LINE, parse_laurent("u^3/3 - t*u"), "airy")
 
 config = valley_config(airy, 0.0)
 print("Airy decay valleys at infinity (centers, in degrees):",
-      [round(math.degrees(s.center), 1) for s in config.at_infinity])
+      [round(math.degrees(a), 1) for a in config.at_infinity])
 
 basis = cycle_basis(airy, 0.0)
 print(f"cycle basis has {basis.rank} contours; "

@@ -26,7 +26,6 @@ from .cycles import (
     CycleBasis,
     EndTag,
     RapidDecayCycle,
-    Sector,
     ValleyConfig,
     cycle_basis,
     track_cycles,
@@ -109,7 +108,6 @@ __all__ = [
     "RootBall",
     "STOKES_SEED",
     "ScalarODE",
-    "Sector",
     "SingularProximity",
     "SingularSet",
     "SpecFormatError",

@@ -9,15 +9,17 @@ punctured line).  The basis consists of
 * one path from a valley at zero to a valley at infinity (punctured line),
 * one closed loop around u = 0 (punctured line).
 
-A cycle is its two ends (valley indices) and an integer winding: the number
-of 2*pi turns of the infinity end of the zero-to-infinity path.  One function,
-``_cycle``, builds the polyline from these and the unwrapped valley centres
-of a ``ValleyConfig``.  Continuation moves the centres with the rotation of
-the leading coefficients, taken in closed form by the argument principle: the
-change of arg lc along a path is the sum, over the roots of lc, of the angle
-that each leg subtends there.  So the ends deform continuously, including
-their winding, rather than jumping between branch choices, and no step is
-taken; the cycles are then rebuilt at the new parameter value.
+A valley is its centre angle, and a cycle is its two ends (valley indices)
+and an integer winding: the number of 2*pi turns of the infinity end of the
+zero-to-infinity path.  One function, ``_cycle``, builds the polyline from
+these and the unwrapped valley centres of a ``ValleyConfig``.  Continuation
+moves the centres with the rotation of the leading coefficients, taken in
+closed form by the argument principle: the change of arg lc along a path is
+the sum, over the roots of lc, of the angle that each leg subtends there.  So
+the ends deform continuously, including their winding, rather than jumping
+between branch choices, and no step is taken; the cycles are then rebuilt at
+the new parameter value.  A closed loop turns arg lc by whole turns, so a
+loop that encloses no root of lc gives back the very same cycles.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,30 +44,26 @@ _DECAY_MARGIN = 40.0
 
 
 @dataclass(frozen=True)
-class Sector(object):
-    """An angular valley sector: rays with |angle - center| <= half_width."""
-
-    index: int
-    center: float
-    half_width: float
-
-
-@dataclass(frozen=True)
 class ValleyConfig(object):
-    """Valley sectors of Re g at u = infinity and (punctured line) u = 0."""
+    """Valleys of Re g at u = infinity and (punctured line) u = 0, each its centre angle.
+
+    The n valleys of a family have half-width pi/(2n).  Continuation adds the drift
+    -arg(lc_inf)/d or +arg(lc_zero)/e to the centres, unwrapped: a closed loop turns
+    arg lc by whole turns, so one enclosing no root of lc leaves them as they were.
+    """
 
     t: complex
-    at_infinity: tuple
-    at_zero: tuple  # empty tuple on the affine line
+    at_infinity: tuple  # float centre angles
+    at_zero: tuple  # float centre angles; empty tuple on the affine line
     gmap: dict = field(compare=False, repr=False)  # g's numeric coefficients at t
 
 
 @dataclass(frozen=True)
 class EndTag(object):
-    """Where a cycle end lives: a valley sector, or the compact interior."""
+    """Where a cycle end lives: a valley, or the compact interior."""
 
     kind: str  # "valley_inf" | "valley_zero" | "interior"
-    index: int  # sector index; -1 for interior
+    index: int  # valley index; -1 for interior
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,6 @@ class RapidDecayCycle(object):
     winding: int  # 2*pi turns of the infinity end of a zero-to-infinity path
     r_inf: float  # truncation radius at infinity (0.0 if no such end)
     r_zero: float  # truncation radius at zero (0.0 if no such end)
-    tol: float  # decay tolerance the truncation radii were designed for
 
     @property
     def closed(self) -> bool:
@@ -98,18 +95,16 @@ class CycleBasis(object):
         def tag(e):
             return {"kind": e.kind, "index": e.index}
 
+        def valleys(centers):  # a valley's index is its position; its half-width pi/(2n)
+            return [{"index": j, "center": c, "half_width": math.pi / (2 * len(centers))}
+                    for j, c in enumerate(centers)]
+
         return {
             "t": [self.t.real, self.t.imag],
             "tol": self.tol,
             "config": {
-                "at_infinity": [
-                    {"index": s.index, "center": s.center, "half_width": s.half_width}
-                    for s in self.config.at_infinity
-                ],
-                "at_zero": [
-                    {"index": s.index, "center": s.center, "half_width": s.half_width}
-                    for s in self.config.at_zero
-                ],
+                "at_infinity": valleys(self.config.at_infinity),
+                "at_zero": valleys(self.config.at_zero),
             },
             "cycles": [
                 {
@@ -118,7 +113,7 @@ class CycleBasis(object):
                     "closed": c.closed,
                     "r_inf": c.r_inf,
                     "r_zero": c.r_zero,
-                    "tol": c.tol,
+                    "tol": self.tol,
                     "winding": c.winding,
                     "nodes": [[z.real, z.imag] for z in c.nodes],
                 }
@@ -147,7 +142,7 @@ def _leading_coefficients(spec: ProblemSpec, gmap: dict, t: complex):
 
 
 def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:
-    """Valley sectors of e^{g(u, t)} at the given parameter value.
+    """Valley centre angles of e^{g(u, t)} at the given parameter value.
 
     The centres of each family are sorted in [0, 2*pi).
 
@@ -159,22 +154,16 @@ def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:
     gmap = spec.g.coeffs_at(t)
     lc_inf, lc_zero = _leading_coefficients(spec, gmap, t)
 
-    def sectors(base: float, n: int):
-        centers = sorted((base + TWO_PI * j / n) % TWO_PI for j in range(n))
-        return tuple(
-            Sector(index=j, center=c, half_width=math.pi / (2 * n))
-            for j, c in enumerate(centers)
-        )
+    def centers(base: float, n: int):
+        return tuple(sorted((base + TWO_PI * j / n) % TWO_PI for j in range(n)))
 
     d = spec.top_degree
-    zero_sectors = ()
+    at_zero = ()
     if lc_zero is not None:
         e = -spec.bottom_order
-        zero_sectors = sectors((cmath.phase(lc_zero) - math.pi) / e, e)
+        at_zero = centers((cmath.phase(lc_zero) - math.pi) / e, e)
     return ValleyConfig(
-        t=t,
-        at_infinity=sectors((math.pi - cmath.phase(lc_inf)) / d, d),
-        at_zero=zero_sectors,
+        t=t, at_infinity=centers((math.pi - cmath.phase(lc_inf)) / d, d), at_zero=at_zero,
         gmap=gmap,
     )
 
@@ -198,9 +187,9 @@ def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
     rho_in = min(1.0, min((c / 2.0 for c in crit), default=1.0))
     target = -math.log(tol) + _DECAY_MARGIN
 
-    def search(r: float, factor: float, sectors, where: str) -> float:
+    def search(r: float, factor: float, centers, where: str) -> float:
         for _ in range(200):
-            rays = (r * cmath.exp(1j * s.center) for s in sectors)
+            rays = (r * cmath.exp(1j * a) for a in centers)
             if all(sum(c * u ** k for k, c in gmap.items()).real <= -target for u in rays):
                 return r
             r *= factor
@@ -247,8 +236,7 @@ def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: Val
     ring rho_w or rho_in; the loop is the circle of radius rho_in.
     """
     r_inf, rho_w, rho_in, r_zero = radii
-    inf = [s.center for s in cfg.at_infinity]
-    zero = [s.center for s in cfg.at_zero]
+    inf, zero = cfg.at_infinity, cfg.at_zero
     if start.kind == "interior":  # counterclockwise loop around the puncture
         ring = [(rho_in, 0.0), (rho_in, TWO_PI)]
     elif end.kind == "valley_zero":
@@ -270,7 +258,6 @@ def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: Val
         winding=winding,
         r_inf=r_inf if "valley_inf" in ends else 0.0,
         r_zero=r_zero if "valley_zero" in ends else 0.0,
-        tol=tol,
     )
     target = -math.log(tol)
     for tag, node in ((start, cycle.nodes[0]), (end, cycle.nodes[-1])):
@@ -314,7 +301,7 @@ def cycle_basis(spec: ProblemSpec, t: complex, tol: float = 1e-12) -> CycleBasis
         ends += [(EndTag("valley_zero", j - 1), EndTag("valley_zero", j), 0) for j in range(1, e)]
         # one path from a valley at zero to the turn of valley 0 at infinity
         # whose angle lies in (phi - pi, phi + pi]
-        phi, theta = cfg.at_zero[0].center, cfg.at_infinity[0].center
+        phi, theta = cfg.at_zero[0], cfg.at_infinity[0]
         winding = -math.floor((theta - phi + math.pi - 1e-9) / TWO_PI)
         ends.append((EndTag("valley_zero", 0), EndTag("valley_inf", 0), winding))
         ends.append((EndTag("interior", -1), EndTag("interior", -1), 0))
@@ -347,7 +334,8 @@ def _roots(lc: TPoly) -> np.ndarray:
 def _arg_change(lc: TPoly, path: np.ndarray) -> float:
     """The change of arg lc(t) along the polyline ``path``: by the argument
     principle, the sum over the roots z of lc of the angle phase((b - z) / (a - z))
-    that each leg [a, b] subtends at z.
+    that each leg [a, b] subtends at z.  On a closed path each root's total is
+    rounded to its whole number of turns.
 
     Raises:
         AtSingularT: if a leg runs through a root: within 1e-12 of it, relative
@@ -356,7 +344,10 @@ def _arg_change(lc: TPoly, path: np.ndarray) -> float:
     z = _roots(lc)
     if (segment_distances(path, z) <= 1e-12 * (1.0 + np.abs(path).max() + np.abs(z))).any():
         raise AtSingularT(f"the path runs through a zero of {lc.to_str()}")
-    return float(np.angle((path[1:, None] - z) / (path[:-1, None] - z)).sum())
+    angles = np.angle((path[1:, None] - z) / (path[:-1, None] - z))
+    if path[0] == path[-1]:
+        return TWO_PI * float(np.round(angles.sum(axis=0) / TWO_PI).sum())
+    return float(angles.sum())
 
 
 def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> CycleBasis:
@@ -404,16 +395,12 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
 
     cfg = ValleyConfig(
         t=path[-1],
-        at_infinity=tuple(
-            replace(s, center=s.center + drift_inf) for s in basis.config.at_infinity
-        ),
-        at_zero=tuple(
-            replace(s, center=s.center + drift_zero) for s in basis.config.at_zero
-        ),
+        at_infinity=tuple(a + drift_inf for a in basis.config.at_infinity),
+        at_zero=tuple(a + drift_zero for a in basis.config.at_zero),
         gmap=gmap,
     )
     radii = _radii(spec, cfg, basis.tol)
     cycles = tuple(
-        _cycle(spec, c.start, c.end, c.winding, cfg, radii, c.tol) for c in basis.cycles
+        _cycle(spec, c.start, c.end, c.winding, cfg, radii, basis.tol) for c in basis.cycles
     )
     return CycleBasis(t=cfg.t, config=cfg, cycles=cycles, tol=basis.tol)

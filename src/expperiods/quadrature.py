@@ -426,23 +426,11 @@ def _integrate_mp(spec, cycle, form, t, dps):
             g = sum(c * u ** k for k, c in gmap.items())
             return p * mp.exp(g)
 
-        total = mp.mpc(0)
-        err_total = mp.mpf(0)
-        neval = 0
-        for z0, z1 in zip(cycle.nodes, cycle.nodes[1:]):
-            if z0 == z1:
-                continue
-            a, b = mp.mpc(z0), mp.mpc(z1)
-            val, err = mp.quad(
-                lambda s, a=a, b=b: f(a + s * (b - a)) * (b - a),
-                [0, 1],
-                error=True,
-            )
-            total += val
-            err_total += err
-            neval += 1
-        value = complex(total)
-        error = float(err_total) + truncation
+        # mp.quad runs along the polyline, skips its zero-length legs and sums the
+        # values and error estimates of the others
+        total, err = mp.quad(f, [mp.mpc(z) for z in cycle.nodes], error=True)
+        value, error = complex(total), float(err) + truncation
+    neval = sum(z0 != z1 for z0, z1 in zip(cycle.nodes, cycle.nodes[1:]))
     return PeriodValue(value=value, error=error, truncation=truncation, neval=neval)
 
 

@@ -457,12 +457,6 @@ class LaurentPoly:
         """Numeric coefficient map ``{k: c_k(t)}`` for a fixed parameter value."""
         return {k: c.eval(t) for k, c in self.terms.items()}
 
-    def eval(self, t, u):
-        acc = 0
-        for k, c in self.terms.items():
-            acc = acc + c.eval(t) * u ** k
-        return acc
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 

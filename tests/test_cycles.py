@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from expperiods.cli import main, parse_complex_arg
@@ -66,35 +67,35 @@ def verify_cases():
 
 
 def eval_g(spec, t, u):
-    return spec.g.eval(t, u)
+    return sum(c * u ** k for k, c in spec.g.coeffs_at(t).items())
 
 
 class TestValleyConfig:
     def test_airy_three_valleys(self):
         cfg = valley_config(AIRY, 0.0)
-        centers = [s.center for s in cfg.at_infinity]
-        assert centers == pytest.approx([math.pi / 3, math.pi, 5 * math.pi / 3])
-        assert all(s.half_width == pytest.approx(math.pi / 6) for s in cfg.at_infinity)
+        assert list(cfg.at_infinity) == pytest.approx([math.pi / 3, math.pi, 5 * math.pi / 3])
+        valleys = cycle_basis(AIRY, 0.0).to_json_dict()["config"]["at_infinity"]
+        assert all(v["half_width"] == pytest.approx(math.pi / 6) for v in valleys)
         assert cfg.at_zero == ()
 
     def test_gaussian_two_valleys(self):
         cfg = valley_config(GAUSSIAN, 1.0)
-        assert [s.center for s in cfg.at_infinity] == pytest.approx([0.0, math.pi])
+        assert list(cfg.at_infinity) == pytest.approx([0.0, math.pi])
 
     def test_bessel_valleys_both_ends(self):
         cfg = valley_config(BESSEL, 1.0)
-        assert [s.center for s in cfg.at_infinity] == pytest.approx([math.pi])
-        assert [s.center for s in cfg.at_zero] == pytest.approx([0.0])
+        assert list(cfg.at_infinity) == pytest.approx([math.pi])
+        assert list(cfg.at_zero) == pytest.approx([0.0])
 
     def test_centers_are_decay_directions(self):
         # Re g must be very negative along each valley center ray
         for spec, t in ((AIRY, 0.5 + 0.2j), (GAUSSIAN, 2.0), (BESSEL, 1.0 + 1.0j)):
             cfg = valley_config(spec, t)
-            for s in cfg.at_infinity:
-                u = 200.0 * cmath.exp(1j * s.center)
+            for a in cfg.at_infinity:
+                u = 200.0 * cmath.exp(1j * a)
                 assert eval_g(spec, t, u).real < -100.0
-            for s in cfg.at_zero:
-                u = 1e-4 * cmath.exp(1j * s.center)
+            for a in cfg.at_zero:
+                u = 1e-4 * cmath.exp(1j * a)
                 assert eval_g(spec, t, u).real < -100.0
 
     def test_singular_t_rejected(self):
@@ -131,6 +132,21 @@ class TestCycleBasis:
                 for node in (cyc.nodes[0], cyc.nodes[-1]):
                     # far below the design tolerance, with margin
                     assert eval_g(spec, t, node).real < math.log(1e-12)
+
+    def test_json_valleys_by_position_and_one_tolerance(self):
+        # a valley prints its position as index and pi/(2n) as half-width, and
+        # every cycle prints the basis tolerance
+        for spec in (AIRY, BESSEL):
+            basis = cycle_basis(spec, 1.0, tol=1e-9)
+            d = basis.to_json_dict()
+            for key in ("at_infinity", "at_zero"):
+                centers = getattr(basis.config, key)
+                assert d["config"][key] == [
+                    {"index": j, "center": a, "half_width": math.pi / (2 * len(centers))}
+                    for j, a in enumerate(centers)
+                ]
+            assert [c["tol"] for c in d["cycles"]] == [d["tol"]] * basis.rank
+            assert d["tol"] == 1e-9
 
     def test_bessel_structure(self):
         basis = cycle_basis(BESSEL, 1.0)
@@ -182,6 +198,32 @@ class TestCycleBasis:
 
 
 class TestTracking:
+    def test_loop_enclosing_no_root_of_lc_gives_back_the_cycles(self):
+        # a closed loop turns arg lc by whole turns about each root of lc, so a
+        # loop that encloses none gives back the very same cycles: over the
+        # loops about every ball of the verify pool (24-gon, default basepoint)
+        loops = 0
+        for _label, spec, _t in verify_cases():
+            if fiber_basis(spec).rank == 0:
+                continue
+            sigma = singular_set(spec)
+            lcs = [spec.g.coeff(spec.top_degree)]
+            if spec.fiber is FiberType.PUNCTURED_LINE:
+                lcs.append(spec.g.coeff(spec.bottom_order))
+            roots = [z for lc in lcs for z in np.roots([float(c) for c in reversed(lc.coeffs)])]
+            for ball in sigma.balls:
+                c = ball.center
+                gaps = [abs(b.center - c) - b.radius for b in sigma.balls if b is not ball]
+                rho = min(gaps, default=2.0) / 2.0
+                if any(abs(z - c) < rho for z in roots):
+                    continue
+                loop = [c + rho * cmath.exp(2j * math.pi * k / 24) for k in range(24)]
+                base = cycle_basis(spec, c + rho)
+                moved = track_cycles(spec, base, loop + [c + rho], singular=sigma)
+                assert moved.cycles == base.cycles
+                loops += 1
+        assert loops == 48
+
     def test_trivial_path_is_identity(self):
         basis = cycle_basis(GAUSSIAN, 1.0)
         moved = track_cycles(GAUSSIAN, basis, [1.0, 1.0])
@@ -198,8 +240,8 @@ class TestTracking:
         one = track_cycles(AIRY, basis, [1.0, 1.0 + 1.0j])
         mid = track_cycles(AIRY, basis, [1.0, 1.0 + 0.5j])
         two = track_cycles(AIRY, mid, [1.0 + 0.5j, 1.0 + 1.0j])
-        for s1, s2 in zip(one.config.at_infinity, two.config.at_infinity):
-            assert s1.center == pytest.approx(s2.center, abs=1e-12)
+        for a1, a2 in zip(one.config.at_infinity, two.config.at_infinity):
+            assert a1 == pytest.approx(a2, abs=1e-12)
         for c1, c2 in zip(one.cycles, two.cycles):
             assert c1.winding == c2.winding
             for z1, z2 in ((c1.nodes[0], c2.nodes[0]), (c1.nodes[-1], c2.nodes[-1])):
@@ -210,8 +252,8 @@ class TestTracking:
         basis = cycle_basis(GAUSSIAN, 1.0)
         loop = [cmath.exp(2j * math.pi * k / 24) for k in range(25)]
         moved = track_cycles(GAUSSIAN, basis, loop)
-        for s0, s1 in zip(basis.config.at_infinity, moved.config.at_infinity):
-            assert s1.center - s0.center == pytest.approx(-math.pi)
+        for a0, a1 in zip(basis.config.at_infinity, moved.config.at_infinity):
+            assert a1 - a0 == pytest.approx(-math.pi)
         c0, c1 = basis.cycles[0], moved.cycles[0]
         for z0, z1 in ((c0.nodes[0], c1.nodes[0]), (c0.nodes[-1], c1.nodes[-1])):
             assert abs(cmath.phase(z1 / z0)) == pytest.approx(math.pi)
@@ -221,10 +263,8 @@ class TestTracking:
         loop = [cmath.exp(2j * math.pi * k / 24) for k in range(25)]
         moved = track_cycles(BESSEL, basis, loop)
         # zero-family centres advance by +2*pi, infinity-family centres by -2*pi
-        assert moved.config.at_zero[0].center - basis.config.at_zero[0].center == (
-            pytest.approx(TWO_PI)
-        )
-        assert moved.config.at_infinity[0].center - basis.config.at_infinity[0].center == (
+        assert moved.config.at_zero[0] - basis.config.at_zero[0] == pytest.approx(TWO_PI)
+        assert moved.config.at_infinity[0] - basis.config.at_infinity[0] == (
             pytest.approx(-TWO_PI)
         )
         conn = moved.cycles[0]  # the zero-to-infinity path
@@ -248,8 +288,8 @@ class TestTracking:
         basis = cycle_basis(spec, 2.0)
         loop = [2.0 * cmath.exp(2j * math.pi * k / 24) for k in range(25)]
         moved = track_cycles(spec, basis, loop)
-        for s0, s1 in zip(basis.config.at_infinity, moved.config.at_infinity, strict=True):
-            assert abs((s1.center - s0.center) - (-2.0 * TWO_PI / 3)) <= 1e-14
+        for a0, a1 in zip(basis.config.at_infinity, moved.config.at_infinity, strict=True):
+            assert abs((a1 - a0) - (-2.0 * TWO_PI / 3)) <= 1e-14
 
     def test_path_near_root_needs_no_extra_vertex(self):
         # a leg passing 1e-10 above Gaussian's root t = 0 (no singular set given)
@@ -258,10 +298,10 @@ class TestTracking:
         one = track_cycles(GAUSSIAN, basis, [1.0 + 1e-10j, -1.0 + 1e-10j])
         two = track_cycles(GAUSSIAN, basis, [1.0 + 1e-10j, 1e-10j, -1.0 + 1e-10j])
         turn = math.pi - 2.0 * math.atan(1e-10)  # the angle the leg subtends at 0
-        for s0, s1, s2 in zip(basis.config.at_infinity, one.config.at_infinity,
+        for a0, a1, a2 in zip(basis.config.at_infinity, one.config.at_infinity,
                               two.config.at_infinity, strict=True):
-            assert abs((s1.center - s0.center) - (-turn / 2)) <= 1e-14
-            assert abs(s1.center - s2.center) <= 1e-14
+            assert abs((a1 - a0) - (-turn / 2)) <= 1e-14
+            assert abs(a1 - a2) <= 1e-14
         for c1, c2 in zip(one.cycles, two.cycles, strict=True):
             assert (c1.start, c1.end, c1.winding) == (c2.start, c2.end, c2.winding)
             assert len(c1.nodes) == len(c2.nodes)

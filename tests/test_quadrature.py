@@ -266,6 +266,16 @@ class TestExtendedPrecision:
         pv = integrate_period(AIRY, basis.cycles[0], 0, 0.0, dps=35)
         assert abs(pv.value - airy_zero_oracle()) < 1e-14
 
+    def test_neval_counts_nonzero_segments(self):
+        # a repeated vertex adds a zero-length segment, which is neither
+        # integrated nor counted
+        cycle = cycle_basis(GAUSSIAN, 1.0).cycles[0]
+        doubled = dataclasses.replace(cycle, nodes=cycle.nodes[:3] + cycle.nodes[2:])
+        pv = integrate_period(GAUSSIAN, cycle, 0, 1.0, dps=20)
+        pv2 = integrate_period(GAUSSIAN, doubled, 0, 1.0, dps=20)
+        assert pv.neval == pv2.neval == len(cycle.nodes) - 1
+        assert (pv2.value, pv2.error) == (pv.value, pv.error)
+
 
 class TestAbsoluteIntegral:
     def test_triangle_inequality(self):

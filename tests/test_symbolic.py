@@ -233,12 +233,12 @@ class TestLaurentPoly:
         with pytest.raises(SpecFormatError):
             parse_laurent("(t^2-t)/t*u")
 
-    def test_eval_and_coeffs_at(self):
+    def test_coeffs_at(self):
         g = parse_laurent("(t/2)*(u - u^-1)")
-        t, u = 1.0 + 0.5j, 0.3 - 0.2j
-        direct = g.eval(t, u)
+        t = 1.0 + 0.5j
         cmap = g.coeffs_at(t)
-        assert abs(direct - sum(c * u ** k for k, c in cmap.items())) < 1e-14
+        assert sorted(cmap) == [-1, 1]
+        assert abs(cmap[1] - t / 2) < 1e-15 and abs(cmap[-1] + t / 2) < 1e-15
 
     def test_to_str_round_trip(self):
         rng = random.Random(23)

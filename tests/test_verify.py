@@ -215,6 +215,26 @@ class TestMonodromy:
         result = monodromy(spec, soft.center, singular=sigma)
         assert result.record.passed and result.record.residual < 1e-12
 
+    def test_loop_enclosing_no_root_integrates_its_cycles_once(self, monkeypatch):
+        # the bench's loop about verify_aff02's nearest ball encloses no root of
+        # lc: its 3 cycles come back onto their own polylines, so the one kernel
+        # run integrates each of them once, 3 polylines in all
+        from test_cycles import verify_cases
+
+        spec, t = next((spec, t) for label, spec, t in verify_cases() if label == "verify_aff02")
+        sigma = singular_set(spec)
+        nearest = min(sigma.balls, key=lambda b: abs(b.center - t))
+        runs = []
+        real = quadrature._gk_vector
+
+        def spy(fs, polylines, tol):
+            runs.append(len(polylines))
+            return real(fs, polylines, tol)
+
+        monkeypatch.setattr(quadrature, "_gk_vector", spy)
+        monodromy(spec, nearest.center, singular=sigma)
+        assert runs == [3]
+
     def test_bessel_matches_to_1e_12(self):
         result = monodromy(BESSEL, 0.0)
         assert result.record.residual <= 1e-12
