@@ -39,7 +39,6 @@ from .errors import (
     NonDecayingTail,
     PrecisionExhausted,
     RankZero,
-    ReductionDiverges,
     SingularProximity,
     SpecFormatError,
     ToleranceNotMet,
@@ -104,7 +103,6 @@ __all__ = [
     "RankZero",
     "RapidDecayCycle",
     "RatFun",
-    "ReductionDiverges",
     "RootBall",
     "STOKES_SEED",
     "ScalarODE",

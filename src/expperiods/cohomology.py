@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AtSingularT,
-    DegenerateFamily,
-    ReductionDiverges,
-    SingularProximity,
-    SpecFormatError,
-)
+from .errors import AtSingularT, DegenerateFamily, SingularProximity, SpecFormatError
 from .symbolic import (
     LaurentPoly,
     RatFun,
@@ -69,10 +63,15 @@ class ProblemSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.g.partial_u().is_zero():
+        if self.dg.is_zero():
             raise DegenerateFamily("g does not depend on u")
         if self.fiber is FiberType.AFFINE_LINE and self.g.u_order < 0:
             raise SpecFormatError("negative u-powers are not functions on the affine line")
+
+    @functools.cached_property
+    def dg(self) -> LaurentPoly:
+        """``dg/du``, in g's term order; it has no ``u^-1`` term."""
+        return self.g.partial_u()
 
     @property
     def top_degree(self) -> int:
@@ -122,22 +121,7 @@ def fiber_basis(spec: ProblemSpec) -> CohomologyBasis:
 
 def twisted_differential(Q: LaurentPoly, spec: ProblemSpec) -> LaurentPoly:
     """du-coefficient of the twisted differential of the function Q."""
-    return Q.partial_u() + Q * spec.g.partial_u()
-
-
-def _gauge_terms(spec: ProblemSpec, k: int) -> dict:
-    """Terms of the twisted differential of the monomial gauge u^k."""
-    out = {}
-    for j, aj in spec.g.terms.items():
-        if j != 0:
-            key = k + j - 1
-            c = aj * j
-            out[key] = out[key] + c if key in out else c
-    if k != 0:
-        key = k - 1
-        c = TPoly.const(k)
-        out[key] = out[key] + c if key in out else c
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return Q.partial_u() + Q * spec.dg
 
 
 def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> list:
@@ -145,20 +129,24 @@ def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> li
 
     Repeatedly subtracts twisted differentials of monomial gauges to push the
     u-support of P into the basis window: from above using the top term of g,
-    and (punctured line) from below using the bottom term.  All arithmetic is
-    exact.  Every division is by ``top`` or ``bottom``, the u-leading
-    coefficients of these gauges, so each work entry is carried as ``(N, a, b)``,
-    the ``TPoly`` numerator ``N`` over ``top^a * bottom^b``, and reduced to a
-    ``RatFun`` once, at the end.
+    and (punctured line) from below using the bottom term.  The gauge of
+    ``u^k`` is ``k u^(k-1) + u^k dg/du``: ``dg/du`` shifted by k.  All
+    arithmetic is exact.  Every division is by ``top`` or ``bottom``, the
+    u-leading coefficients of these gauges, so each work entry is carried as
+    ``(N, a, b)``, the ``TPoly`` numerator ``N`` over ``top^a * bottom^b``,
+    and reduced to a ``RatFun`` once, at the end.
 
-    Raises:
-        ReductionDiverges: if the support fails to shrink (cannot happen for
-            well-formed specs; kept as a hard safety check).
+    The reduction ends because every step cancels the current extreme
+    exponent m exactly.  From above, a step adds only exponents ``<= m - 1``,
+    so that pass takes at most ``max(P) - hi_cut + 1`` steps.  From below
+    (``m < -e``), a step adds only exponents in ``[m + 1, m + e + d]``, all
+    below d, so that pass never brings back a term above the window.
     """
     if spec.fiber is FiberType.AFFINE_LINE and not P.is_zero() and P.u_order < 0:
         raise SpecFormatError("form has negative u-powers on the affine line")
     d = spec.top_degree
-    top = spec.g.coeff(d) * d  # coefficient of u^{k+d-1} in the gauge of u^k
+    dg = spec.dg
+    top = dg.coeff(d - 1)  # coefficient of u^{k+d-1} in the gauge of u^k
     work = {k: (c, 0, 0) for k, c in P.terms.items()}
 
     if spec.fiber is FiberType.AFFINE_LINE:
@@ -166,9 +154,8 @@ def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> li
     else:
         hi_cut = d
         e = -spec.bottom_order
-        bottom = spec.g.coeff(-e) * (-e)
+        bottom = dg.coeff(-e - 1)
 
-    budget = 2 * (len(work) + (max(work) - min(work) if work else 0)) + 8 * (d + 4)
     powers = ([TPoly.one()], [TPoly.one()])  # powers of top, of bottom
 
     def lift(N: TPoly, a: int, b: int) -> TPoly:
@@ -181,13 +168,12 @@ def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> li
         return N
 
     def _subtract_gauge(m: int, k: int, da: int, db: int):
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ReductionDiverges("reduction budget exhausted")
         N, a, b = work[m]
         a, b = a + da, b + db  # the multiplier N / (top^a * bottom^b)
-        for key, tp in _gauge_terms(spec, k).items():
+        gauge = {k + j: c for j, c in dg.terms.items()}  # dg has no u^-1 term: no key clash
+        if k:
+            gauge[k - 1] = TPoly.const(k)
+        for key, tp in gauge.items():
             M, x, y = work.get(key, (TPoly.zero(), a, b))
             A, B = max(x, a), max(y, b)
             new = lift(M, A - x, B - y) - lift(N * tp, A - a, B - b)

@@ -128,17 +128,18 @@ class CycleBasis(object):
 
 
 def _leading_coefficients(spec: ProblemSpec, gmap: dict, t: complex):
-    """(lc_inf, lc_zero) from g's coefficient map at t; AtSingularT if either vanishes."""
-    scale = 1.0 + max((abs(c) for c in gmap.values()), default=0.0)
-    lc_inf = gmap.get(spec.top_degree, 0j)
-    if abs(lc_inf) <= 1e-13 * scale:
-        raise AtSingularT(f"top leading coefficient vanishes at t={t}")
-    lc_zero = None
+    """(lc_inf, lc_zero) from g's coefficient map at t; AtSingularT if either is negligible."""
+    big = max((abs(c) for c in gmap.values()), default=0.0)
+    lcs = {"top": gmap.get(spec.top_degree, 0j)}
     if spec.fiber is FiberType.PUNCTURED_LINE:
-        lc_zero = gmap.get(spec.bottom_order, 0j)
-        if abs(lc_zero) <= 1e-13 * scale:
-            raise AtSingularT(f"bottom leading coefficient vanishes at t={t}")
-    return lc_inf, lc_zero
+        lcs["bottom"] = gmap.get(spec.bottom_order, 0j)
+    for end, lc in lcs.items():
+        if abs(lc) <= 1e-13 * (1.0 + big):
+            raise AtSingularT(
+                f"{end} leading coefficient too small against the others at t={t}: "
+                f"|lc(t)| = {abs(lc):.3g}, largest coefficient {big:.3g}"
+            )
+    return lcs["top"], lcs.get("bottom")
 
 
 def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:

@@ -13,10 +13,6 @@ class DegenerateFamily(EngineError):
     """A defining polynomial of the family vanishes identically in t."""
 
 
-class ReductionDiverges(EngineError):
-    """Cohomological degree reduction failed to shrink the support window."""
-
-
 class PrecisionExhausted(EngineError):
     """Root certification failed at the maximum working precision."""
 

@@ -366,9 +366,8 @@ def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None) -> SingularSet:
     if spec.fiber is FiberType.PUNCTURED_LINE:
         defining.append((spec.g.coeff(spec.bottom_order), LEADING_COEFF_VANISHES))
 
-    gp = spec.g.partial_u()
-    cleared = _laurent_to_ucoeffs(gp)
-    if len(cleared) > 1:  # critical points exist; collisions are possible
+    gp = spec.dg
+    if gp.u_degree > min(gp.u_order, 0):  # critical points exist; collisions are possible
         res = resultant_u(gp, gp.partial_u())
         if res.is_zero():
             raise DegenerateFamily(

@@ -226,6 +226,13 @@ class TestPeriods:
         code, _out, _err = run(capsys, "periods", GAUSSIAN, "--t", "0")
         assert code == 2
 
+    def test_small_leading_coefficient_names_what_was_measured(self, capsys):
+        # at t = 1e30 the Airy lc is 1/3: small only against the u-coefficient -t
+        code, out, err = run(capsys, "periods", AIRY, "--t", "1e30")
+        assert code == 2 and out == ""
+        assert "|lc(t)| = 0.333" in err and "largest coefficient 1e+30" in err
+        assert "vanishes" not in err
+
     def test_bad_tol_exit_two(self, capsys):
         assert_bad_tol_exits_two(capsys, "periods", AIRY, "--t", "1", "--tol", "-1")
 

@@ -316,6 +316,31 @@ class TestReductionOracle:
         P = parse_laurent("(t + 1)*u^6 + (t - 2)*u^5 + (t + 1)*u^-1 + (t + 2)*u^-14")
         self.check(spec, [P])
 
+    @pytest.mark.parametrize("spec, k", [(AIRY, 61), (BESSEL, -44)], ids=["airy-u^61", "bessel-u^-44"])
+    def test_monomials_far_outside_the_window(self, spec, k):
+        # every step shrinks the support, so a form far outside the window ends too
+        self.check(spec, [LaurentPoly.u(k)])
+
+
+def test_dg_is_derived_once_per_family(monkeypatch):
+    from expperiods.singular import singular_set
+
+    g = parse_laurent("u^4/4 - t*u^2 + (t + 1)*u")
+    calls = []
+    partial_u = LaurentPoly.partial_u
+
+    def spy(self):
+        calls.append(self is g)
+        return partial_u(self)
+
+    monkeypatch.setattr(LaurentPoly, "partial_u", spy)
+    spec = ProblemSpec(fiber=FiberType.AFFINE_LINE, g=g)
+    A = connection_matrix(spec, fiber_basis(spec))
+    singular_set(spec, A)
+    for k in range(5):
+        twisted_differential(LaurentPoly.u(k) * TPoly.t(), spec)
+    assert sum(calls) == 1
+
 
 class TestConnection:
     def test_airy_matrix(self):
