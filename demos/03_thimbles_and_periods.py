@@ -19,7 +19,6 @@ from expperiods import (
     integrate_period,
     parse_laurent,
     period_matrix,
-    singular_set,
     track_cycles,
     valley_config,
 )
@@ -48,11 +47,10 @@ print()
 # --- Gaussian: analytic continuation of sqrt(pi/t) ---------------------------
 
 gaussian = ProblemSpec(FiberType.AFFINE_LINE, parse_laurent("-t*u^2"), "gaussian")
-sigma = singular_set(gaussian)
 base = cycle_basis(gaussian, 1.0)
 print("Gaussian period along a tracked contour (branch follows the path):")
 for t in (1.0, 2.0, 1.0 + 1.0j, 0.5 - 0.8j):
-    cur = base if t == 1.0 else track_cycles(gaussian, base, [1.0, t], singular=sigma)
+    cur = base if t == 1.0 else track_cycles(gaussian, base, [1.0, t])
     pv = integrate_period(gaussian, cur.cycles[0], 0, t, tol=1e-12)
     print(f"  t = {t:+.2f}:  {pv.value:+.14g}   vs sqrt(pi/t) = "
           f"{cmath.sqrt(math.pi / t):+.14g}")

@@ -35,7 +35,6 @@ from .errors import (
     AtSingularT,
     DegenerateFamily,
     EngineError,
-    LoopHitsSingularity,
     NonDecayingTail,
     PrecisionExhausted,
     RankZero,
@@ -93,7 +92,6 @@ __all__ = [
     "EngineError",
     "FiberType",
     "LaurentPoly",
-    "LoopHitsSingularity",
     "MonodromyResult",
     "NonDecayingTail",
     "PeriodMatrix",

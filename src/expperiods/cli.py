@@ -5,7 +5,7 @@ Subcommands operate on a small key = value problem file::
     fiber = affine_line        # or punctured_line
     g = u^3/3 - t*u            # exponent polynomial, rational coefficients
     label = airy               # optional
-    tol = 1e-10                # optional default quadrature tolerance
+    tol = 1e-10                # optional period error target (default 1e-10)
 
 Structured results go to stdout (JSON, or CSV for ``samples``); diagnostics
 go to stderr.  Exit codes: 0 success, 1 problem-file error, 2 precondition
@@ -144,18 +144,15 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _assert_admissible(spec: ProblemSpec, t: complex):
-    """Refuse evaluation inside (twice) a hard certified singular ball; return the set."""
-    sigma = singular_set(spec)
-    hit = sigma.near_hard_ball([t])
-    if hit is not None:
-        ball = hit[1]
-        raise AtSingularT(
-            f"t={t} lies inside the certified singular ball at "
-            f"{ball.center} (radius {ball.radius:.3e}, "
-            f"provenance {', '.join(ball.provenance)})"
-        )
-    return sigma
+def _assert_admissible(spec: ProblemSpec, t: complex) -> None:
+    """Refuse evaluation inside (twice) a hard certified singular ball."""
+    for ball in singular_set(spec).hard_balls():
+        if abs(t - ball.center) <= 2.0 * ball.radius:
+            raise AtSingularT(
+                f"t={t} lies inside the certified singular ball at "
+                f"{ball.center} (radius {ball.radius:.3e}, "
+                f"provenance {', '.join(ball.provenance)})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,7 @@ def cmd_cycles(args) -> int:
     spec, _tol = load_problem(args.problem)
     _assert_admissible(spec, args.t)
     try:
-        basis = cycle_basis(spec, args.t, tol=args.tol)
+        basis = cycle_basis(spec, args.t)
     except RankZero:
         _emit({"label": spec.label, "rank": 0, "cycles": [], "note": "rank zero"})
         return 0
@@ -259,13 +256,13 @@ def cmd_samples(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["t_re", "t_im"])
         return 0
-    sigma = _assert_admissible(spec, path[0])
+    _assert_admissible(spec, path[0])
     if not 0 <= args.cycle < basis.rank:
         raise AtSingularT(
             f"cycle index {args.cycle} out of range for rank {basis.rank}"
         )
 
-    # sample points: n per leg, continuous from the path start
+    # sample points: max(1, n // legs) per leg, after the path start
     samples = [path[0]]
     per_leg = max(1, args.n // max(1, len(path) - 1))
     for a, b in zip(path, path[1:]):
@@ -275,7 +272,7 @@ def cmd_samples(args) -> int:
     # track the cycle to every sample, then integrate all of them in one kernel run
     tracked = [cycle_basis(spec, samples[0])]
     for a, b in zip(samples, samples[1:]):
-        tracked.append(track_cycles(spec, tracked[-1], [a, b], singular=sigma))
+        tracked.append(track_cycles(spec, tracked[-1], [a, b]))
     cycles = [cb.cycles[args.cycle] for cb in tracked]
     rows, _resabs = period_rows(spec, cycles, basis.exponents, samples, tol)
 
@@ -311,9 +308,7 @@ def cmd_verify(args) -> int:
 
 def cmd_monodromy(args) -> int:
     spec, _tol = load_problem(args.problem)
-    result = monodromy(
-        spec, args.center, basepoint=args.basepoint, tol=args.tol
-    )
+    result = monodromy(spec, args.center, basepoint=args.basepoint)
     sys.stderr.write(
         f"{'ok  ' if result.record.passed else 'FAIL'} monodromy around "
         f"{args.center}: mismatch {result.record.residual:.3e}\n"
@@ -347,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", help="rapid-decay cycle basis at a parameter")
     p.add_argument("problem")
     p.add_argument("--t", type=parse_complex_arg, required=True, help="parameter 're' or 're,im'")
-    p.add_argument("--tol", type=parse_tol_arg, default=1e-12, help="endpoint decay tolerance")
     p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("periods", help="full period matrix at a parameter")
@@ -361,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--path", type=parse_complex_arg, nargs="+", required=True,
                    help="polyline vertices 're,im' in the parameter plane")
-    p.add_argument("--n", type=parse_positive_arg, default=16, help="total samples along the path")
+    p.add_argument("--n", type=parse_positive_arg, default=16,
+                   help="max(1, n // legs) samples per leg: 1 + legs * max(1, n // legs) rows")
     p.add_argument("--cycle", type=int, default=0, help="cycle index to sample")
     p.add_argument("--tol", type=parse_tol_arg, default=None)
     p.set_defaults(func=cmd_samples)
@@ -377,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--center", type=parse_complex_arg, required=True)
     p.add_argument("--basepoint", type=parse_complex_arg, default=None)
-    p.add_argument("--tol", type=parse_tol_arg, default=1e-6)
     p.set_defaults(func=cmd_monodromy)
     return parser
 

@@ -32,14 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import FiberType, ProblemSpec, fiber_basis
-from .errors import AtSingularT, NonDecayingTail, RankZero, SingularProximity
+from .errors import AtSingularT, NonDecayingTail, RankZero
 from .singular import segment_distances, squarefree_decomposition
 from .symbolic import TPoly
 
 TWO_PI = 2.0 * math.pi
 # maximum angular sweep between realized polyline nodes
 _MAX_SWEEP = math.pi / 8.0
-# extra decay demanded at cycle endpoints beyond the design tolerance (nats)
+# |e^g| demanded at cycle endpoints, and the extra decay (nats) of the truncation radii
+_DECAY_TOL = 1e-12
 _DECAY_MARGIN = 40.0
 
 
@@ -85,7 +86,6 @@ class CycleBasis(object):
     t: complex
     config: ValleyConfig
     cycles: tuple
-    tol: float
 
     @property
     def rank(self) -> int:
@@ -101,7 +101,6 @@ class CycleBasis(object):
 
         return {
             "t": [self.t.real, self.t.imag],
-            "tol": self.tol,
             "config": {
                 "at_infinity": valleys(self.config.at_infinity),
                 "at_zero": valleys(self.config.at_zero),
@@ -113,7 +112,6 @@ class CycleBasis(object):
                     "closed": c.closed,
                     "r_inf": c.r_inf,
                     "r_zero": c.r_zero,
-                    "tol": self.tol,
                     "winding": c.winding,
                     "nodes": [[z.real, z.imag] for z in c.nodes],
                 }
@@ -169,12 +167,12 @@ def valley_config(spec: ProblemSpec, t: complex) -> ValleyConfig:
     )
 
 
-def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
+def _radii(spec: ProblemSpec, cfg: ValleyConfig):
     """The ring radii (r_inf, rho_w, rho_in, r_zero) of the cycles at cfg.t.
 
     rho_w = 1 + max|critical point| and rho_in = min(1, min|critical point|/2)
     enclose and avoid the critical points; r_inf and r_zero are truncation
-    radii with Re g <= log(tol) - 40 on every valley centre ray of cfg.
+    radii with Re g <= log(_DECAY_TOL) - _DECAY_MARGIN on every centre ray.
 
     Raises:
         NonDecayingTail: if no radius gives the demanded decay.
@@ -186,7 +184,7 @@ def _radii(spec: ProblemSpec, cfg: ValleyConfig, tol: float):
     crit = [abs(complex(z)) for z in np.roots(coeffs)] if len(coeffs) > 1 else []
     rho_w = 1.0 + max(crit, default=0.0)
     rho_in = min(1.0, min((c / 2.0 for c in crit), default=1.0))
-    target = -math.log(tol) + _DECAY_MARGIN
+    target = -math.log(_DECAY_TOL) + _DECAY_MARGIN
 
     def search(r: float, factor: float, centers, where: str) -> float:
         for _ in range(200):
@@ -229,7 +227,7 @@ def _realize(ring, closed: bool):
 
 
 def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: ValleyConfig,
-           radii, tol: float) -> RapidDecayCycle:
+           radii) -> RapidDecayCycle:
     """The one builder of a cycle: its polyline at cfg.t from its ends and winding.
 
     Paths leave a valley centre ray at the truncation radius, turn at
@@ -260,7 +258,7 @@ def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: Val
         r_inf=r_inf if "valley_inf" in ends else 0.0,
         r_zero=r_zero if "valley_zero" in ends else 0.0,
     )
-    target = -math.log(tol)
+    target = -math.log(_DECAY_TOL)
     for tag, node in ((start, cycle.nodes[0]), (end, cycle.nodes[-1])):
         if tag.kind != "interior":
             decay = sum(c * node ** k for k, c in cfg.gmap.items()).real
@@ -275,11 +273,11 @@ def _cycle(spec: ProblemSpec, start: EndTag, end: EndTag, winding: int, cfg: Val
     return cycle
 
 
-def cycle_basis(spec: ProblemSpec, t: complex, tol: float = 1e-12) -> CycleBasis:
+def cycle_basis(spec: ProblemSpec, t: complex) -> CycleBasis:
     """Construct the standard rapid-decay cycle basis at parameter t.
 
     The number of cycles equals the cohomology rank.  Truncation radii are
-    chosen so that |e^{g}| < tol * e^{-40} at every non-compact endpoint.
+    chosen so that |e^{g}| < _DECAY_TOL * e^{-_DECAY_MARGIN} at every open end.
 
     Raises:
         RankZero: if the cohomology rank is zero (no cycles to build).
@@ -307,10 +305,10 @@ def cycle_basis(spec: ProblemSpec, t: complex, tol: float = 1e-12) -> CycleBasis
         ends.append((EndTag("valley_zero", 0), EndTag("valley_inf", 0), winding))
         ends.append((EndTag("interior", -1), EndTag("interior", -1), 0))
 
-    radii = _radii(spec, cfg, tol)
-    cycles = tuple(_cycle(spec, a, b, w, cfg, radii, tol) for a, b, w in ends)
+    radii = _radii(spec, cfg)
+    cycles = tuple(_cycle(spec, a, b, w, cfg, radii) for a, b, w in ends)
     assert len(cycles) == rank, "cycle count must match the cohomology rank"
-    return CycleBasis(t=t, config=cfg, cycles=cycles, tol=tol)
+    return CycleBasis(t=t, config=cfg, cycles=cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +349,7 @@ def _arg_change(lc: TPoly, path: np.ndarray) -> float:
     return float(angles.sum())
 
 
-def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> CycleBasis:
+def track_cycles(spec: ProblemSpec, basis: CycleBasis, path) -> CycleBasis:
     """Continue a cycle basis along a polyline path in the t-plane.
 
     The valley centres at infinity and at zero turn with -arg(lc_inf)/d and
@@ -361,14 +359,13 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
     evaluated once, at the end of the path, where the cycles are rebuilt from
     their ends and windings on the moved centres.
 
-    Args:
-        singular: optional SingularSet; legs must keep a distance of more than
-            twice the certified radius from every *hard* ball (vanishing
-            leading coefficients and connection poles).  Balls that only mark
-            critical-point degeneration are not obstacles to continuation.
+    No singular set is needed: the valleys, and so the cycles, degenerate only
+    at a zero of a leading coefficient, and :func:`_arg_change` refuses every
+    leg within 1e-12 relative of such a zero.  Balls of critical-point
+    degeneration are no obstacle, and every pole of the connection is a zero
+    of a leading coefficient, since ``reduce_form`` divides only by those.
 
     Raises:
-        SingularProximity: if the path passes too close to a singular ball.
         AtSingularT: if the path runs through a zero of a leading coefficient.
     """
     path = [complex(p) for p in path]
@@ -376,14 +373,6 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
         return basis
     if abs(path[0] - basis.t) > 1e-9 * (1.0 + abs(basis.t)):
         raise ValueError("continuation path must start at the basis parameter")
-    if singular is not None:
-        hit = singular.near_hard_ball(path)
-        if hit is not None:
-            k, ball = hit
-            raise SingularProximity(
-                f"path leg {path[k:k + 2]} passes within twice the "
-                f"certified radius of the singular ball at {ball.center}"
-            )
 
     vertices = np.array(path)
     d = spec.top_degree
@@ -400,8 +389,6 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path, singular=None) -> C
         at_zero=tuple(a + drift_zero for a in basis.config.at_zero),
         gmap=gmap,
     )
-    radii = _radii(spec, cfg, basis.tol)
-    cycles = tuple(
-        _cycle(spec, c.start, c.end, c.winding, cfg, radii, basis.tol) for c in basis.cycles
-    )
-    return CycleBasis(t=cfg.t, config=cfg, cycles=cycles, tol=basis.tol)
+    radii = _radii(spec, cfg)
+    cycles = tuple(_cycle(spec, c.start, c.end, c.winding, cfg, radii) for c in basis.cycles)
+    return CycleBasis(t=cfg.t, config=cfg, cycles=cycles)

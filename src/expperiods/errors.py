@@ -29,10 +29,6 @@ class SingularProximity(EngineError):
     """A parameter path passes too close to a certified singular ball."""
 
 
-class LoopHitsSingularity(SingularProximity):
-    """A monodromy loop passes too close to a certified singular ball."""
-
-
 class ToleranceNotMet(EngineError):
     """The quadrature budget was exhausted before the requested tolerance."""
 

@@ -348,11 +348,13 @@ def period_rows(spec: ProblemSpec, cycles, forms, ts, tol: float = 1e-10):
     values, errs, resabs, neval = _gk_vector(
         _integrand(gmaps, pmaps), [cyc.nodes for cyc in cycles], tol
     )
-    over = trunc > 0.3 * (tol * np.abs(values) + errs)
-    if over.any():
+    target = 0.3 * (tol * np.abs(values) + errs)
+    over = np.argwhere(trunc > target)
+    if len(over):
+        i, j = over[0]
         raise ToleranceNotMet(
-            f"tail truncation {trunc[over][0]:.3e} exceeds the error target; "
-            "rebuild the cycles with a smaller decay tolerance"
+            f"tail truncation {trunc[i, j]:.3e} of cycle {i} exceeds the error target "
+            f"0.3*(tol*|v| + err) = {target[i, j]:.3e} of its form {j}"
         )
     return [
         [PeriodValue(complex(v), float(e + tr), float(tr), n) for v, e, tr in zip(vs, es, trs)]

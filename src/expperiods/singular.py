@@ -84,14 +84,6 @@ class SingularSet:
             b for b in self.balls if any(p in hard for p in b.provenance)
         )
 
-    def near_hard_ball(self, path):
-        """The first (leg index, hard ball) whose distance is at most twice the
-        ball's radius, legs in path order, or None.  A point is a one-vertex path."""
-        hard = self.hard_balls()
-        dist = segment_distances(path, [b.center for b in hard])
-        legs, balls = np.nonzero(dist <= 2.0 * np.array([b.radius for b in hard]))
-        return (int(legs[0]), hard[balls[0]]) if len(legs) else None
-
 
 def segment_distances(path, points) -> np.ndarray:
     """Distances from each point to each leg of the polyline ``path``, shape

@@ -46,7 +46,7 @@ from .cohomology import (
     twisted_differential,
 )
 from .cycles import CycleBasis, cycle_basis, track_cycles
-from .errors import LoopHitsSingularity, SingularProximity
+from .errors import SingularProximity
 from .quadrature import period_matrices, period_matrix, period_rows
 from .singular import SingularSet, singular_set
 from .symbolic import LaurentPoly, TPoly
@@ -57,6 +57,7 @@ STOKES_SEED = 1729
 _ODE_TOL = 1e-6
 _STOKES_TOL = 1e-8
 _DUALITY_TOL = 1e-3
+_MONODROMY_TOL = 1e-6
 _ODE_PERIOD_TOL = 1e-11
 _PERIOD_TOL = 1e-10
 # Legs of the polygonal monodromy loop.
@@ -137,8 +138,8 @@ def _vacuous(name: str, note: str) -> CheckRecord:
 
 def _continue(spec, basis, A, singular, base, path, tol):
     """Period matrices at both ends of ``path``, from one kernel run, and the transport along it."""
-    moved = track_cycles(spec, base, path, singular=singular)
-    step = transport(A, path, singular.hard_balls())
+    step = transport(A, path, singular.hard_balls())  # first: its step rule refuses hard balls
+    moved = track_cycles(spec, base, path)
     P0, P1 = (P.values() for P in period_matrices(spec, basis, [base, moved], tol=tol))
     return P0, P1, step
 
@@ -291,7 +292,6 @@ def monodromy(
     spec: ProblemSpec,
     center: complex,
     basepoint: complex = None,
-    tol: float = 1e-6,
     singular: SingularSet = None,
     A: ConnectionMatrix = None,
 ) -> MonodromyResult:
@@ -303,11 +303,11 @@ def monodromy(
     radius).  Both sides walk this one polygon.  M_cycle expresses the
     continued cycle basis in the original one via the period matrices.  M_ode
     carries the solutions by :func:`cohomology.transport` (see the module
-    docstring).  The check passes when the two agree in relative Frobenius norm.
+    docstring).  They must agree to _MONODROMY_TOL in relative Frobenius norm.
 
     Raises:
-        LoopHitsSingularity: if the loop runs too close to a hard singular
-            ball for cycle continuation or for the transport step rule.
+        SingularProximity: if the loop runs too close to a hard singular ball
+            for the transport step rule.
     """
     center = complex(center)
     basis = fiber_basis(spec)
@@ -347,7 +347,7 @@ def monodromy(
     try:
         P0, P1, ode = _continue(spec, basis, A, singular, base, loop, _PERIOD_TOL)
     except SingularProximity as exc:
-        raise LoopHitsSingularity(f"monodromy loop about {center}: {exc}") from exc
+        raise SingularProximity(f"monodromy loop about {center}: {exc}") from exc
     m_cycle = np.linalg.solve(P0.T, P1.T).T
     m_ode = np.linalg.solve(P0.T, (P0 @ ode.matrix.T).T).T
 
@@ -355,9 +355,9 @@ def monodromy(
     eig = sorted(np.linalg.eigvals(m_cycle), key=lambda z: (z.real, z.imag))
     rec = CheckRecord(
         name="monodromy_match",
-        passed=mismatch < tol,
+        passed=mismatch < _MONODROMY_TOL,
         residual=mismatch,
-        threshold=tol,
+        threshold=_MONODROMY_TOL,
         details={
             "center": [center.real, center.imag],
             "basepoint": [basepoint.real, basepoint.imag],

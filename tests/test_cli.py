@@ -31,6 +31,14 @@ def assert_bad_tol_exits_two(capsys, *argv):
     assert "tol must be a float in (0, 1)" in capsys.readouterr().err
 
 
+def assert_unknown_tol_exits_two(capsys, *argv):
+    """A command without --tol refuses it as an unknown option: exit 2, before any work."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def assert_bad_int_exits_two(capsys, *argv, what="a positive integer"):
     """A bad integer flag is refused by argparse: exit 2, before any work."""
     with pytest.raises(SystemExit) as exc:
@@ -194,6 +202,11 @@ class TestCycles:
         payload = json.loads(out)
         assert payload["rank"] == 2
         assert len(payload["cycles"]) == 2
+        # the decay depth is fixed, so neither the basis nor a cycle prints one
+        assert "tol" not in payload and all("tol" not in c for c in payload["cycles"])
+
+    def test_tol_is_not_an_option(self, capsys):
+        assert_unknown_tol_exits_two(capsys, "cycles", AIRY, "--t", "1")
 
     def test_rank_zero_note(self, capsys):
         code, out, _ = run(capsys, "cycles", LINEAR, "--t", "1")
@@ -205,10 +218,6 @@ class TestCycles:
         code, _out, err = run(capsys, "cycles", BESSEL, "--t", "0")
         assert code == 2
         assert "singular ball" in err
-
-    @pytest.mark.parametrize("tol", ["0", "-1"])
-    def test_bad_tol_exit_two(self, capsys, tol):
-        assert_bad_tol_exits_two(capsys, "cycles", AIRY, "--t", "1", "--tol", tol)
 
 
 class TestPeriods:
@@ -291,6 +300,13 @@ class TestSamples:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("path, rows", [(["1", "2", "3", "4"], 4), (["1", "2"], 6)])
+    def test_row_count_is_one_plus_legs_times_n_over_legs(self, capsys, path, rows):
+        # --n 5: max(1, 5 // 3) = 1 sample on each of 3 legs, or 5 on one leg
+        code, out, _ = run(capsys, "samples", GAUSSIAN, "--path", *path, "--n", "5")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + rows  # the header, then the rows
+
     def test_rank_zero_header_only(self, capsys):
         code, out, _ = run(capsys, "samples", LINEAR, "--path", "1", "2")
         assert code == 0
@@ -359,8 +375,8 @@ class TestMonodromy:
         assert code == 2
         assert "monodromy loop about" in err
 
-    def test_bad_tol_exit_two(self, capsys):
-        assert_bad_tol_exits_two(capsys, "monodromy", GAUSSIAN, "--center", "0", "--tol", "-1")
+    def test_tol_is_not_an_option(self, capsys):
+        assert_unknown_tol_exits_two(capsys, "monodromy", GAUSSIAN, "--center", "0")
 
 
 class TestHugeCoefficient:

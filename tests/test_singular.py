@@ -26,7 +26,7 @@ from expperiods.singular import (
     singular_set,
     squarefree_decomposition,
 )
-from expperiods.symbolic import TPoly, parse_laurent, parse_tpoly
+from expperiods.symbolic import TPoly, parse_laurent, parse_tpoly, zpoly_exact_div, zpoly_gcd
 from test_cycles import FIBERS, bench_gen_and_refs
 
 
@@ -330,11 +330,15 @@ def ref_certify_squarefree(zq, centers):
     return [(c, r + eps * (abs(c) + 1.0) * 4.0) for _x, _y, c, r in balls]
 
 
-def bench_factors():
-    """Every squarefree factor (q, zq) that singular_set certifies on the ladder,
-    exact-pool, fixture and verify-pool families of the benchmark."""
+def bench_families():
+    """(label, fiber, g) of the benchmark's ladder, exact-pool, fixture and verify-pool families."""
     gen, _refs = bench_gen_and_refs()
-    families = list(gen.LADDER) + gen.pool(gen.EXACT_POOL) + list(gen.FIXTURES) + gen.pool(gen.VERIFY_POOL)
+    return (list(gen.LADDER) + gen.pool(gen.EXACT_POOL) + list(gen.FIXTURES)
+            + gen.pool(gen.VERIFY_POOL))
+
+
+def bench_factors():
+    """Every squarefree factor (q, zq) that singular_set certifies on the bench families."""
     factors, newton = {}, singular._newton_double
 
     def spy(q, zq):
@@ -343,7 +347,7 @@ def bench_factors():
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(singular, "_newton_double", spy)
-        for label, fiber, g in families:
+        for label, fiber, g in bench_families():
             singular_set(make(FIBERS[fiber], g, label))
     return factors
 
@@ -429,6 +433,28 @@ class TestSingularSet:
         sigma = singular_set(spec)
         assert len(sigma.balls) == 1
         assert abs(sigma.balls[0].center - 2.0) < 1e-12
+
+    def test_connection_poles_are_leading_coefficient_zeros(self):
+        # reduce_form divides only by the u-leading coefficients of dg/du, so
+        # every denominator of A divides a power of prim(lc_top * lc_bottom),
+        # and every ConnectionPole ball is a LeadingCoeffVanishes ball too
+        poles = 0
+        for label, fiber, g in bench_families():
+            spec = make(FIBERS[fiber], g, label)
+            lc = spec.g.coeff(spec.top_degree)
+            if spec.fiber is FiberType.PUNCTURED_LINE:
+                lc = lc * spec.g.coeff(spec.bottom_order)
+            A = connection_matrix(spec, fiber_basis(spec))
+            for den in A.denominators():
+                rest = list(den.prim)
+                while len(common := zpoly_gcd(rest, list(lc.prim))) > 1:
+                    rest = zpoly_exact_div(rest, common)
+                assert len(rest) == 1, f"{label}: {den.to_str()} has a factor off lc"
+            for ball in singular_set(spec, A).balls:
+                if CONNECTION_POLE in ball.provenance:
+                    assert LEADING_COEFF_VANISHES in ball.provenance, label
+                    poles += 1
+        assert poles > 0
 
     def test_clustering_merges_overlaps(self):
         b1 = RootBall(center=0j, radius=0.1, multiplicity=1, provenance=("A",))

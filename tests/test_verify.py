@@ -10,7 +10,7 @@ import pytest
 from expperiods import quadrature, verify
 from expperiods.cohomology import FiberType, ProblemSpec, connection_matrix, fiber_basis
 from expperiods.cycles import EndTag, cycle_basis
-from expperiods.errors import LoopHitsSingularity
+from expperiods.errors import SingularProximity
 from expperiods.singular import CRITICAL_POINT_DEGENERATION, RootBall, singular_set
 from expperiods.symbolic import parse_laurent
 from expperiods.verify import (
@@ -262,8 +262,17 @@ class TestMonodromy:
         assert np.linalg.norm(m - np.eye(2)) < 1e-8
 
     def test_loop_through_pole_rejected(self):
-        with pytest.raises(LoopHitsSingularity):
+        with pytest.raises(SingularProximity, match="monodromy loop about"):
             monodromy(GAUSSIAN, 0.5, basepoint=1.0)  # circle passes through 0
+
+    def test_path_into_hard_ball_refused_by_transport(self):
+        # the transport runs before the cycles move, so a path through the
+        # Gaussian's pole at 0 is refused by the step rule, not by track_cycles
+        basis, sigma = fiber_basis(GAUSSIAN), singular_set(GAUSSIAN)
+        A = connection_matrix(GAUSSIAN, basis)
+        base = cycle_basis(GAUSSIAN, 1.0)
+        with pytest.raises(SingularProximity):
+            verify._continue(GAUSSIAN, basis, A, sigma, base, [1.0, -1.0], 1e-10)
 
     def test_huge_entries_do_not_overflow(self):
         # entries near 1e173 overflow an unscaled Frobenius norm (RuntimeWarning
