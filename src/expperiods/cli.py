@@ -20,6 +20,7 @@ import cmath
 import csv
 import json
 import math
+import re
 import sys
 
 from .cohomology import (
@@ -48,6 +49,9 @@ from .symbolic import parse_laurent
 from .verify import STOKES_SEED, monodromy, run_all
 
 _SPEC_KEYS = ("fiber", "g", "label", "tol")
+# argparse reads an argument that starts with '-' as a value only if this matches it; its own
+# pattern takes '-1' and '-1.5' but not a complex '-1.5,0.5', which it would take for an option
+_NEGATIVE_VALUE = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
 
 def load_problem(path: str):
@@ -373,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=parse_complex_arg, required=True)
     p.add_argument("--basepoint", type=parse_complex_arg, default=None)
     p.set_defaults(func=cmd_monodromy)
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

@@ -7,13 +7,18 @@ et al., 1983), vectorized over a vector integrand and over several polylines.
 A period matrix (the basis forms u^e over every cycle) is one run, as are
 several matrices at different t, each polyline with its own coefficients of g.
 The integrand, which takes the powers of u from one table built by
-multiplication rather than numpy's complex ``**``, is called once per round for
-the whole run.  The first round quarters every polyline segment: a segment has
-no error estimate yet, so it gets the largest split, which saves rounds, each
-of which costs a fixed count of numpy calls.  Each later round splits, in one
-numpy batch, every panel over its equal share (half the target over the panel
-count) of a failing entry (cycle i, form j) of its cycle, in halves or, past
-one halving's gain at GK15's order, in quarters.  The pieces take the panel's
+multiplication rather than numpy's complex ``**`` and knows each coefficient's
+kind (unit, scalar or per polyline) from the start, is called once per round
+for the whole run.  A run's panels are few (tens to hundreds), so a round costs
+about its count of numpy calls, which the round keeps small: the cuts of every
+split panel come from one broadcast over a table of fractions k/p, only the
+new pieces are evaluated, one ``reduceat`` sums the values and one the stacked
+|K - G| and resabs, and the run enters ``np.errstate`` once.  The first round
+quarters every polyline segment: a segment has no error estimate yet, so it
+gets the largest split, which saves rounds.  Each later round splits every
+panel over its equal share (half the target over the panel count) of a
+failing entry (cycle i, form j) of its cycle, in halves or, past one
+halving's gain at GK15's order, in quarters.  The pieces take the panel's
 slot: each cycle's panels stay in path order and its sums are segment sums.
 The run stops when every entry meets its target
 
@@ -81,6 +86,8 @@ WEIGHTS_G = np.array([_G_W[0], _G_W[1], _G_W[2], _G_W_CENTER, _G_W[2], _G_W[1], 
 # Kronrod and Gauss weights as the two columns of one (15, 2) matrix.
 _KG = np.zeros((15, 2))
 _KG[:, 0], _KG[GAUSS_INDEX, 1] = WEIGHTS_K, WEIGHTS_G
+# Row p holds k/p for k = 0..4: a panel split in p pieces is cut at its fractions k/p, k < p.
+_FRACTIONS = np.arange(5) / np.maximum(np.arange(5), 1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -172,21 +179,27 @@ def _integrand(gmaps, pmaps):
     ks = set(gmap).union(*pmaps)
     top = max(abs(k) for k in ks)
 
+    def terms(cmap):  # each coefficient's kind, decided once; a unit is every monomial form's
+        return [(k, c, "line" if isinstance(c, np.ndarray) else "unit" if c == 1 else "scalar")
+                for k, c in cmap.items()]
+
+    gterms, pterms = terms(gmap), [terms(p) for p in pmaps]
+
     def f(u, own):
         pw = [1.0, u]
         for k in range(2, top + 1):
             pw.append(pw[-1] * u)
         pw = {k: pw[k] if k >= 0 else 1.0 / pw[-k] for k in ks}
 
-        def ev(cmap):  # a unit coefficient (every monomial form's) costs no product
-            terms = [c[own] * pw[k] if isinstance(c, np.ndarray) else pw[k] if c == 1
-                     else c * pw[k] for k, c in cmap.items()]
-            return sum(terms[1:], terms[0]) if terms else 0.0
+        def ev(ts):  # a unit coefficient costs no product
+            xs = [c[own] * pw[k] if kind == "line" else pw[k] if kind == "unit" else c * pw[k]
+                  for k, c, kind in ts]
+            return sum(xs[1:], xs[0]) if xs else 0.0
 
-        e = np.exp(ev(gmap))
-        out = np.empty((len(pmaps),) + u.shape, dtype=complex)  # no per-form temporaries
-        for row, p in zip(out, pmaps):
-            np.multiply(ev(p), e, out=row)
+        e = np.exp(ev(gterms))
+        out = np.empty((len(pterms),) + u.shape, dtype=complex)  # no per-form temporaries
+        for row, ts in zip(out, pterms):
+            np.multiply(ev(ts), e, out=row)
         return out
 
     return f
@@ -232,12 +245,12 @@ def _truncation_bounds(cycle: RapidDecayCycle, gmap: dict, pmaps: list) -> np.nd
 
 
 def _gk_panels(fs, a, b, own):
-    """GK15 on the panels [a_i, b_i]: Kronrod values, |K - G| and resabs, each (m, n)."""
+    """GK15 on the panels [a_i, b_i]: Kronrod values, |K - G| and resabs, each (m, n).
+    Overflow in fs stays inside the caller's errstate."""
     half = 0.5 * (b - a)
-    with np.errstate(all="ignore"):
-        vals = fs((0.5 * (a + b))[:, None] + half[:, None] * NODES, own)
-        kg, res = vals @ _KG, np.abs(half) * (np.abs(vals) @ WEIGHTS_K)
-    if not np.all(np.isfinite(res)):  # as any value is not: the weights are positive
+    vals = fs((0.5 * (a + b))[:, None] + half[:, None] * NODES, own)
+    kg, res = vals @ _KG, np.abs(half) * (np.abs(vals) @ WEIGHTS_K)
+    if not np.isfinite(res).all():  # as any value is not: the weights are positive
         raise NonDecayingTail("integrand overflowed on the contour")
     kron = half * kg[..., 0]
     return kron, np.abs(half * (kg[..., 0] - kg[..., 1])), res
@@ -249,12 +262,16 @@ def _gk_vector(fs, polylines, tol: float):
     ``fs`` maps an (n, 15) array of nodes and the (n,) owner polyline of each
     row to an (m, n, 15) array of values, so polylines may carry different
     integrands.  Component (c, j) sums f_j over the panels of polyline c, kept
-    contiguous and in path order.  The first round evaluates 4 equal panels on
-    every segment of nonzero length, the split step applied with no estimate.
-    Each later round splits, in one batch, the panels over their share of a
-    failing component of their polyline, half its target over the polyline's
-    panel count: the panels left whole hold at most half of it.  A panel is
-    halved, or quartered if over ``_QUARTER`` times its share.
+    contiguous and in path order.  A panel split in p pieces is cut at
+    a + (b - a) k/p, k < p, its last piece ending exactly at b, all panels'
+    cuts in one broadcast; the pieces take its slot.  The first round quarters
+    every segment of nonzero length, which has no error estimate yet.  Each
+    later round splits the panels over their share of a failing component of
+    their polyline, half its target over the polyline's panel count (the
+    panels left whole hold at most half of it), and evaluates only the new
+    pieces.  A panel is halved, or quartered if over ``_QUARTER`` times its
+    share.  Per round, one ``np.add.reduceat`` sums the values and one sums
+    |K - G| and resabs, stacked.
     Polyline c is refined, as in a run of its own, until every j has
 
         err_cj <= tol*|value_cj| + 50*eps*resabs_cj.
@@ -269,47 +286,60 @@ def _gk_vector(fs, polylines, tol: float):
         NonDecayingTail: if the integrand is not finite at some node.
     """
     zs = [np.asarray(p, dtype=complex) for p in polylines]
-    own = np.repeat(np.arange(len(zs)), [len(p) for p in zs])
+    lines = len(zs)
+    own = np.arange(lines).repeat([len(p) for p in zs])
     z = np.concatenate(zs)
     # no panel on a zero-length segment, nor from one polyline to the next
     step = (z[1:] != z[:-1]) & (own[1:] == own[:-1])
-    a, b, own = z[:-1][step], z[1:][step], own[1:][step]
-    neval = np.zeros(len(zs), dtype=int)
-    pieces = np.full(len(a), 4)  # a segment has no error estimate yet: the largest split
-    while True:
-        own = np.repeat(own, pieces)
-        count = np.bincount(own, minlength=len(zs))  # panels of each polyline
-        # a split panel's pieces take its slot: piece k of p spans [k/p, (k+1)/p] of it
-        k = np.arange(len(own)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        p, a, b = (np.repeat(x, pieces) for x in (pieces, a, b))
-        new = p > 1
-        a, b = a + (b - a) * (k / p), np.where(k + 1 == p, b, a + (b - a) * ((k + 1) / p))
-        neval = neval + 15 * np.bincount(own[new], minlength=len(zs))
-        fresh = _gk_panels(fs, a[new], b[new], own[new])
-        if new.all():  # the first round, or one that splits every panel
-            kron, err, res = fresh
-        else:
-            kron, err, res = (np.repeat(x, pieces, axis=1) for x in (kron, err, res))
-            for x, piece in zip((kron, err, res), fresh):
-                x[:, new] = piece
-        some, starts = count > 0, (np.cumsum(count) - count)[count > 0]  # 0 for no panel
-        value, err_sum, resabs = (np.zeros((len(x), len(zs)), x.dtype) for x in (kron, err, res))
-        for out, x in zip((value, err_sum, resabs), (kron, err, res)):
-            out[:, some] = np.add.reduceat(x, starts, axis=1)
-        target = tol * np.abs(value) + 50.0 * _EPS * resabs
-        fail = err_sum > target
-        if not fail.any():
-            return value.T, (err_sum + 50.0 * _EPS * resabs).T, resabs.T, neval.tolist()
-        share = np.where(fail, 0.5 * target / np.maximum(count, 1), np.inf)[:, own]
-        pieces = 1 + (err > share).any(axis=0) + 2 * (err > _QUARTER * share).any(axis=0)
-        after = np.bincount(own, pieces, minlength=len(zs))  # panels of each polyline next round
-        if after.max() > _BUDGET:
-            k = int(np.argmax(after > _BUDGET))
-            worst = int(np.argmax(err_sum[:, k] - target[:, k]))
-            raise ToleranceNotMet(
-                f"quadrature budget of {_BUDGET} panels exhausted "
-                f"(error {err_sum[worst, k]:.3e}, target {target[worst, k]:.3e})"
-            )
+    a, b, own = z[:-1][step], z[1:][step], own[1:][step].repeat(4)
+    # the first round quarters every segment, with no merge: nothing is evaluated yet
+    cuts = a[:, None] + (b - a)[:, None] * _FRACTIONS[4]
+    cuts[:, 4] = b
+    a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    count = np.bincount(own, minlength=lines)  # panels of each polyline
+    neval, some = 15 * count, count > 0
+    every = bool(some.all())  # else the lines with no panel sum to 0
+    with np.errstate(all="ignore"):
+        kron, err, res = _gk_panels(fs, a, b, own)
+        m, er = len(kron), np.concatenate((err, res))
+        while True:
+            starts = count.cumsum() - count
+            if every:
+                value = np.add.reduceat(kron, starts, axis=1)
+                sums = np.add.reduceat(er, starts, axis=1)
+            else:
+                value, sums = np.zeros((m, lines), complex), np.zeros((2 * m, lines))
+                value[:, some] = np.add.reduceat(kron, starts[some], axis=1)
+                sums[:, some] = np.add.reduceat(er, starts[some], axis=1)
+            err_sum, floor = sums[:m], 50.0 * _EPS * sums[m:]
+            target = tol * np.abs(value) + floor
+            fail = err_sum > target
+            if not fail.any():
+                return value.T, (err_sum + floor).T, sums[m:].T, neval.tolist()
+            # a line with no panel never fails, so its share 0/0 is never read
+            share = np.where(fail, 0.5 * target / count, np.inf)[:, own]
+            pieces = 1 + (er[:m] > share).any(0) + 2 * (er[:m] > _QUARTER * share).any(0)
+            count = np.bincount(own, pieces, minlength=lines).astype(int)  # next round's panels
+            if count.max() > _BUDGET:
+                k = int(np.argmax(count > _BUDGET))
+                worst = int(np.argmax(err_sum[:, k] - target[:, k]))
+                raise ToleranceNotMet(
+                    f"quadrature budget of {_BUDGET} panels exhausted "
+                    f"(error {err_sum[worst, k]:.3e}, target {target[worst, k]:.3e})"
+                )
+            cuts = a[:, None] + (b - a)[:, None] * _FRACTIONS[pieces]
+            cuts[np.arange(len(b)), pieces] = b
+            valid = pieces[:, None] > np.arange(4)  # piece k of a panel of p pieces, k < p
+            a, b, own = cuts[:, :-1][valid], cuts[:, 1:][valid], own.repeat(pieces)
+            new = (pieces.repeat(pieces) > 1).nonzero()[0]
+            fresh = own[new]
+            neval += 15 * np.bincount(fresh, minlength=lines)
+            fk, fe, fr = _gk_panels(fs, a[new], b[new], fresh)
+            if len(new) == len(own):  # every panel split
+                kron, er = fk, np.concatenate((fe, fr))
+            else:
+                kron, er = kron.repeat(pieces, axis=1), er.repeat(pieces, axis=1)
+                kron[:, new], er[:, new] = fk, np.concatenate((fe, fr))
 
 
 def adaptive_polyline(f, nodes, tol: float):

@@ -73,7 +73,7 @@ def ray_integrals(spec, t, exponents, digits: int = 30) -> dict:
     numbers.  Every term is at most ``J``, so the working precision carries
     ``GUARD_DIGITS`` digits past ``10^-digits`` relative to ``max(1, J)``.
     """
-    dps = digits + GUARD_DIGITS
+    dps = 15  # J's size sets the precision, and 15 digits find it
     while True:
         with mp.workdps(dps):
             J, J_err = _majorant_integral(spec, t, max(exponents))
@@ -103,7 +103,8 @@ def _sum_series(spec, t, exponents, J, tol) -> dict:
             powers.append([p * w for p, w in zip(powers[-1], omegas)])
         for a in exponents:
             n = a + m + 1
-            sums[a] = [s + b[m] * G[n] * p for s, p in zip(sums[a], powers[n])]
+            bg = b[m] * G[n]
+            sums[a] = [s + bg * p for s, p in zip(sums[a], powers[n])]
         partial += B[m] * (G[m + 1] + G[top + m + 1])
         if J - partial <= tol:
             return sums

@@ -134,6 +134,31 @@ class TestProblemFiles:
         assert "expected finite 're' or 're,im'" in err and "Traceback" not in err
 
 
+class TestNegativeComplexArguments:
+    # argparse takes only '-1' and '-1.5' for negative numbers by itself; every
+    # complex argument must also take '-1.5,0.5' as a value, not as an option
+
+    def test_t(self, capsys):
+        code, out, _ = run(capsys, "periods", GAUSSIAN, "--t", "-1.5,0.5")
+        assert code == 0 and json.loads(out)["t"] == [-1.5, 0.5]
+
+    def test_path_vertices(self, capsys):
+        # one sample per leg: the rows' t are the vertices, none near the pole at 0
+        path = ["-1,1", "-2,0.5", "-1.5,-1"]
+        code, out, _ = run(capsys, "samples", GAUSSIAN, "--path", *path, "--n", "2")
+        assert code == 0
+        rows = [line.split(",")[:2] for line in out.strip().splitlines()[1:]]
+        assert rows == [v.split(",") for v in path]
+
+    def test_center(self, capsys):
+        code, out, _ = run(capsys, "monodromy", BESSEL, "--center", "-0.25,0.25")
+        assert code == 0 and json.loads(out)["center"] == [-0.25, 0.25]
+
+    def test_basepoint(self, capsys):
+        code, out, _ = run(capsys, "monodromy", BESSEL, "--center", "0", "--basepoint", "-1,0.5")
+        assert code == 0 and json.loads(out)["basepoint"] == [-1.0, 0.5]
+
+
 class TestDerive:
     def test_airy_json(self, capsys):
         code, out, _ = run(capsys, "derive", AIRY)

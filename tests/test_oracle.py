@@ -1,5 +1,8 @@
 """The program's affine periods against the contour-free Γ-series oracle (tests/oracle.py)."""
 
+import cmath
+import math
+
 import mpmath as mp
 import pytest
 
@@ -42,6 +45,31 @@ def test_ladder_entries_within_their_reported_error(g, t):
     for row, orow in zip(P.entries, O):
         for entry, want in zip(row, orow):
             assert abs(entry.value - want) <= entry.error
+
+
+@pytest.mark.parametrize("radius", [4, 8, 16])
+@pytest.mark.parametrize("g", ["u^3/3-t*u", "u^4/4-t*u", "u^5/5-t*u^2+u"])
+def test_wide_t_entries_within_their_reported_error(g, radius):
+    # past the annulus 0.6 <= |t| <= 2.2 of the bench points the periods span
+    # many orders of magnitude, and runs end at the kernel's budget and
+    # overflow exits: on 8 arguments, an entry either agrees with the oracle
+    # within its reported error or its run raises a typed error.  The oracle
+    # resolves a tenth of the smallest reported error, and no more, to stay fast.
+    spec = ProblemSpec(FiberType.AFFINE_LINE, parse_laurent(g))
+    basis = fiber_basis(spec)
+    for k in range(8):
+        t = radius * cmath.exp(1j * math.pi * k / 4)
+        try:
+            cycles = cycle_basis(spec, t)
+            P = period_matrix(spec, basis, cycles, tol=1e-10)
+        except EngineError:
+            continue
+        smallest = min(entry.error for row in P.entries for entry in row)
+        digits = max(1, math.ceil(-math.log10(smallest)) + 1)
+        O = oracle.period_matrix(spec, t, cycles.cycles, basis.exponents, digits)
+        for row, orow in zip(P.entries, O):
+            for entry, want in zip(row, orow):
+                assert abs(entry.value - want) <= entry.error
 
 
 def test_airy_cycle_is_two_pi_i_airy_ai():

@@ -666,6 +666,96 @@ class TestVectorKernel:
             alone = _gk_vector(fs, [lines[k]], 1e-12)
             assert neval[k] == alone[3][0] and np.array_equal(values[k], alone[0][0])
 
+    @staticmethod
+    def _run_with_rounds(monkeypatch, fs, lines, tol):
+        """The kernel run's result and its ``_gk_panels`` calls, (a, b, own) per round."""
+        calls = []
+        gk_panels = quadrature._gk_panels
+
+        def spy(fs, a, b, own):
+            calls.append((a, b, own))
+            return gk_panels(fs, a, b, own)
+
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_gk_panels", spy)
+            return _gk_vector(fs, lines, tol), calls
+
+    def _assert_each_line_as_alone(self, monkeypatch, fs, lines, tol):
+        """Round by round, each line's new panels are those of its run alone, and
+        its value, error, resabs and neval are that run's, bit for bit; neval
+        counts the panels evaluated on the line.  Returns the run and its calls."""
+        run, calls = self._run_with_rounds(monkeypatch, fs, lines, tol)
+        values, errs, resabs, neval = run
+        for c, line in enumerate(lines):
+            (v, e, r, (n,)), alone = self._run_with_rounds(monkeypatch, fs, [line], tol)
+            # a line gets new panels in every round until it passes, and none after
+            mine = [(a[own == c], b[own == c]) for a, b, own in calls if (own == c).any()]
+            alone = [call for call in alone if len(call[0])]
+            assert len(mine) == len(alone)
+            for (a, b), (a1, b1, _own) in zip(mine, alone):
+                assert a.tobytes() == a1.tobytes() and b.tobytes() == b1.tobytes()
+            assert values[c].tobytes() == v[0].tobytes() and errs[c].tobytes() == e[0].tobytes()
+            assert resabs[c].tobytes() == r[0].tobytes() and neval[c] == n
+            assert n == 15 * sum(len(a) for a, _b in mine)
+        return run, calls
+
+    @staticmethod
+    def _assert_exact(run, lines, exact, exact_abs):
+        """Each line's values within their errors of the closed forms, and its
+        resabs the closed-form integral of |f_j|."""
+        values, errs, resabs, _neval = run
+        for c, (z0, z1) in enumerate((line[0], line[-1]) for line in lines):
+            for j, (f, g) in enumerate(zip(exact, exact_abs)):
+                assert abs(values[c, j] - (f(z1) - f(z0))) <= errs[c, j]
+                assert abs(resabs[c, j] - (g(z1) - g(z0))) <= 1e-12 * resabs[c, j]
+
+    def test_later_round_splits_every_panel_of_two_lines(self, monkeypatch):
+        # as in test_split_rule_halves_or_quarters, but on two lines at once:
+        # tol plants each first-round panel 100 times over its share, so the
+        # second round halves every panel of both lines, and no old one is kept
+        def fs(u, own):
+            return np.exp(200j * u)[None]
+
+        # the lines' ends are not z0 + (z1 - z0): a last piece must end exactly at z1
+        lines = [[0.7, 2.9], [1.2, 3.4]]
+        seeded = np.linspace(0.7, 2.9, 5) + 0j
+        kron, err, res = quadrature._gk_panels(fs, seeded[:-1], seeded[1:], np.zeros(4, int))
+        tol = (8.0 * err.max() / 1e2 - 50.0 * EPS * res.sum()) / abs(kron.sum())
+        run, calls = self._assert_each_line_as_alone(monkeypatch, fs, lines, tol)
+        self._assert_exact(run, lines, [lambda z: cmath.exp(200j * z) / 200j], [lambda z: z])
+        for r, pieces in ((0, 4), (1, 8)):
+            a, b, own = calls[r]
+            assert list(own) == [0] * pieces + [1] * pieces
+            for c, (z0, z1) in enumerate(lines):
+                # the pieces tile the line: each ends exactly where the next starts
+                x, y = a[own == c], b[own == c]
+                assert x[0] == z0 and y[-1] == z1 and np.array_equal(x[1:], y[:-1])
+                assert np.allclose(x, np.linspace(z0, z1, pieces + 1)[:-1], rtol=0, atol=1e-14)
+
+    def test_line_without_panel_between_lines_refined_past_round_one(self, monkeypatch):
+        # the middle line's nodes coincide: it holds no panel in any round and
+        # sums to 0; a pole near the first line's end splits some of its panels
+        # and keeps others, round after round, and both outer lines refine as
+        # they do alone
+        pole = 2.15 + 0.05j
+
+        def fs(u, own):
+            return np.stack([np.exp(30.0 * u), 1.0 / (u - pole)])
+
+        lines = [[0.1, 2.05], [7.0, 7.0], [3.3, 4.1, 5.2]]
+        run, calls = self._assert_each_line_as_alone(monkeypatch, fs, lines, 1e-12)
+        assert len(calls) > 2 and not any((own == 1).any() for _a, _b, own in calls)
+        values, errs, resabs, neval = run
+        assert neval[1] == 0 and not (values[1].any() or errs[1].any() or resabs[1].any())
+        def exp30(z):
+            return cmath.exp(30.0 * z) / 30.0
+
+        self._assert_exact(
+            (values[::2], errs[::2], resabs[::2], neval[::2]), lines[::2],
+            [exp30, lambda z: cmath.log(z - pole)],
+            [lambda z: exp30(z).real, lambda z: math.asinh((z - pole.real) / pole.imag)],
+        )
+
     def test_lines_with_different_g_each_as_alone(self):
         # two copies of one segment in one run, each under its own g: every
         # line reads its own coefficients (the shared one stays a scalar) and
