@@ -20,7 +20,6 @@ from .cohomology import (
     cyclic_ode,
     fiber_basis,
     reduce_form,
-    twisted_differential,
 )
 from .cycles import (
     CycleBasis,
@@ -133,7 +132,6 @@ __all__ = [
     "singular_set",
     "squarefree_decomposition",
     "track_cycles",
-    "twisted_differential",
     "valley_config",
     "__version__",
 ]

@@ -119,11 +119,6 @@ def fiber_basis(spec: ProblemSpec) -> CohomologyBasis:
     return CohomologyBasis(rank=d + e, exponents=tuple(range(-e, d)))
 
 
-def twisted_differential(Q: LaurentPoly, spec: ProblemSpec) -> LaurentPoly:
-    """du-coefficient of the twisted differential of the function Q."""
-    return Q.partial_u() + Q * spec.dg
-
-
 def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> list:
     """Coordinates of the class ``[P du]`` in the monomial basis, over Q(t).
 

@@ -143,12 +143,15 @@ class PeriodMatrix(object):
 
 
 def _form_coeffs(form, t: complex) -> dict:
-    """Numeric u-coefficients of the differential-form prefactor at t."""
+    """Numeric u-coefficients of the differential-form prefactor at t; a dict is
+    such a map already, taken at the run's one t."""
     if isinstance(form, int):
         return {form: 1.0 + 0.0j}
     if isinstance(form, LaurentPoly):
         return form.coeffs_at(t)
-    raise TypeError("form must be an integer exponent or a LaurentPoly")
+    if isinstance(form, dict):
+        return form
+    raise TypeError("form must be an integer exponent, a LaurentPoly or a coefficient map")
 
 
 def _merged(maps) -> dict:
@@ -359,6 +362,9 @@ def period_rows(spec: ProblemSpec, cycles, forms, ts, tol: float = 1e-10):
     """The periods of several forms over several cycles, from one kernel run.
 
     ``ts`` holds each cycle's t; a cycle's integrand and tail bounds use its own.
+    A form is an exponent k (the form u^k), a LaurentPoly, or a coefficient
+    map ``{k: c_k}`` already taken at t, which a run may hold only when every
+    cycle is at that one t.
 
     Returns (rows, resabs): per cycle, a PeriodValue per form, whose error
     adds the tail truncation bound; and a (cycles, forms) array of the

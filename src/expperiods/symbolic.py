@@ -206,8 +206,13 @@ class TPoly:
     def to_str(self) -> str:
         if self.is_zero():
             return "0"
-        cs = self.coeffs
-        parts = [_term_str(cs[k], k) for k in range(self.degree, -1, -1) if cs[k]]
+        # coefficient k is n * prim[k] / d with gcd(n, d) = 1: one gcd puts it in lowest terms
+        n, d, prim = self.content.numerator, self.content.denominator, self.prim
+        parts = []
+        for k in range(self.degree, -1, -1):
+            if prim[k]:
+                h = math.gcd(prim[k], d)
+                parts.append(_term_str(n * (prim[k] // h), d // h, k))
         return _join_terms(parts)
 
 
@@ -224,19 +229,15 @@ def _normalize(zs: list, num: int, den: int):
     return (Fraction(num * (zs[-1] // prim[-1]), den), tuple(prim)) if prim else (_ZERO, ())
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _term_str(c: Fraction, k: int) -> str:
+def _term_str(num: int, den: int, k: int) -> str:
+    """The term ``(num/den) t^k`` of a ``TPoly``, for ``num/den`` in lowest terms, ``den > 0``."""
+    c = str(num) if den == 1 else f"{num}/{den}"
     if k == 0:
-        return _frac_str(c)
+        return c
     v = "t" if k == 1 else f"t^{k}"
-    if c == 1:
-        return v
-    if c == -1:
-        return f"-{v}"
-    return f"{_frac_str(c)}*{v}"
+    if den == 1 and abs(num) == 1:
+        return v if num == 1 else f"-{v}"
+    return f"{c}*{v}"
 
 
 def _join_terms(parts: Sequence[str]) -> str:
@@ -479,7 +480,7 @@ class LaurentPoly:
             up = "u" if k == 1 else f"u^{k}"
             if c.is_one():
                 parts.append(up)
-            elif c == TPoly.const(-1):
+            elif c.prim == (1,) and c.content == -1:
                 parts.append(f"-{up}")
             elif len(_nonzero_terms(c)) > 1:
                 parts.append(f"({c.to_str()})*{up}")

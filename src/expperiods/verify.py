@@ -10,7 +10,8 @@ threshold:
   quadrature run and must differ by the transition matrix of the step.
 * **vanishing on coboundaries** — for random gauge forms Q, the integral of
   the twisted differential of Q against every rapid-decay cycle vanishes
-  relative to the scale integral |Q e^g| |du|, taken from the same run.
+  relative to the scale integral |Q e^g| |du|, taken from the same run.  The
+  differential is built at t, in floats, from the coefficients of Q and dg/du.
 * **perfect duality** — the period matrix is robustly non-degenerate:
   |det P| must exceed a fixed fraction of the product of its row norms.
 * **monodromy consistency** — continuing the cycle basis around a closed
@@ -43,7 +44,6 @@ from .cohomology import (
     connection_matrix,
     fiber_basis,
     transport,
-    twisted_differential,
 )
 from .cycles import CycleBasis, cycle_basis, track_cycles
 from .errors import SingularProximity
@@ -215,17 +215,23 @@ def check_stokes(spec: ProblemSpec, t: complex, Q: LaurentPoly, cycle=None) -> C
 
     The integral of (dQ/du + Q dg/du) e^{g} du over a rapid-decay cycle must
     vanish; the residual is normalized by the scale integral |Q e^{g}| |du|.
-    One kernel run integrates both forms, and the scale is the resabs it sums
-    for the Q column.
+    The coboundary is formed at t, in floats, from the coefficient maps of Q
+    and dg/du (an entry that comes out exactly 0 is dropped).  One kernel run
+    integrates it and Q, and the scale is the resabs it sums for the Q column.
     """
     t = complex(t)
     if fiber_basis(spec).rank == 0:
         return _vacuous("stokes_residual", "rank zero: no cycles to pair against")
     if cycle is None:
         cycle = cycle_basis(spec, t).cycles[0]
-    ((pv, _q),), resabs = period_rows(
-        spec, [cycle], [twisted_differential(Q, spec), Q], [t], tol=1e-13
-    )
+    qmap, dgmap, cob = Q.coeffs_at(t), spec.dg.coeffs_at(t), {}
+    for k, q in qmap.items():
+        if k:
+            cob[k - 1] = cob.get(k - 1, 0) + k * q
+        for j, c in dgmap.items():
+            cob[k + j] = cob.get(k + j, 0) + q * c
+    cob = {k: c for k, c in cob.items() if c != 0}
+    ((pv, _q),), resabs = period_rows(spec, [cycle], [cob, qmap], [t], tol=1e-13)
     scale = float(resabs[0, 1])
     if scale == 0.0:
         return _vacuous("stokes_residual", "gauge form vanishes on the cycle")

@@ -50,8 +50,9 @@ def _coefficients(spec, t):
     return h.pop(spec.top_degree), h
 
 
-def _majorant_integral(spec, t, top: int):
-    """``J`` of the module docstring, for ``a* = top``, and its quadrature error."""
+def _majorant_integral(spec, t, top: int, maxdegree=None):
+    """``J`` of the module docstring, for ``a* = top``, and its quadrature error;
+    ``maxdegree`` caps ``mp.quad``'s refinement (a sizing pass only)."""
     d = spec.top_degree
     c, h = _coefficients(spec, t)
     c, h0 = abs(c), mp.re(h.pop(0, 0))
@@ -62,7 +63,7 @@ def _majorant_integral(spec, t, top: int):
 
     # breakpoints about where |c| r^d overtakes the majorant's other terms
     scale = (1 + max(absh.values(), default=0) / c) ** (1.0 / (d - max(absh, default=0)))
-    return mp.quad(f, [0, scale, 4 * scale, mp.inf], error=True)
+    return mp.quad(f, [0, scale, 4 * scale, mp.inf], error=True, maxdegree=maxdegree)
 
 
 def ray_integrals(spec, t, exponents, digits: int = 30) -> dict:
@@ -73,14 +74,16 @@ def ray_integrals(spec, t, exponents, digits: int = 30) -> dict:
     numbers.  Every term is at most ``J``, so the working precision carries
     ``GUARD_DIGITS`` digits past ``10^-digits`` relative to ``max(1, J)``.
     """
-    dps = 15  # J's size sets the precision, and 15 digits find it
+    # J's size sets the precision, and a cheap 15-digit pass (maxdegree 3) finds it; the
+    # J that bounds the series is always taken by the full rule at the working precision
+    dps, sizing = 15, 3
     while True:
         with mp.workdps(dps):
-            J, J_err = _majorant_integral(spec, t, max(exponents))
+            J, J_err = _majorant_integral(spec, t, max(exponents), sizing)
             need = digits + GUARD_DIGITS + max(0, int(mp.log10(J)))
-            if dps >= need:
+            if dps >= need and sizing is None:
                 return _sum_series(spec, t, exponents, J + J_err, mp.mpf(10) ** -digits)
-        dps = need
+        dps, sizing = max(dps, need), None
 
 
 def _sum_series(spec, t, exponents, J, tol) -> dict:

@@ -21,7 +21,6 @@ from expperiods.cohomology import (
     cyclic_ode,
     fiber_basis,
     reduce_form,
-    twisted_differential,
 )
 from expperiods.cycles import cycle_basis, track_cycles
 from expperiods.quadrature import integrate_period
@@ -38,6 +37,11 @@ from expperiods.verify import (
 
 def make(fiber, g, label):
     return ProblemSpec(fiber=fiber, g=parse_laurent(g), label=label)
+
+
+def twisted_differential(Q, spec):
+    """du-coefficient of the twisted differential of the function Q, exactly."""
+    return Q.partial_u() + Q * spec.dg
 
 
 AIRY = make(FiberType.AFFINE_LINE, "u^3/3 - t*u", "airy")

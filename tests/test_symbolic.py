@@ -251,6 +251,81 @@ class TestLaurentPoly:
             assert parse_laurent(p.to_str()) == p
 
 
+def ref_join(parts):
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def ref_tpoly_str(p):
+    """The printer's string, built term by term from the ``Fraction`` coefficients."""
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if not c:
+            continue
+        num = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        v = "t" if k == 1 else f"t^{k}"
+        parts.append(num if k == 0 else v if c == 1 else f"-{v}" if c == -1 else f"{num}*{v}")
+    return ref_join(parts) if parts else "0"
+
+
+def ref_laurent_str(p):
+    parts = []
+    for k in sorted(p.terms, reverse=True):
+        c = p.terms[k]
+        s = ref_tpoly_str(c)
+        if sum(1 for x in c.coeffs if x) > 1:
+            s = f"({s})"
+        up = "u" if k == 1 else f"u^{k}"
+        if k == 0:
+            parts.append(s)
+        elif c == TPoly.const(1):
+            parts.append(up)
+        elif c == TPoly.const(-1):
+            parts.append(f"-{up}")
+        else:
+            parts.append(f"{s}*{up}")
+    return ref_join(parts) if parts else "0"
+
+
+# zeros between terms, +-1, and large numerators and denominators of either sign
+PRINTED_COEFFS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(-9, 9, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+)
+PRINTED_TPOLYS = st.builds(TPoly, st.lists(PRINTED_COEFFS, max_size=6))
+
+
+class TestPrinters:
+    @PROPERTY
+    @given(PRINTED_TPOLYS)
+    def test_tpoly_string_as_built_from_its_coefficients(self, p):
+        assert p.to_str() == ref_tpoly_str(p)
+        assert (-p).to_str() == ref_tpoly_str(-p)  # negative content too
+        assert parse_tpoly(p.to_str()) == p
+
+    @PROPERTY
+    @given(
+        st.dictionaries(st.integers(-4, 4), PRINTED_TPOLYS, max_size=5),
+        st.sampled_from([None, TPoly.const(-1), TPoly.const(1), parse_tpoly("-2 + 3*t - t^2")]),
+        st.integers(-4, 4),
+    )
+    def test_laurent_string_as_built_from_its_coefficients(self, terms, extra, k):
+        if extra is not None:
+            terms[k] = extra
+        p = LaurentPoly(terms)
+        assert p.to_str() == ref_laurent_str(p)
+        assert parse_laurent(p.to_str()) == p
+
+    def test_constant_and_unit_coefficients(self):
+        p = LaurentPoly({0: parse_tpoly("-2 + 3*t"), 1: TPoly.const(-1), 2: TPoly.one(),
+                         -1: TPoly.const(Fraction(-1, 3))})
+        assert p.to_str() == "u^2 - u + (3*t - 2) - 1/3*u^-1" == ref_laurent_str(p)
+
+
 def _long_sum():
     """A 1000-term sum as text, and the same sum built as a LaurentPoly."""
     text, value = [], LaurentPoly.zero()

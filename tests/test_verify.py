@@ -151,6 +151,59 @@ class TestStokes:
                 ref = quadrature.integrate_absolute(spec, cycle, q, t, tol=1e-9)
                 assert rec.details["scale"] == pytest.approx(ref, rel=1e-6)
 
+    def test_integrated_map_is_the_coboundary_at_t(self, monkeypatch):
+        # run_all's 5 STOKES_SEED gauges at its default t: each check integrates the
+        # float coboundary and Q's own map, and the coboundary agrees with the exact
+        # Q' + Q*g' taken at t to within the rounding of its products and sums
+        from test_cycles import bench_gen_and_refs
+
+        gen = bench_gen_and_refs()[0]
+        families = [AIRY, BESSEL, GAUSSIAN, LINEAR] + [
+            make(FiberType(fiber), g, name)
+            for name, punct in (("map0", False), ("map1", False), ("map2", True), ("map3", True))
+            for fiber, g in [gen.random_family(random.Random(name), punct, 1, 4, 2)]
+        ]
+        gauges, runs = [], []
+        real_gauge, real_rows = verify.random_gauge, verify.period_rows
+
+        def gauge_spy(spec, rng):
+            gauges.append(real_gauge(spec, rng))
+            return gauges[-1]
+
+        def rows_spy(spec, cycles, forms, ts, tol=1e-10):
+            if any(isinstance(f, dict) for f in forms):
+                runs.append((forms, ts))
+            return real_rows(spec, cycles, forms, ts, tol)
+
+        monkeypatch.setattr(verify, "random_gauge", gauge_spy)
+        monkeypatch.setattr(verify, "period_rows", rows_spy)
+        # only the Stokes records are read: the other checks are stubbed out
+        skip = verify._vacuous("skipped", "not under test")
+        monkeypatch.setattr(verify, "check_ode", lambda *args, **kwargs: skip)
+        monkeypatch.setattr(verify, "check_duality", lambda *args, **kwargs: skip)
+        stub = verify.MonodromyResult(0j, 0j, (), (), (), skip)
+        monkeypatch.setattr(verify, "monodromy", lambda *args, **kwargs: stub)
+        eps = np.finfo(float).eps
+        for spec in families:
+            gauges.clear()
+            runs.clear()
+            report = run_all(spec)
+            stokes = [r for r in report.records if r.name == "stokes_residual"]
+            assert len(stokes) == 5 and len(gauges) == 5
+            assert all(r.passed and r.residual < 1e-12 for r in stokes), (spec.label, stokes)
+            assert len(runs) == (5 if fiber_basis(spec).rank else 0)
+            for q, ((cob, qmap), ts) in zip(gauges, runs):
+                assert ts == [report.t] and qmap == q.coeffs_at(report.t)
+                dmap = spec.dg.coeffs_at(report.t)
+                exact = (q.partial_u() + q * spec.dg).coeffs_at(report.t)
+                assert 0 not in cob.values()
+                for k in set(cob) | set(exact):
+                    size = abs((k + 1) * qmap.get(k + 1, 0)) + sum(
+                        abs(qmap[i]) * abs(dmap[k - i]) for i in qmap if k - i in dmap
+                    )
+                    gap = abs(cob.get(k, 0) - exact.get(k, 0))
+                    assert gap <= 8 * eps * size, (spec.label, q.to_str(), k)
+
     def test_cut_cycle_fails(self):
         # a polyline cut off mid-way is no rapid-decay cycle: the coboundary's
         # integral is the boundary term Q e^g at the cut, far from zero
