@@ -26,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -36,9 +37,11 @@ from .symbolic import (
     LaurentPoly,
     TPoly,
     bareiss,
+    zpoly_add,
     zpoly_derivative,
     zpoly_exact_div,
     zpoly_gcd,
+    zpoly_mul,
     zpoly_sub,
 )
 
@@ -135,28 +138,51 @@ def resultant_u(p: LaurentPoly, q: LaurentPoly) -> TPoly:
     Clearing multiplies by u-powers, which can only add roots already covered
     by the leading-coefficient criteria, so this is safe inside an
     over-approximation of the singular set.
+
+    The numerators ``a`` and ``b``, of u-degrees ``m >= n``, are scaled onto
+    Z[t] by the lcms ``La``, ``Lb`` of their content denominators, and the determinant
+    is taken of Cayley's m x m Bezoutian, not of the (m+n) x (m+n) Sylvester
+    matrix: ``det Bez(a, b) = (-1)^(m(m-1)/2) lc(a)^(m-n) Res(a, b)`` for
+    ``n >= 1`` (Bini & Pan, *Polynomial and Matrix Computations*, 1994), and
+    the division by ``lc(a)^(m-n)`` is exact in Z[t].  For ``n = 0`` the
+    resultant is ``b_0^m``, and ``m < n`` swaps the pair with the sign
+    ``(-1)^(mn)``.  The result is divided by ``La^n Lb^m`` at the end.
     """
     a = _laurent_to_ucoeffs(p)
     b = _laurent_to_ucoeffs(q)
     if not a or not b:
         return TPoly.zero()
     m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    if size == 0:
-        return TPoly.one()
-    # Sylvester rows over Z[t]: the rows of a and of b each carry the lcm L of
-    # their content denominators; the determinant is divided by the L's at the end.
-    rows, scale = [], 1
-    for cs, shifts in ((a, n), (b, m)):
-        L = math.lcm(*(c.content.denominator for c in cs))
-        scale *= L ** shifts
-        coeffs = [[x * (c.content * L).numerator for x in c.prim] for c in cs]
-        for i in range(shifts):
-            row = [[] for _ in range(size)]
-            row[i:i + len(coeffs)] = reversed(coeffs)
-            rows.append(row)
-    det, _ = bareiss(rows)  # rows as columns: det(M^T) = det(M)
-    return TPoly(det) * Fraction(1, scale)
+    La, Lb = (math.lcm(*(c.content.denominator for c in cs)) for cs in (a, b))
+    a, b = ([[x * (c.content * L).numerator for x in c.prim] for c in cs]
+            for cs, L in ((a, La), (b, Lb)))
+    scale, sign = La ** n * Lb ** m, 1
+    if m < n:
+        a, b, m, n, sign = b, a, n, m, (-1) ** (m * n)
+    if n == 0:
+        res = reduce(zpoly_mul, [b[0]] * m, [1])
+    else:
+        det, _ = bareiss(_bezoutian(a, b))  # symmetric: its rows are its columns
+        res = zpoly_exact_div(det, reduce(zpoly_mul, [a[-1]] * (m - n), [1]))
+        sign *= (-1) ** (m * (m - 1) // 2)
+    return TPoly(res) * Fraction(sign, scale)
+
+
+def _bezoutian(a: list, b: list) -> list:
+    """Cayley's Bezoutian of ``a`` (u-degree m) and ``b`` over Z[t]: the m x m matrix of
+    ``(a(x) b(y) - a(y) b(x)) / (x - y) = sum B[i][j] x^i y^j``, by the recurrence
+    ``B[i][j] = B[i-1][j+1] + a_(j+1) b_i - a_i b_(j+1)`` for ``i <= j``."""
+    m = len(a) - 1
+    B = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            x = zpoly_mul(a[j + 1], b[i]) if i < len(b) else []
+            if j + 1 < len(b):
+                x = zpoly_sub(x, zpoly_mul(a[i], b[j + 1]))
+            if i and j + 1 < m:
+                x = zpoly_add(x, B[i - 1][j + 1])
+            B[i][j] = B[j][i] = x
+    return B
 
 
 # ---------------------------------------------------------------------------

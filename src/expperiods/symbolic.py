@@ -20,12 +20,12 @@ Python ints ("zpolys"): ``TPoly`` applies the ``zpoly_*`` helpers to its
 primitive part and keeps the rational scale in its one content.
 
 * :func:`zpoly_gcd` — the one polynomial gcd (primitive PRS); ``tpoly_gcd``
-  (monic, over Q[t]), the coefficient normalization
+  (monic, over Q[t]), the fallback of the coefficient normalization
   :func:`zpoly_primitive_vector` and the squarefree decomposition of the
   singular set (``singular.squarefree_decomposition``, Yun's algorithm on
   ``TPoly.prim``) are built on it;
 * :func:`bareiss` — the one exact elimination: fraction-free Gaussian
-  elimination that returns either a determinant (the Sylvester resultants of
+  elimination that returns either a determinant (the Bezoutian resultants of
   the singular set) or the first linear dependence among its columns as
   Cramer minors (the cyclic-vector ODE);
 * :func:`clear_denominators` moves ``RatFun`` data onto Z[t] with one
@@ -272,56 +272,8 @@ class RatFun:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def zero(cls) -> "RatFun":
-        return cls(TPoly.zero())
-
-    @classmethod
-    def one(cls) -> "RatFun":
-        return cls(TPoly.one())
-
-    @classmethod
-    def const(cls, c) -> "RatFun":
-        return cls(TPoly.const(c))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def __add__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFun":
-        return self + (-_as_ratfun(other))
-
-    def __rsub__(self, other) -> "RatFun":
-        return _as_ratfun(other) + (-self)
-
-    def __mul__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFun":
-        return _as_ratfun(other) / self
-
-    def derivative(self) -> "RatFun":
-        return RatFun(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     def eval(self, x):
         dv = self.den.eval(x)
@@ -330,8 +282,6 @@ class RatFun:
         return self.num.eval(x) / dv
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other)
         return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -344,16 +294,6 @@ class RatFun:
         if self.den.is_one():
             return self.num.to_str()
         return f"({self.num.to_str()})/({self.den.to_str()})"
-
-
-def _as_ratfun(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    if isinstance(x, TPoly):
-        return RatFun(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFun.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to RatFun")
 
 
 class LaurentPoly:
@@ -729,19 +669,64 @@ def zpoly_primitive_vector(polys: Sequence[list]) -> list:
     leading coefficient positive.
 
     The result is the unique representative of the Q(t)-line through
-    ``polys`` whose entries are coprime integer polynomials.
+    ``polys`` whose entries are coprime integer polynomials.  The gcd is first
+    guessed by GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): every
+    entry is evaluated at ``xi = 2^k > 2 min_i ||p_i||_inf + 2``, and the
+    balanced base-``xi`` digits of the one integer gcd of the values form a
+    polynomial ``h``.  The candidate, ``pp(h)`` times the integer content of
+    ``polys``, is kept if it divides every entry; else :func:`_prs_gcd` runs.
+    A candidate that divides is the gcd: the gcd is the candidate times a
+    primitive ``c`` with ``c(xi)`` dividing the content of ``h``, so
+    ``|c(xi)| <= xi/2``; but ``c`` divides the ``p_i`` of least norm, so each
+    root of ``c`` lies within ``||p_i||_inf + 1`` of 0 (Cauchy's bound), and
+    ``|c(xi)| > xi/2`` unless ``c`` is a constant, 1.
     """
+    nonzero = [p for p in polys if p]
+    if not nonzero:
+        return list(polys)
+    g = _heuristic_gcd(nonzero)
+    try:
+        polys = _divide_all(polys, g)
+    except ArithmeticError:  # the candidate does not divide some entry
+        polys = _divide_all(polys, _prs_gcd(nonzero))
+    if next(p for p in reversed(polys) if p)[-1] < 0:
+        polys = [[-c for c in p] for p in polys]
+    return polys
+
+
+def _divide_all(polys: Sequence[list], g: list) -> list:
+    return list(polys) if g == [1] else [zpoly_exact_div(p, g) for p in polys]
+
+
+def _heuristic_gcd(polys: Sequence[list]) -> list:
+    """GCDHEU's candidate for the gcd of nonzero ``polys``, as
+    :func:`zpoly_primitive_vector` describes it."""
+    k = (2 * min(max(map(abs, p)) for p in polys) + 2).bit_length()
+    values = []
+    for p in polys:
+        v = 0
+        for c in reversed(p):
+            v = (v << k) + c
+        values.append(v)
+    gamma, xi, h = math.gcd(*values), 1 << k, []
+    while gamma:  # the balanced digits, each in (-xi/2, xi/2]
+        d = gamma & (xi - 1)
+        if 2 * d > xi:
+            d -= xi
+        h.append(d)
+        gamma = (gamma - d) >> k
+    content = math.gcd(*(c for p in polys for c in p))
+    return [c * content for c in zpoly_primitive(h)]
+
+
+def _prs_gcd(polys: Sequence[list]) -> list:
+    """The gcd of nonzero ``polys`` by :func:`zpoly_gcd`, shortest first."""
     g = []
-    for p in sorted((p for p in polys if p), key=len):
+    for p in sorted(polys, key=len):
         g = zpoly_gcd(g, p)
         if g == [1]:
             break
-    if g not in ([], [1]):
-        polys = [zpoly_exact_div(p, g) for p in polys]
-    lead = next((p for p in reversed(polys) if p), None)
-    if lead is not None and lead[-1] < 0:
-        polys = [[-c for c in p] for p in polys]
-    return list(polys)
+    return g
 
 
 def clear_denominators(fs: Sequence[RatFun]):

@@ -22,9 +22,13 @@ from expperiods.cohomology import (
     reduce_form,
     transport,
 )
+from expperiods import symbolic
 from expperiods.errors import AtSingularT, DegenerateFamily, SingularProximity, SpecFormatError
 from expperiods.singular import RootBall
 from expperiods.symbolic import LaurentPoly, RatFun, TPoly, parse_laurent
+
+import ratfun
+from test_cycles import bench_gen_and_refs
 
 
 def make(fiber, g, label=""):
@@ -145,9 +149,9 @@ def reference_reduce_form(P, spec, basis):
         bottom = spec.g.coeff(-e) * (-e)
 
     def subtract_gauge(m, k, lead):
-        c = work[m] / RatFun(lead)
+        c = ratfun.div(work[m], lead)
         for key, tp in twisted_differential(LaurentPoly.u(k), spec).terms.items():
-            new = work.get(key, RatFun.zero()) - c * RatFun(tp)
+            new = ratfun.sub(work.get(key, ratfun.zero()), ratfun.mul(c, tp))
             if new.is_zero():
                 work.pop(key, None)
             else:
@@ -162,7 +166,7 @@ def reference_reduce_form(P, spec, basis):
             m = min(work)
             subtract_gauge(m, m + e + 1, bottom)
     assert set(work) <= set(basis.exponents)
-    return [work.get(ei, RatFun.zero()) for ei in basis.exponents]
+    return [work.get(ei, ratfun.zero()) for ei in basis.exponents]
 
 
 # Families of the benchmark's random recipe: coefficients a + b*t + c*t^2 with
@@ -285,7 +289,7 @@ class TestReduction:
                 rq = reduce_form(q, spec, basis)
                 rsum = reduce_form(p + q, spec, basis)
                 assert all(
-                    (rp[i] + rq[i]) == rsum[i] for i in range(basis.rank)
+                    ratfun.add(rp[i], rq[i]) == rsum[i] for i in range(basis.rank)
                 )
 
 
@@ -407,6 +411,21 @@ class TestScalarODE:
         assert ode.order == 2
         assert ode.coefficients[-1].degree >= 1
 
+    def test_content_from_one_integer_gcd_on_bench_families(self, monkeypatch):
+        # on the ladder rungs and the exact pool, the heuristic gcd's candidate always
+        # divides, so cyclic_ode never runs the PRS chain
+        gen, _refs = bench_gen_and_refs()
+        heuristic, fallback = [], []
+        guess = symbolic._heuristic_gcd
+        monkeypatch.setattr(symbolic, "_heuristic_gcd", lambda ps: heuristic.append(ps) or guess(ps))
+        monkeypatch.setattr(symbolic, "_prs_gcd", fallback.append)
+        families = list(gen.LADDER) + gen.pool(gen.EXACT_POOL)
+        for label, fiber, g in families:
+            spec = make(FiberType(fiber), g, label)
+            cyclic_ode(connection_matrix(spec, fiber_basis(spec)))
+        assert len(heuristic) == len(families)
+        assert fallback == []
+
     def test_bad_start_index(self):
         with pytest.raises(IndexError):
             cyclic_ode(connection_matrix(AIRY, fiber_basis(AIRY)), start=5)
@@ -426,14 +445,16 @@ class TestScalarODE:
         assert max(p.degree for p in ode.coefficients) == 38
         # sum_k p_k v_k = 0 over Q(t), with v_{k+1} = v_k A + v_k' in RatFun
         r = A.rank
-        v = [RatFun.one() if j == 0 else RatFun.zero() for j in range(r)]
-        total = [RatFun.zero()] * r
+        v = [ratfun.one() if j == 0 else ratfun.zero() for j in range(r)]
+        total = [ratfun.zero()] * r
         for k, p in enumerate(ode.coefficients):
-            total = [total[j] + RatFun(p) * v[j] for j in range(r)]
+            total = [ratfun.add(total[j], ratfun.mul(p, v[j])) for j in range(r)]
             if k < ode.order:
                 v = [
-                    sum((v[i] * A.entries[i][j] for i in range(r)), RatFun.zero())
-                    + v[j].derivative()
+                    ratfun.add(
+                        ratfun.total(ratfun.mul(v[i], A.entries[i][j]) for i in range(r)),
+                        ratfun.derivative(v[j]),
+                    )
                     for j in range(r)
                 ]
         assert all(x.is_zero() for x in total)
@@ -478,7 +499,7 @@ class TestTransport:
         # beside it are bisected (the first into 4, the second into 2, the
         # last into 3: 24 + 6 legs); the pole adds no monodromy.
         a = Fraction(1, 3)
-        A = rank_one(pole(0, a) + pole(Fraction(6, 5), Fraction(1, 2)))
+        A = rank_one(ratfun.add(pole(0, a), pole(Fraction(6, 5), Fraction(1, 2))))
         result = transport(A, UNIT_LOOP, [ball(0), ball(1.2)])
         assert result.legs == 30
         assert abs(result.matrix[0, 0] - cmath.exp(2j * math.pi * a)) < 1e-13

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expperiods.cohomology import FiberType, ProblemSpec, connection_matrix, fiber_basis
@@ -26,7 +26,15 @@ from expperiods.singular import (
     singular_set,
     squarefree_decomposition,
 )
-from expperiods.symbolic import TPoly, parse_laurent, parse_tpoly, zpoly_exact_div, zpoly_gcd
+from expperiods.symbolic import (
+    LaurentPoly,
+    TPoly,
+    bareiss,
+    parse_laurent,
+    parse_tpoly,
+    zpoly_exact_div,
+    zpoly_gcd,
+)
 from test_cycles import FIBERS, bench_gen_and_refs
 
 
@@ -104,6 +112,41 @@ class TestSquarefree:
             assert rebuilt == prod.monic()
 
 
+def tpolys(max_size=3):
+    """Strategy for TPoly with rational coefficients."""
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.lists(fractions, min_size=1, max_size=max_size).map(TPoly)
+
+
+def laurent_polys(lo=-3, hi=4, max_size=5):
+    """Strategy for Laurent polynomials in u over Q[t], negative exponents included."""
+    return st.dictionaries(st.integers(lo, hi), tpolys(), max_size=max_size).map(LaurentPoly)
+
+
+def sylvester_resultant(p, q):
+    """Reference: the determinant of the (m+n) x (m+n) Sylvester matrix of the
+    pole-cleared numerators, each scaled onto Z[t] by the lcm of its content
+    denominators, divided by those scales at the end."""
+    a, b = singular._laurent_to_ucoeffs(p), singular._laurent_to_ucoeffs(q)
+    if not a or not b:
+        return TPoly.zero()
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    if size == 0:
+        return TPoly.one()
+    rows, scale = [], 1
+    for cs, shifts in ((a, n), (b, m)):
+        L = math.lcm(*(c.content.denominator for c in cs))
+        scale *= L ** shifts
+        coeffs = [[x * (c.content * L).numerator for x in c.prim] for c in cs]
+        for i in range(shifts):
+            row = [[] for _ in range(size)]
+            row[i:i + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
+    det, _ = bareiss(rows)  # rows as columns: det(M^T) = det(M)
+    return TPoly(det) * Fraction(1, scale)
+
+
 class TestResultant:
     def test_matches_evaluation_interpolation(self):
         # independent oracle: Res_u(p, q)(t0) equals lc_p^{deg q} * prod q(roots)
@@ -126,6 +169,51 @@ class TestResultant:
     def test_pole_clearing_keeps_positive_powers(self):
         # 2*u must stay degree 1 after clearing (no positive-power stripping)
         assert resultant_u(parse_laurent("2*u"), parse_laurent("u^2 - t")).degree == 1
+
+    # one case each: deg p < deg q, deg p = deg q, deg p > deg q (by 1 and by 3),
+    # a constant and a t-only second argument, negative exponents on either side
+    @pytest.mark.parametrize("p,q", [
+        ("2*u - t", "u^3/3 + t*u^2 - 1"),
+        ("(t/2)*u^2 + u - 3/4", "u^2 - t^2"),
+        ("u^3/3 - t*u", "u^2 - t"),
+        ("u^4 + t*u - 2", "(t + 1)*u/5 + 1/3"),
+        ("u^2 + t*u", "t"),
+        ("u^2 - t", "7/3"),
+        ("(t/2)*(u - u^-1)", "(t/2)*(1 + u^-2)"),
+        ("u^3 + t*u - u^-3 + t^2*u^-1", "3*u^2 + t + 3*u^-4 - t^2*u^-2"),
+        ("u^-2 + t", "u - 1/2"),
+    ])
+    def test_matches_sylvester_cases(self, p, q):
+        p, q = parse_laurent(p), parse_laurent(q)
+        assert resultant_u(p, q) == sylvester_resultant(p, q)
+
+    @PROPERTY
+    @given(laurent_polys(), laurent_polys())
+    def test_matches_sylvester_random(self, p, q):
+        assert resultant_u(p, q) == sylvester_resultant(p, q)
+
+    @PROPERTY
+    @given(
+        st.integers(-2, 2), st.integers(1, 2), tpolys(), tpolys(),
+        laurent_polys(-2, 2, 3), laurent_polys(-2, 2, 3),
+    )
+    def test_shared_root_gives_zero(self, k, gap, c0, c1, a, b):
+        # a factor with two distinct u-exponents has a nonzero root, common to both products
+        assume(not (c0.is_zero() or c1.is_zero() or a.is_zero() or b.is_zero()))
+        f = LaurentPoly({k: c0, k + gap: c1})
+        assert resultant_u(f * a, f * b).is_zero()
+        assert sylvester_resultant(f * a, f * b).is_zero()
+
+    @PROPERTY
+    @given(tpolys(), laurent_polys(lo=0, hi=1))
+    def test_shared_critical_root_is_degenerate(self, c, h):
+        # g = (u + c)^3 h: dg/du has the double root u = -c for every t
+        assume(not h.is_zero())
+        f = LaurentPoly({1: TPoly.one(), 0: c})
+        spec = ProblemSpec(FiberType.AFFINE_LINE, f * f * f * h)
+        assert resultant_u(spec.dg, spec.dg.partial_u()).is_zero()
+        with pytest.raises(DegenerateFamily, match="non-reduced"):
+            singular_set(spec)
 
 
 class TestRootIsolation:
