@@ -256,6 +256,7 @@ class Transport:
     matrix: np.ndarray
     legs: int
     order: int  # Taylor terms summed on every leg
+    amplification: float  # prod_leg |T_leg|_F / |matrix|_F, the growth bound of the product
 
 
 def _legs(path, balls) -> list:
@@ -302,14 +303,15 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
 
         d_0 (n+1) Y_{n+1} = sum_j b_j Y_{n-j} - sum_{j>=1} d_j (n-j+1) Y_{n-j+1},
 
-    and the leg's transition matrix is ``sum_n Y_n``.  A leg's transition
-    matrix does not depend on the state it carries, so every leg runs in one
-    ``(legs, r, r)`` batch, one order at a time.
+    and the leg's transition matrix is ``sum_n Y_n``.  Divided by ``d_0``, the
+    right side is one block row ``M - n M1`` on the last ``m`` terms of a history
+    buffer (doubled when full): one batched matmul per order for every leg.
 
-    **Stop rule.**  The series stops when, on every leg, three consecutive
-    terms (or as many as the recurrence reaches back, if that is more) are
-    at most ``eps * |partial sum|`` in the largest entry.  The transition
-    matrices are then multiplied in path order.
+    **Stop rule.**  Every ``need = max(3, m)`` orders: stop once, on every leg,
+    the last ``need`` terms are at most ``eps * |partial sum|`` in the largest
+    entry.  The leg matrices are multiplied in path order; ``amplification``
+    (the product of their Frobenius norms over the result's) bounds the growth
+    of the product's roundoff.
 
     Args:
         balls: disks with ``center`` and ``radius`` that hold every pole of
@@ -321,13 +323,11 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
         AtSingularT: if a leg starts at a pole of ``A``, or its series has not
             converged by order ``_MAX_ORDER``.
     """
-    path = [complex(p) for p in path]
     r = A.rank
-    legs = _legs(path, tuple(balls))
+    legs = _legs([complex(p) for p in path], tuple(balls))
     if not legs:
-        return Transport(matrix=np.eye(r, dtype=complex), legs=0, order=0)
-    t0 = np.array([leg[0] for leg in legs])
-    h = np.array([leg[1] for leg in legs])
+        return Transport(matrix=np.eye(r, dtype=complex), legs=0, order=0, amplification=1.0)
+    t0, h = np.array(legs).T
     B, D = A.polynomial_form
     m = len(D)
     k = np.arange(m)
@@ -342,31 +342,36 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
     if at_pole.any():
         raise AtSingularT(f"transport leg starts at a pole of the connection: t={t0[at_pole][0]}")
 
-    need = max(_STOP_RUN, m)
-    window = np.zeros((m, len(legs), r, r), dtype=complex)  # Y_n, Y_{n-1}, ...
-    window[0] = np.eye(r)
-    total = window[0].copy()
-    run = np.zeros(len(legs), dtype=int)
-    back = np.arange(m - 1)
+    # Over d_0, the block of Y_{n-j} in (n+1) Y_{n+1} is (b_j + j d_{j+1}) - n d_{j+1}
+    # (d_m = 0); M and M1 hold these blocks for j = m-1 .. 0, the order of the history
+    L, need = len(legs), max(_STOP_RUN, m)
+    dn = np.append(d[:, 1:], np.zeros((L, 1)), axis=1)[:, :, None, None] * np.eye(r)
+    blocks = np.stack((b + k[:, None, None] * dn, dn)) / d[:, 0, None, None, None]
+    M, M1 = blocks[:, :, ::-1].transpose(0, 1, 3, 2, 4).reshape(2, L, r, m * r)
+    hist = np.zeros((L, 64 * r, r), dtype=complex)  # rows (k + m - 1) r .. hold Y_k
+    hist[:, (m - 1) * r:m * r] = total = np.tile(np.eye(r, dtype=complex), (L, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(_MAX_ORDER):
-            acc = np.einsum("ljab,jlbc->lac", b, window)
-            acc -= np.einsum("lj,jlbc->lbc", d[:, 1:] * (n - back), window[:-1])
-            term = acc / ((n + 1) * d[:, 0])[:, None, None]
-            total += term
-            window = np.concatenate((term[None], window[:-1]))
-            small = np.abs(term).max(axis=(1, 2)) <= eps * np.abs(total).max(axis=(1, 2))
-            run = np.where(small, run + 1, 0)
-            if run.min() >= need:
-                break
-            if not np.isfinite(total).all():
+            a = (n + m) * r  # the first row of Y_{n+1}
+            if a + r > hist.shape[1]:
+                hist = np.concatenate((hist, np.zeros_like(hist)), axis=1)
+            np.matmul((M - n * M1) / (n + 1), hist[:, a - m * r:a], out=hist[:, a:a + r])
+            if (n + 1) % need:
+                continue
+            tail = hist[:, a + r - need * r:a + r].reshape(L, need, r, r)
+            total += tail.sum(axis=1)
+            scale = np.abs(total).max(axis=(1, 2))
+            if not np.isfinite(scale).all():
                 raise AtSingularT("Taylor transport overflowed: a leg runs onto a pole")
+            if (np.abs(tail).max(axis=(1, 2, 3)) <= eps * scale).all():
+                break
         else:
             raise AtSingularT(f"Taylor transport did not converge by order {_MAX_ORDER}")
-    phi = np.eye(r, dtype=complex)
-    for step in total:
-        phi = step @ phi
-    return Transport(matrix=phi, legs=len(legs), order=n + 1)
+        phi = np.eye(r, dtype=complex)
+        for step in total:
+            phi = step @ phi
+        growth = np.prod(np.linalg.norm(total, axis=(1, 2))) / np.linalg.norm(phi)
+    return Transport(matrix=phi, legs=L, order=n + 1, amplification=float(growth))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,11 @@ threshold:
 
 Solutions are transported by Taylor series of the exact connection
 ``D(t) Y' = B(t) Y`` (``cohomology.transport``), each leg bisected to at most
-half its start's clearance from the hard singular balls.  Residuals are relative
+half its start's clearance from the hard singular balls; each order is one
+batched matmul over a history buffer, and the stop test runs every
+``max(3, m)`` orders.  A monodromy record reports the transport's
+``amplification`` (its legs' norms multiplied, over the result's norm), a loose
+bound on roundoff growth that no threshold reads.  Residuals are relative
 Frobenius norms, scaled by the largest entry so that no square overflows.
 
 All randomness is drawn from ``random.Random`` seeded with ``STOKES_SEED``
@@ -32,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -73,13 +77,7 @@ class CheckRecord(object):
     details: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -370,6 +368,7 @@ def monodromy(
             "eigenvalues": [[z.real, z.imag] for z in eig],
             "transport_legs": ode.legs,
             "taylor_order": ode.order,
+            "transport_amplification": ode.amplification,
         },
     )
     return MonodromyResult(

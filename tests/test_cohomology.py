@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +25,12 @@ from expperiods.cohomology import (
 )
 from expperiods import symbolic
 from expperiods.errors import AtSingularT, DegenerateFamily, SingularProximity, SpecFormatError
-from expperiods.singular import RootBall
+from expperiods.singular import RootBall, singular_set
 from expperiods.symbolic import LaurentPoly, RatFun, TPoly, parse_laurent
 
 import ratfun
-from test_cycles import bench_gen_and_refs
+import transport_ref
+from test_cycles import bench_gen_and_refs, verify_cases
 
 
 def make(fiber, g, label=""):
@@ -523,3 +525,65 @@ class TestTransport:
             transport(A, [1.0, 0.0])
         with pytest.raises(AtSingularT):
             transport(A, [0.0, 1.0])
+
+    def test_overflowing_series_raises_without_a_numpy_warning(self):
+        # a leg 100 times longer than its start's distance to the pole: the
+        # terms grow like 100^n and overflow near order 150, before _MAX_ORDER
+        A = rank_one(pole(0, Fraction(1, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AtSingularT, match="overflowed"):
+                transport(A, [1.0, 101.0])
+
+    def test_series_not_converged_by_max_order_raises(self):
+        # |h| is 0.95 of the radius of convergence: the terms shrink like
+        # 0.95^n, still near 1e-12 of the sum at order 400
+        A = rank_one(pole(0, Fraction(1, 3)))
+        with pytest.raises(AtSingularT, match="did not converge by order 400"):
+            transport(A, [1.0, 0.05])
+
+    def test_path_is_the_product_of_its_pieces(self):
+        A = connection_matrix(BESSEL, fiber_basis(BESSEL))
+        a, b, c = 1.0, 0.5 + 0.8j, -0.7 + 0.4j
+        whole = transport(A, [a, b, c], [ball(0)])
+        pieces = transport(A, [b, c], [ball(0)]).matrix @ transport(A, [a, b], [ball(0)]).matrix
+        assert whole.legs > 2
+        assert np.abs(whole.matrix - pieces).max() < 1e-13 * np.abs(pieces).max()
+
+    def test_matches_the_30_digit_reference(self):
+        # the fixtures' nearest-ball monodromy loops and every verify-pool
+        # check_ode step, against the same recurrence on the same legs in
+        # mpmath (the full set of loops is a CI step)
+        cases = []
+        for label, spec, t in verify_cases():
+            A = connection_matrix(spec, fiber_basis(spec))
+            if A.rank == 0:
+                continue
+            S = singular_set(spec, A)
+            cases.append((A, [t, t + 0.02 * max(1.0, abs(t))], S.hard_balls()))
+            if label in ("airy", "bessel", "gaussian"):
+                near = min(S.balls, key=lambda b: abs(b.center - t)).center
+                cases.append((A, transport_ref.monodromy_loop(S, near), S.hard_balls()))
+        assert len(cases) == 22
+        for A, path, balls in cases:
+            ref = transport_ref.transport(A, path, balls, dps=30)
+            assert transport_ref.deviation(transport(A, path, balls).matrix, ref) < 1e-12
+
+    def test_amplification_reads_roundoff_growth(self):
+        # verify_pun01's loops about its soft balls at 7.7195 +- 7.4245i sum
+        # terms far larger than the result; the fixtures' loops do not
+        gen, _refs = bench_gen_and_refs()
+        label, fiber, g = next(f for f in gen.pool(gen.VERIFY_POOL) if f[0] == "verify_pun01")
+        spec = make(FiberType(fiber), g, label)
+        A = connection_matrix(spec, fiber_basis(spec))
+        S = singular_set(spec, A)
+        soft = [b for b in S.balls if abs(abs(b.center - 7.7195) - 7.4245) < 1e-3]
+        assert len(soft) == 2
+        for b in soft:
+            assert transport(A, transport_ref.monodromy_loop(S, b.center), S.hard_balls()).amplification > 1e20
+        for spec in (AIRY, BESSEL, GAUSSIAN):
+            A = connection_matrix(spec, fiber_basis(spec))
+            S = singular_set(spec, A)
+            T = transport(A, transport_ref.monodromy_loop(S, 0j), S.hard_balls())
+            assert 1.0 - 1e-12 < T.amplification < 1e4
+        assert transport(A, [1.0]).amplification == 1.0

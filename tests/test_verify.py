@@ -254,6 +254,12 @@ class TestMonodromy:
         assert abs(m[1][0]) < 1e-12 and abs(m[1][1] - 1.0) < 1e-12
         assert abs(m[0][1] + 2.0) < 1e-9
 
+    def test_record_reports_transport_amplification(self):
+        # a reading only: 24 near-identity rank-2 legs, of Frobenius norm near sqrt(2) each
+        details = monodromy(BESSEL, 0.0).record.details
+        assert details["transport_legs"] == 24
+        assert 1.0 < details["transport_amplification"] < 1e4
+
     def test_cycle_carried_back_onto_itself_keeps_its_row(self):
         # a loop about a ball of critical-point degeneration carries every cycle
         # back onto its own polyline; two of the five rows cancel down to no
