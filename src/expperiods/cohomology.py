@@ -256,7 +256,7 @@ class Transport:
     matrix: np.ndarray
     legs: int
     order: int  # Taylor terms summed on every leg
-    amplification: float  # prod_leg |T_leg|_F / |matrix|_F, the growth bound of the product
+    amplification: float  # prod_leg |T_leg|_F / |matrix|_F, at least about r^(legs/2) near I
 
 
 def _legs(path, balls) -> list:
@@ -304,14 +304,13 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
         d_0 (n+1) Y_{n+1} = sum_j b_j Y_{n-j} - sum_{j>=1} d_j (n-j+1) Y_{n-j+1},
 
     and the leg's transition matrix is ``sum_n Y_n``.  Divided by ``d_0``, the
-    right side is one block row ``M - n M1`` on the last ``m`` terms of a history
-    buffer (doubled when full): one batched matmul per order for every leg.
+    right side is one block row ``M - n M1`` on the last ``m`` terms of a buffer
+    of ``m + need`` terms: one batched matmul per order for every leg.
 
     **Stop rule.**  Every ``need = max(3, m)`` orders: stop once, on every leg,
     the last ``need`` terms are at most ``eps * |partial sum|`` in the largest
-    entry.  The leg matrices are multiplied in path order; ``amplification``
-    (the product of their Frobenius norms over the result's) bounds the growth
-    of the product's roundoff.
+    entry.  The leg matrices are multiplied in path order.  ``amplification``
+    is the product of their Frobenius norms over the result's, a reading only.
 
     Args:
         balls: disks with ``center`` and ``radius`` that hold every pole of
@@ -348,28 +347,25 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
     dn = np.append(d[:, 1:], np.zeros((L, 1)), axis=1)[:, :, None, None] * np.eye(r)
     blocks = np.stack((b + k[:, None, None] * dn, dn)) / d[:, 0, None, None, None]
     M, M1 = blocks[:, :, ::-1].transpose(0, 1, 3, 2, 4).reshape(2, L, r, m * r)
-    hist = np.zeros((L, 64 * r, r), dtype=complex)  # rows (k + m - 1) r .. hold Y_k
+    hist = np.zeros((L, (m + need) * r, r), dtype=complex)  # the last m terms (zero before Y_0), then need new
     hist[:, (m - 1) * r:m * r] = total = np.tile(np.eye(r, dtype=complex), (L, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(_MAX_ORDER):
-            a = (n + m) * r  # the first row of Y_{n+1}
-            if a + r > hist.shape[1]:
-                hist = np.concatenate((hist, np.zeros_like(hist)), axis=1)
+            a = (m + n % need) * r  # the first row of Y_{n+1}
             np.matmul((M - n * M1) / (n + 1), hist[:, a - m * r:a], out=hist[:, a:a + r])
             if (n + 1) % need:
                 continue
-            tail = hist[:, a + r - need * r:a + r].reshape(L, need, r, r)
+            tail = hist[:, m * r:].reshape(L, need, r, r)
             total += tail.sum(axis=1)
             scale = np.abs(total).max(axis=(1, 2))
             if not np.isfinite(scale).all():
                 raise AtSingularT("Taylor transport overflowed: a leg runs onto a pole")
             if (np.abs(tail).max(axis=(1, 2, 3)) <= eps * scale).all():
                 break
+            hist[:, :m * r] = hist[:, need * r:]  # the last m terms start the next need
         else:
             raise AtSingularT(f"Taylor transport did not converge by order {_MAX_ORDER}")
-        phi = np.eye(r, dtype=complex)
-        for step in total:
-            phi = step @ phi
+        phi = functools.reduce(lambda acc, step: step @ acc, total)  # legs in path order
         growth = np.prod(np.linalg.norm(total, axis=(1, 2))) / np.linalg.norm(phi)
     return Transport(matrix=phi, legs=L, order=n + 1, amplification=float(growth))
 

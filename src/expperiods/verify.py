@@ -22,10 +22,8 @@ Solutions are transported by Taylor series of the exact connection
 ``D(t) Y' = B(t) Y`` (``cohomology.transport``), each leg bisected to at most
 half its start's clearance from the hard singular balls; each order is one
 batched matmul over a history buffer, and the stop test runs every
-``max(3, m)`` orders.  A monodromy record reports the transport's
-``amplification`` (its legs' norms multiplied, over the result's norm), a loose
-bound on roundoff growth that no threshold reads.  Residuals are relative
-Frobenius norms, scaled by the largest entry so that no square overflows.
+``max(3, m)`` orders.  Residuals are relative Frobenius norms, scaled by the
+largest entry so that no square overflows.
 
 All randomness is drawn from ``random.Random`` seeded with ``STOKES_SEED``
 (or a caller-provided seed), so every run is reproducible.
@@ -36,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -77,7 +75,13 @@ class CheckRecord(object):
     details: dict
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "residual": self.residual,
+            "threshold": self.threshold,
+            "details": self.details,
+        }
 
 
 @dataclass(frozen=True)

@@ -550,6 +550,17 @@ class TestTransport:
         assert whole.legs > 2
         assert np.abs(whole.matrix - pieces).max() < 1e-13 * np.abs(pieces).max()
 
+    def test_more_coefficients_than_a_fixed_history_held(self):
+        # A = [[0, p'], [-p p'/3, 0]] with p = t^33 clears to 66 coefficients,
+        # so the recurrence reaches 66 terms back
+        spec = make(FiberType.AFFINE_LINE, "u^3 + t^33*u")
+        A = connection_matrix(spec, fiber_basis(spec))
+        assert len(A.polynomial_form[1]) == 66
+        path = [1.0, 1.02, 1.02 + 0.02j]
+        T = transport(A, path)
+        assert T.legs == 2
+        assert transport_ref.deviation(T.matrix, transport_ref.transport(A, path, dps=30)) < 1e-12
+
     def test_matches_the_30_digit_reference(self):
         # the fixtures' nearest-ball monodromy loops and every verify-pool
         # check_ode step, against the same recurrence on the same legs in
@@ -569,9 +580,10 @@ class TestTransport:
             ref = transport_ref.transport(A, path, balls, dps=30)
             assert transport_ref.deviation(transport(A, path, balls).matrix, ref) < 1e-12
 
-    def test_amplification_reads_roundoff_growth(self):
+    def test_amplification_reading(self):
         # verify_pun01's loops about its soft balls at 7.7195 +- 7.4245i sum
-        # terms far larger than the result; the fixtures' loops do not
+        # terms far larger than the result; the fixtures' loops do not.  The
+        # Frobenius norms put a floor of about r^(legs/2) under the reading
         gen, _refs = bench_gen_and_refs()
         label, fiber, g = next(f for f in gen.pool(gen.VERIFY_POOL) if f[0] == "verify_pun01")
         spec = make(FiberType(fiber), g, label)

@@ -49,6 +49,10 @@ class TestOde:
         rec = check_ode(AIRY, 0.0)
         assert rec.passed
 
+    def test_connection_with_66_coefficients(self):
+        # p = t^33 in u^3 + p u clears the connection to 66 coefficients in t
+        assert check_ode(make(FiberType.AFFINE_LINE, "u^3 + t^33*u"), 1.0).passed
+
     def test_rank_zero_vacuous(self):
         rec = check_ode(LINEAR, 1.0)
         assert rec.passed and rec.residual == 0.0
