@@ -78,60 +78,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CONNECTION_CONVENTION",
-    "AtSingularT",
-    "CheckRecord",
-    "CohomologyBasis",
-    "ConnectionMatrix",
-    "CycleBasis",
-    "DegenerateFamily",
-    "EndTag",
-    "EngineError",
-    "FiberType",
-    "LaurentPoly",
-    "MonodromyResult",
-    "NonDecayingTail",
-    "PeriodMatrix",
-    "PeriodValue",
-    "PrecisionExhausted",
-    "ProblemSpec",
-    "RankZero",
-    "RapidDecayCycle",
-    "RatFun",
-    "RootBall",
-    "STOKES_SEED",
-    "ScalarODE",
-    "SingularProximity",
-    "SingularSet",
-    "SpecFormatError",
-    "TPoly",
-    "ToleranceNotMet",
-    "ValleyConfig",
-    "VerificationReport",
-    "adaptive_polyline",
-    "check_duality",
-    "check_ode",
-    "check_stokes",
-    "connection_matrix",
-    "cycle_basis",
-    "cyclic_ode",
-    "fiber_basis",
-    "integrate_absolute",
-    "integrate_period",
-    "monodromy",
-    "parse_laurent",
-    "parse_tpoly",
-    "period_matrix",
-    "random_gauge",
-    "reduce_form",
-    "resultant_u",
-    "root_isolate",
-    "run_all",
-    "singular_set",
-    "squarefree_decomposition",
-    "track_cycles",
-    "valley_config",
-    "__version__",
-]

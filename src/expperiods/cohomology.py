@@ -65,8 +65,14 @@ class ProblemSpec:
     def __post_init__(self):
         if self.dg.is_zero():
             raise DegenerateFamily("g does not depend on u")
-        if self.fiber is FiberType.AFFINE_LINE and self.g.u_order < 0:
+        d, o = self.top_degree, self.bottom_order
+        if self.fiber is FiberType.AFFINE_LINE and o < 0:
             raise SpecFormatError("negative u-powers are not functions on the affine line")
+        if self.fiber is FiberType.PUNCTURED_LINE and (d < 1 or o > -1):
+            raise DegenerateFamily(
+                "punctured-line phase must have a pole at infinity and at zero "
+                f"(top degree {d}, bottom order {o})"
+            )
 
     @functools.cached_property
     def dg(self) -> LaurentPoly:
@@ -101,21 +107,13 @@ def fiber_basis(spec: ProblemSpec) -> CohomologyBasis:
     PuncturedLine with pole orders d at infinity and e at zero:
                                       rank d+e, exponents -e..d-1.
 
-    Raises:
-        DegenerateFamily: if the fiber type does not match the pole pattern
-            (a punctured-line phase must have genuine poles at both ends).
+    A pure derivation: ``ProblemSpec`` has checked the pole pattern (``d, e >= 1``
+    on the punctured line; on the affine line ``dg/du != 0`` forces ``d >= 1``).
     """
     d = spec.top_degree
     if spec.fiber is FiberType.AFFINE_LINE:
-        if d < 1:
-            raise DegenerateFamily("phase has no positive u-degree")
         return CohomologyBasis(rank=d - 1, exponents=tuple(range(0, d - 1)))
     e = -spec.bottom_order
-    if d < 1 or e < 1:
-        raise DegenerateFamily(
-            "punctured-line phase must have a pole at infinity and at zero "
-            f"(top degree {d}, bottom order {-e})"
-        )
     return CohomologyBasis(rank=d + e, exponents=tuple(range(-e, d)))
 
 
@@ -208,10 +206,6 @@ class ConnectionMatrix:
     def rank(self) -> int:
         return self.basis.rank
 
-    def eval(self, t) -> list:
-        """Numeric matrix as nested lists of complex (raises AtSingularT at a pole)."""
-        return [[x.eval(complex(t)) for x in row] for row in self.entries]
-
     def denominators(self) -> list:
         """All entry denominators, for singular-set assembly."""
         return [x.den for row in self.entries for x in row if not x.den.is_one()]
@@ -256,7 +250,7 @@ class Transport:
     matrix: np.ndarray
     legs: int
     order: int  # Taylor terms summed on every leg
-    amplification: float  # prod_leg |T_leg|_F / |matrix|_F, at least about r^(legs/2) near I
+    amplification: float  # prod_leg |T_leg|_2 / |matrix|_2, at least 1
 
 
 def _legs(path, balls) -> list:
@@ -310,7 +304,8 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
     **Stop rule.**  Every ``need = max(3, m)`` orders: stop once, on every leg,
     the last ``need`` terms are at most ``eps * |partial sum|`` in the largest
     entry.  The leg matrices are multiplied in path order.  ``amplification``
-    is the product of their Frobenius norms over the result's, a reading only.
+    is the product of their spectral norms over the result's, a reading only:
+    it is at least 1, and near 1 when no leg's terms cancel in the product.
 
     Args:
         balls: disks with ``center`` and ``radius`` that hold every pole of
@@ -366,7 +361,7 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
         else:
             raise AtSingularT(f"Taylor transport did not converge by order {_MAX_ORDER}")
         phi = functools.reduce(lambda acc, step: step @ acc, total)  # legs in path order
-        growth = np.prod(np.linalg.norm(total, axis=(1, 2))) / np.linalg.norm(phi)
+        growth = np.prod(np.linalg.norm(total, 2, axis=(1, 2))) / np.linalg.norm(phi, 2)
     return Transport(matrix=phi, legs=L, order=n + 1, amplification=float(growth))
 
 

@@ -8,6 +8,9 @@ explicit defining polynomials in t:
 * the u-resultant of dg/du and d^2g/du^2 (critical points collide or escape),
 * every denominator of the connection matrix (poles of the system).
 
+The set keeps that connection (``SingularSet.connection``): a check handed
+the set reads A from it, and never derives A a second time.
+
 Each defining polynomial is split into squarefree factors over Z[t] (Yun's
 algorithm), and the roots of each factor are isolated into complex balls,
 each certified to contain exactly one root.  Candidate centers come from a
@@ -24,14 +27,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 
 import numpy as np
 
-from .cohomology import ConnectionMatrix, FiberType, ProblemSpec
+from .cohomology import ConnectionMatrix, FiberType, ProblemSpec, connection_matrix, fiber_basis
 from .errors import DegenerateFamily, PrecisionExhausted
 from .symbolic import (
     LaurentPoly,
@@ -74,6 +77,7 @@ class SingularSet:
 
     balls: tuple
     defining: tuple  # tuple of (TPoly, provenance string)
+    connection: ConnectionMatrix = field(compare=False, repr=False)  # the A it was built from
 
     def hard_balls(self) -> tuple:
         """Balls where the system itself degenerates (poles, lost valleys).
@@ -370,13 +374,14 @@ def _merge_balls(balls, combine=max):
 def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None) -> SingularSet:
     """Assemble the certified singular-parameter over-approximation.
 
+    The poles come from ``A`` (derived from ``spec`` when omitted), which the
+    result keeps as its ``connection``.
+
     Raises:
         DegenerateFamily: if a genuine defining polynomial vanishes
             identically in t (e.g. a non-reduced critical scheme for all t).
     """
     if A is None:
-        from .cohomology import connection_matrix, fiber_basis
-
         A = connection_matrix(spec, fiber_basis(spec))
     defining = []
     d = spec.top_degree
@@ -407,4 +412,4 @@ def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None) -> SingularSet:
             if poly.prim not in roots:
                 roots[poly.prim] = root_isolate(poly, isolated=isolated)
             balls.extend(replace(b, provenance=(prov,)) for b in roots[poly.prim])
-    return SingularSet(balls=tuple(_merge_balls(balls)), defining=tuple(defining))
+    return SingularSet(balls=tuple(_merge_balls(balls)), defining=tuple(defining), connection=A)

@@ -5,7 +5,8 @@ The API edge uses three small exact types:
 * :class:`TPoly` — univariate polynomials in ``t`` over Q, each stored as a
   ``Fraction`` content times a primitive Z[t] polynomial;
 * :class:`RatFun` — reduced fractions of two ``TPoly`` with monic denominator
-  (the entries of a connection matrix ``A(t)``);
+  (the entries of a connection matrix ``A(t)``); it has no evaluator, since
+  A's one numeric view is ``ConnectionMatrix.polynomial_form``;
 * :class:`LaurentPoly` — finite sums ``sum_k c_k(t) * u^k`` with ``k`` ranging
   over the integers and ``c_k`` a ``TPoly``.
 
@@ -40,7 +41,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import AtSingularT, PrecisionExhausted, SpecFormatError
+from .errors import PrecisionExhausted, SpecFormatError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -274,12 +275,6 @@ class RatFun:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def eval(self, x):
-        dv = self.den.eval(x)
-        if dv == 0 or (isinstance(dv, complex) and abs(dv) < 1e-300):
-            raise AtSingularT(f"evaluation at a pole of {self.to_str()}")
-        return self.num.eval(x) / dv
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatFun) and self.num == other.num and self.den == other.den

@@ -19,7 +19,8 @@ threshold:
   monodromy matrix.
 
 Solutions are transported by Taylor series of the exact connection
-``D(t) Y' = B(t) Y`` (``cohomology.transport``), each leg bisected to at most
+``D(t) Y' = B(t) Y`` (``cohomology.transport``), the one the singular set was
+derived from (``SingularSet.connection``), each leg bisected to at most
 half its start's clearance from the hard singular balls; each order is one
 batched matmul over a history buffer, and the stop test runs every
 ``max(3, m)`` orders.  Residuals are relative Frobenius norms, scaled by the
@@ -39,14 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cohomology import (
-    ConnectionMatrix,
-    FiberType,
-    ProblemSpec,
-    connection_matrix,
-    fiber_basis,
-    transport,
-)
+from .cohomology import ConnectionMatrix, FiberType, ProblemSpec, fiber_basis, transport
 from .cycles import CycleBasis, cycle_basis, track_cycles
 from .errors import SingularProximity
 from .quadrature import period_matrices, period_matrix, period_rows
@@ -163,17 +157,19 @@ def check_ode(
     The cycle basis at t (``cycles`` when given) is continued to t + h,
     h = 0.02 * max(1, |t|), and the exact solutions are transported along the
     same step: the residual is |P(t+h) - P(t) Phi^T| / (h |P(t)|), with both
-    period matrices from one kernel run.  Raises SingularProximity if the step
-    runs too close to a hard singular ball.
+    period matrices from one kernel run.  ``A`` defaults to the connection of
+    ``singular``, and ``singular`` to the set derived from ``A`` (or from
+    ``spec``).  Raises SingularProximity if the step runs too close to a hard
+    singular ball.
     """
     t = complex(t)
     basis = fiber_basis(spec)
     if basis.rank == 0:
         return _vacuous("ode_residual", "rank zero: the solution space is trivial")
-    if A is None:
-        A = connection_matrix(spec, basis)
     if singular is None:
         singular = singular_set(spec, A)
+    if A is None:
+        A = singular.connection
     h = 0.02 * max(1.0, abs(t))
     base = cycles if cycles is not None else cycle_basis(spec, t)
     P0, P1, step = _continue(spec, basis, A, singular, base, [t, t + h], _ODE_PERIOD_TOL)
@@ -261,7 +257,8 @@ def check_duality(spec: ProblemSpec, t: complex, cycles: CycleBasis = None) -> C
     """Verify |det P| > 1e-3 * prod(row norms): the pairing is non-degenerate.
 
     The threshold is scale-invariant (Hadamard's inequality bounds |det P|
-    by the product of row norms, so the ratio lies in [0, 1]).
+    by the product of row norms, so the ratio lies in [0, 1]).  |det P| is the
+    product of the singular values, from the one SVD that gives the numeric rank.
     """
     t = complex(t)
     basis = fiber_basis(spec)
@@ -270,10 +267,10 @@ def check_duality(spec: ProblemSpec, t: complex, cycles: CycleBasis = None) -> C
     if cycles is None:
         cycles = cycle_basis(spec, t)
     P = period_matrix(spec, basis, cycles, tol=_PERIOD_TOL).values()
-    det = abs(complex(np.linalg.det(P)))
+    svals = np.linalg.svd(P, compute_uv=False)
+    det = math.prod(svals.tolist())  # |det P|, the product of the singular values
     row_norms = [float(np.linalg.norm(row)) for row in P]
     hadamard = math.prod(row_norms)
-    svals = np.linalg.svd(P, compute_uv=False)
     numeric_rank = int(np.sum(svals > svals[0] * 1e-10)) if len(svals) else 0
     ratio = det / max(hadamard, 1e-300)
     return CheckRecord(
@@ -301,7 +298,6 @@ def monodromy(
     center: complex,
     basepoint: complex = None,
     singular: SingularSet = None,
-    A: ConnectionMatrix = None,
 ) -> MonodromyResult:
     """Monodromy of the local system around a counterclockwise loop.
 
@@ -310,8 +306,10 @@ def monodromy(
     at half the gap to the nearest other singular ball (distance less its
     radius).  Both sides walk this one polygon.  M_cycle expresses the
     continued cycle basis in the original one via the period matrices.  M_ode
-    carries the solutions by :func:`cohomology.transport` (see the module
-    docstring).  They must agree to _MONODROMY_TOL in relative Frobenius norm.
+    carries the solutions by :func:`cohomology.transport` of
+    ``singular.connection`` (see the module docstring); ``singular`` defaults
+    to the set derived from ``spec``.  They must agree to _MONODROMY_TOL in
+    relative Frobenius norm.
 
     Raises:
         SingularProximity: if the loop runs too close to a hard singular ball
@@ -319,10 +317,8 @@ def monodromy(
     """
     center = complex(center)
     basis = fiber_basis(spec)
-    if A is None:
-        A = connection_matrix(spec, basis)
     if singular is None:
-        singular = singular_set(spec, A)
+        singular = singular_set(spec)
     if basepoint is None:
         gaps = [
             abs(b.center - center) - b.radius
@@ -353,7 +349,7 @@ def monodromy(
     # One run gives P0 and P1; a cycle the loop carries back onto its own polyline
     # is integrated once, so its rows agree to the last bit.
     try:
-        P0, P1, ode = _continue(spec, basis, A, singular, base, loop, _PERIOD_TOL)
+        P0, P1, ode = _continue(spec, basis, singular.connection, singular, base, loop, _PERIOD_TOL)
     except SingularProximity as exc:
         raise SingularProximity(f"monodromy loop about {center}: {exc}") from exc
     m_cycle = np.linalg.solve(P0.T, P1.T).T
@@ -399,15 +395,14 @@ def run_all(
     """Run every structural check at one admissible parameter value.
 
     If t is omitted, the first of a fixed list of candidate points that keeps
-    a safe distance from all hard singular balls is used.  The exact
-    connection, the singular set and one cycle basis at t are built once and
-    shared by the checks.  Monodromy loops about the hard ball nearest to t;
-    with no hard ball its record is vacuous, since a loop about a ball that
-    only marks critical-point degeneration cannot carry monodromy.
+    a safe distance from all hard singular balls is used.  The singular set,
+    which carries the exact connection, and one cycle basis at t are built
+    once and shared by the checks.  Monodromy loops about the hard ball
+    nearest to t; with no hard ball its record is vacuous, since a loop about
+    a ball that only marks critical-point degeneration cannot carry monodromy.
     """
     basis = fiber_basis(spec)
-    A = connection_matrix(spec, basis)
-    sigma = singular_set(spec, A)
+    sigma = singular_set(spec)
     hard = sigma.hard_balls()
     if t is None:
         candidates = [1.0, 2.0, 1.0 + 1.0j, 3.0, -1.5 + 0.5j]
@@ -425,7 +420,7 @@ def run_all(
     # at rank zero there is none, and each check is vacuous.
     cycles = cycle_basis(spec, t) if basis.rank else None
     records = [
-        check_ode(spec, t, singular=sigma, A=A, cycles=cycles),
+        check_ode(spec, t, singular=sigma, cycles=cycles),
         check_duality(spec, t, cycles=cycles),
     ]
     rng = random.Random(seed)
@@ -434,7 +429,7 @@ def run_all(
         records.append(check_stokes(spec, t, random_gauge(spec, rng), cycle=cyc))
     if hard:
         nearest = min(hard, key=lambda b: abs(b.center - t))
-        records.append(monodromy(spec, nearest.center, singular=sigma, A=A).record)
+        records.append(monodromy(spec, nearest.center, singular=sigma).record)
     else:
         note = "no hard singular ball: A(t) is entire, every loop acts trivially"
         records.append(_vacuous("monodromy_match", note))

@@ -1,9 +1,10 @@
 """Field arithmetic on RatFun for the tests' reference computations.
 
 The package only builds a RatFun from a numerator and a denominator and reads
-it back; sums, products, quotients and derivatives over Q(t) are needed only
-by the references that the fraction-free code is checked against.  Every
-operand may be a RatFun, a TPoly or a rational constant.
+it back; sums, products, quotients, derivatives over Q(t) and values of a
+connection matrix at a point are needed only by the references that the
+fraction-free code is checked against.  Every operand may be a RatFun, a TPoly
+or a rational constant.
 """
 
 from fractions import Fraction
@@ -69,3 +70,9 @@ def total(xs) -> RatFun:
 def derivative(a) -> RatFun:
     a = as_ratfun(a)
     return RatFun(a.num.derivative() * a.den - a.num * a.den.derivative(), a.den * a.den)
+
+
+def evaluate(A, t) -> list:
+    """The connection matrix ``A`` at ``t``, as nested lists of complex."""
+    t = complex(t)
+    return [[x.num.eval(t) / x.den.eval(t) for x in row] for row in A.entries]

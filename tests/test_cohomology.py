@@ -244,9 +244,8 @@ class TestBasisWindows:
             make(FiberType.AFFINE_LINE, "u^-1")
 
     def test_punctured_requires_pole(self):
-        spec = make(FiberType.PUNCTURED_LINE, "t*u^2")
         with pytest.raises(DegenerateFamily):
-            fiber_basis(spec)
+            make(FiberType.PUNCTURED_LINE, "t*u^2")
 
 
 class TestReduction:
@@ -381,7 +380,7 @@ class TestConnection:
 
     def test_numeric_eval(self):
         A = connection_matrix(AIRY, fiber_basis(AIRY))
-        m = A.eval(2.0)
+        m = ratfun.evaluate(A, 2.0)
         assert m[1][0] == -2.0 and m[0][1] == -1.0
 
 
@@ -487,7 +486,7 @@ class TestTransport:
         t = 0.7 - 0.3j
         Dt = np.polyval(D[::-1], t)
         Bt = sum(B[k] * t**k for k in range(len(D)))
-        assert np.allclose(Dt * np.array(A.eval(t)), Bt, rtol=1e-14, atol=0)
+        assert np.allclose(Dt * np.array(ratfun.evaluate(A, t)), Bt, rtol=1e-14, atol=0)
 
     def test_regular_singular_loop_is_exp_2_pi_i_a(self):
         a = Fraction(1, 3)
@@ -583,7 +582,7 @@ class TestTransport:
     def test_amplification_reading(self):
         # verify_pun01's loops about its soft balls at 7.7195 +- 7.4245i sum
         # terms far larger than the result; the fixtures' loops do not.  The
-        # Frobenius norms put a floor of about r^(legs/2) under the reading
+        # spectral norms put a floor of 1 under the reading
         gen, _refs = bench_gen_and_refs()
         label, fiber, g = next(f for f in gen.pool(gen.VERIFY_POOL) if f[0] == "verify_pun01")
         spec = make(FiberType(fiber), g, label)
@@ -597,5 +596,5 @@ class TestTransport:
             A = connection_matrix(spec, fiber_basis(spec))
             S = singular_set(spec, A)
             T = transport(A, transport_ref.monodromy_loop(S, 0j), S.hard_balls())
-            assert 1.0 - 1e-12 < T.amplification < 1e4
+            assert 1.0 - 1e-12 < T.amplification < 1e2
         assert transport(A, [1.0]).amplification == 1.0

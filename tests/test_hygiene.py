@@ -6,7 +6,9 @@ scipy: neither the import, nor the verify battery, nor the ``monodromy``
 command.  mpmath loads only when root isolation escalates past double
 precision (or on ``periods --dps``).  Every module-level
 function and class has a caller in the package (a re-export counts) or in
-``demos/``: code that only tests need does not belong in ``src/``.  Every
+``demos/``, and every public method and property of a package class is read
+by name outside its class (in the package, ``demos/`` or ``bench/``): code
+that only tests need does not belong in ``src/``.  Every
 function the traced benchmark reads a metric from still exists, so no metric
 of a traced run reads ``null``.  Every exception type is raised somewhere in
 the package, or is the base of one that is.
@@ -83,19 +85,48 @@ def referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
     return out
 
 
-def uncalled_definitions(paths, callers) -> list:
+def attributes_read(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Attribute names loaded in ``tree``, outside ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled_definitions(paths, callers, readers=()) -> list:
     """(file, name) of each top-level def or class in ``paths`` that is not
-    referenced in its own file outside its definition, nor in ``callers``."""
-    trees = {p: ast.parse(p.read_text()) for p in {*paths, *callers}}
+    referenced in its own file outside its definition, nor in ``callers``; and
+    (file, "Class.member") of each public method or property of a class in
+    ``paths`` whose attribute name is not read in its own file outside that
+    class, nor in ``callers`` or ``readers``."""
+    trees = {p: ast.parse(p.read_text()) for p in {*paths, *callers, *readers}}
     refs = {q: referenced_names(trees[q]) for q in callers}
+    reads = {q: attributes_read(trees[q]) for q in {*callers, *readers}}
     out = []
     for p in paths:
         elsewhere = set().union(*(refs[q] for q in callers if q != p))
+        read_elsewhere = set().union(*(reads[q] for q in reads if q != p))
         for node in trees[p].body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in (
                 elsewhere | referenced_names(trees[p], skip=node)
             ):
                 out.append((p.name, node.name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            read = read_elsewhere | attributes_read(trees[p], skip=node)
+            for member in node.body:
+                if (
+                    isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("_")
+                    and member.name not in read
+                ):
+                    out.append((p.name, f"{node.name}.{member.name}"))
     return out
 
 
@@ -126,7 +157,8 @@ def test_detector_flags_unused_and_keeps_used():
 
 def test_every_definition_has_a_caller_outside_tests():
     callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-    assert not uncalled_definitions(MODULES, callers)
+    readers = sorted((ROOT / "bench").glob("*.py"))
+    assert not uncalled_definitions(MODULES, callers, readers)
 
 
 def unraised_exceptions(errors: ast.Module, sources) -> list:
@@ -192,15 +224,29 @@ def test_traced_bench_sources_exist():
 
 
 def test_caller_detector(tmp_path):
-    lib, app = tmp_path / "lib.py", tmp_path / "app.py"
+    lib, app, bench = tmp_path / "lib.py", tmp_path / "app.py", tmp_path / "bench.py"
     lib.write_text(
-        "def used(): return helper()\n"
+        "def used(): return helper().size + Box().width\n"
         "def helper(): return 1\n"
         "def recursive(n): return recursive(n - 1)\n"
         "class Orphan: pass\n"
+        "class Box:\n"
+        "    def size(self): return self.inner()\n"
+        "    def inner(self): return 1\n"
+        "    def _private(self): return 2\n"
+        "    @property\n"
+        "    def width(self): return 3\n"
+        "    def timed(self): return 4\n"
+        "    def dead(self): return self.dead\n"
     )
-    app.write_text("from lib import used\n")
-    assert uncalled_definitions([lib], [lib, app]) == [("lib.py", "recursive"), ("lib.py", "Orphan")]
+    app.write_text("from lib import Box, used\nBox.dead = None\n")
+    bench.write_text("import lib\nlib.Box().timed()\n")
+    assert uncalled_definitions([lib], [lib, app], [bench]) == [
+        ("lib.py", "recursive"),
+        ("lib.py", "Orphan"),
+        ("lib.py", "Box.inner"),
+        ("lib.py", "Box.dead"),
+    ]
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

@@ -472,6 +472,11 @@ class TestIntegerCertifier:
 
 
 class TestSingularSet:
+    def test_keeps_the_connection_it_was_built_from(self):
+        A = connection_matrix(BESSEL, fiber_basis(BESSEL))
+        assert singular_set(BESSEL, A).connection is A
+        assert singular_set(BESSEL).connection.entries == A.entries
+
     def test_airy(self):
         sigma = singular_set(AIRY)
         provs = {prov for _p, prov in sigma.defining}

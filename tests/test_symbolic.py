@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expperiods import symbolic
-from expperiods.errors import AtSingularT, SpecFormatError
+from expperiods.errors import SpecFormatError
 from expperiods.symbolic import (
     LaurentPoly,
     RatFun,
@@ -170,12 +170,6 @@ class TestRatFun:
         g = RatFun(parse_tpoly("t^2 - 1"), parse_tpoly("t - 1"))
         assert g.den.is_one()
         assert g == RatFun(parse_tpoly("t + 1"))
-
-    def test_eval_at_pole_raises(self):
-        f = RatFun(TPoly.one(), parse_tpoly("t - 1"))
-        with pytest.raises(AtSingularT):
-            f.eval(1.0)
-        assert abs(f.eval(2.0) - 1.0) < 1e-15
 
 
 class TestLaurentPoly:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from expperiods import quadrature, verify
+from expperiods import quadrature, singular, verify
 from expperiods.cohomology import FiberType, ProblemSpec, connection_matrix, fiber_basis
 from expperiods.cycles import EndTag, cycle_basis
 from expperiods.errors import SingularProximity
@@ -259,7 +259,7 @@ class TestMonodromy:
         assert abs(m[0][1] + 2.0) < 1e-9
 
     def test_record_reports_transport_amplification(self):
-        # a reading only: 24 near-identity rank-2 legs, of Frobenius norm near sqrt(2) each
+        # a reading only: the product of 24 legs' spectral norms over the loop's, at least 1
         details = monodromy(BESSEL, 0.0).record.details
         assert details["transport_legs"] == 24
         assert 1.0 < details["transport_amplification"] < 1e4
@@ -302,6 +302,18 @@ class TestMonodromy:
         result = monodromy(BESSEL, 0.0)
         assert result.record.residual <= 1e-12
         assert result.record.details["transport_legs"] == 24
+
+    def test_given_singular_set_builds_no_connection(self, monkeypatch):
+        # the set carries the connection it was derived from, and the checks read it there
+        sigma = singular_set(BESSEL)
+
+        def refuse(*args):
+            raise AssertionError("a second connection was derived")
+
+        monkeypatch.setattr(verify, "connection_matrix", refuse, raising=False)
+        monkeypatch.setattr(singular, "connection_matrix", refuse)
+        assert monodromy(BESSEL, 0.0, singular=sigma).record.passed
+        assert check_ode(BESSEL, 1.5, singular=sigma).passed
 
     def test_default_basepoint_subtracts_ball_radii(self):
         # a wide ball at 2: the basepoint sits halfway to its rim, not its centre
@@ -422,8 +434,10 @@ class TestRunAll:
             built.append(spec)
             return real(spec, basis)
 
-        real = verify.connection_matrix
-        monkeypatch.setattr(verify, "connection_matrix", counting)
+        # singular_set derives it; verify reads it from the set
+        real = singular.connection_matrix
+        monkeypatch.setattr(singular, "connection_matrix", counting)
+        monkeypatch.setattr(verify, "connection_matrix", counting, raising=False)
         assert run_all(BESSEL, n_stokes=1).passed
         assert len(built) == 1
 
