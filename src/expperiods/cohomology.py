@@ -253,6 +253,11 @@ class Transport:
     amplification: float  # prod_leg |T_leg|_2 / |matrix|_2, at least 1
 
 
+def _clearance(t, balls) -> float:
+    """Distance from ``t`` to the nearest ball less that ball's radius (inf without balls)."""
+    return min((abs(t - ball.center) - ball.radius for ball in balls), default=math.inf)
+
+
 def _legs(path, balls) -> list:
     """``(start, step)`` of each leg, bisected until ``|step| <= _STEP_RATIO * clearance``.
 
@@ -265,7 +270,7 @@ def _legs(path, balls) -> list:
         stack = [(a, b, 0)]
         while stack:
             ta, tb, depth = stack.pop()
-            room = min((abs(ta - ball.center) - ball.radius for ball in balls), default=math.inf)
+            room = _clearance(ta, balls)
             if abs(tb - ta) <= _STEP_RATIO * room:
                 legs.append((ta, tb - ta))
                 continue
@@ -315,7 +320,9 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
         SingularProximity: if no bisection meets the step rule, because the
             path runs into a ball.
         AtSingularT: if a leg starts at a pole of ``A``, or its series has not
-            converged by order ``_MAX_ORDER``.
+            converged by order ``_MAX_ORDER``; the message then names the first
+            such leg's start, its length and its clearance from ``balls``, so a
+            long leg is told from one near a pole.
     """
     r = A.rank
     legs = _legs([complex(p) for p in path], tuple(balls))
@@ -344,6 +351,7 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
     M, M1 = blocks[:, :, ::-1].transpose(0, 1, 3, 2, 4).reshape(2, L, r, m * r)
     hist = np.zeros((L, (m + need) * r, r), dtype=complex)  # the last m terms (zero before Y_0), then need new
     hist[:, (m - 1) * r:m * r] = total = np.tile(np.eye(r, dtype=complex), (L, 1, 1))
+    slow = np.ones(L, dtype=bool)  # the legs whose last terms are not yet below eps
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(_MAX_ORDER):
             a = (m + n % need) * r  # the first row of Y_{n+1}
@@ -355,11 +363,17 @@ def transport(A: ConnectionMatrix, path, balls=()) -> Transport:
             scale = np.abs(total).max(axis=(1, 2))
             if not np.isfinite(scale).all():
                 raise AtSingularT("Taylor transport overflowed: a leg runs onto a pole")
-            if (np.abs(tail).max(axis=(1, 2, 3)) <= eps * scale).all():
+            slow = np.abs(tail).max(axis=(1, 2, 3)) > eps * scale
+            if not slow.any():
                 break
             hist[:, :m * r] = hist[:, need * r:]  # the last m terms start the next need
         else:
-            raise AtSingularT(f"Taylor transport did not converge by order {_MAX_ORDER}")
+            i = int(np.argmax(slow))
+            raise AtSingularT(
+                f"Taylor transport did not converge by order {_MAX_ORDER}: the leg from "
+                f"t={t0[i]:.6g} of length {abs(h[i]):.3g} has clearance "
+                f"{_clearance(t0[i], balls):.3g} from the hard balls"
+            )
         phi = functools.reduce(lambda acc, step: step @ acc, total)  # legs in path order
         growth = np.prod(np.linalg.norm(total, 2, axis=(1, 2))) / np.linalg.norm(phi, 2)
     return Transport(matrix=phi, legs=L, order=n + 1, amplification=float(growth))

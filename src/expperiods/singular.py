@@ -17,20 +17,21 @@ each certified to contain exactly one root.  Candidate centers come from a
 ladder of finders: first ``np.roots`` refined by Newton steps in double
 precision, and only if that fails, mpmath's Durand–Kerner iteration at
 rising precision.  One certifier checks every candidate the same way: Smale's
-alpha test, evaluated exactly in integer arithmetic on the binary fraction
-the center already is, gives existence inside each ball, and pairwise
-disjointness plus degree counting gives uniqueness.  The union is an
-over-approximation — membership never proves an actual singularity.
+alpha test on the exact Taylor coefficients at the binary fraction the center
+already is gives existence inside each ball, and pairwise disjointness plus
+degree counting gives uniqueness.  The alpha test compares base-2 logarithms, and
+the integers only within a margin that bounds the logarithms' float error, so its
+decision is exact.  The union is an over-approximation — membership never proves
+an actual singularity.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 
 import numpy as np
 
@@ -54,7 +55,9 @@ CONNECTION_POLE = "ConnectionPole"
 
 # Newton contraction threshold: alpha < (13 - 3*sqrt(17))/4 ~ 0.15767 certifies
 # convergence to a unique nearby root with |root - z0| <= 2*beta.  The exact
-# test uses alpha < 0.15 = 3/20.  Newton steps that refine each double seed:
+# test uses alpha < 0.15 = 3/20, on logarithms with this slack (2^7 times their
+# float error; see _alpha_holds).  Newton steps that refine each double seed:
+_LOG_SLACK = 2.0 ** -40
 _NEWTON_STEPS = 4
 # Digits of the first mpmath rung, and the most digits tried.
 _DPS = 60
@@ -194,15 +197,21 @@ def _bezoutian(a: list, b: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_shift(zq: list, x, y, count: int):
-    """The first ``count`` Taylor coefficients at ``a + bi`` of ``Q(s) = D^n zq(s / D)``,
-    as Gaussian-integer ``(re, im)`` pairs, and ``e``, where ``x + iy = (a + bi) / D``
-    and ``D = 2^e`` (any exact binary x, y).  So zq's own coefficients there are ``q_k D^(k - n)``.
-    """
+def _scaled(zq: list, x, y):
+    """``a, b, e`` with ``x + iy = (a + bi) / 2^e`` (any exact binary x, y), and the
+    coefficients of ``Q(s) = D^n zq(s / D)``, ``D = 2^e``, highest degree first."""
     (a, da), (b, db) = x.as_integer_ratio(), y.as_integer_ratio()
     den = max(da, db)  # both are powers of two
-    a, b, e, n = a * (den // da), b * (den // db), den.bit_length() - 1, len(zq) - 1
-    re = [c << (e * (n - j)) for j, c in enumerate(zq)][::-1]
+    e, n = den.bit_length() - 1, len(zq) - 1
+    return a * (den // da), b * (den // db), e, [c << (e * (n - j)) for j, c in enumerate(zq)][::-1]
+
+
+def _taylor_shift(zq: list, x, y, count: int):
+    """The first ``count`` Taylor coefficients at ``a + bi`` of ``Q`` (see :func:`_scaled`),
+    as Gaussian-integer ``(re, im)`` pairs, and ``e``.  So zq's own coefficients there are
+    ``q_k D^(k - n)``.
+    """
+    a, b, e, re = _scaled(zq, x, y)
     im = [0] * len(re)
     out = []
     while len(out) < count:  # repeated synthetic division by s - (a + bi)
@@ -225,16 +234,22 @@ def _sqrt_up(num: int, den: int) -> float:
     return math.nextafter(math.nextafter(root, math.inf), math.inf) if num else 0.0
 
 
-def _newton_double(q: TPoly, zq: list):
-    """First rung: ``np.roots`` of q's float coefficients, each refined by at most
-    ``_NEWTON_STEPS`` double-precision Newton steps ``q0 / (D q1)`` taken from the
-    exact Taylor values, as float ``(x, y)`` pairs; None if a float coefficient
-    overflows, a step meets a non-finite center or np.roots fails."""
+def _newton_double(zq: list):
+    """First rung: ``np.roots`` of the monic double coefficients ``zq[k] / zq[-1]``, each
+    refined by at most ``_NEWTON_STEPS`` double-precision Newton steps ``q0 / (D q1)``
+    taken from the exact ``Q`` and ``Q'`` of :func:`_scaled` (one fused Horner pass, the
+    values of :func:`_taylor_shift`'s first two coefficients), as float ``(x, y)`` pairs;
+    None if a coefficient overflows a double, a step meets a non-finite center or
+    np.roots fails."""
     try:
-        zs = np.roots([float(c) for c in reversed(q.coeffs)]).tolist()
+        zs = np.roots([c / zq[-1] for c in reversed(zq)]).tolist()  # correctly rounded
         for i, z in enumerate(zs):
             for _ in range(_NEWTON_STEPS):
-                ((r0, i0), (r1, i1)), e = _taylor_shift(zq, z.real, z.imag, 2)
+                a, b, e, coeffs = _scaled(zq, z.real, z.imag)
+                r0, i0, r1, i1 = coeffs[0], 0, 0, 0
+                for c in coeffs[1:]:
+                    r1, i1 = r1 * a - i1 * b + r0, r1 * b + i1 * a + i0
+                    r0, i0 = r0 * a - i0 * b + c, r0 * b + i0 * a
                 den = _norm((r1, i1)) << e
                 step = complex((r0 * r1 + i0 * i1) / den, (i0 * r1 - r0 * i1) / den) if den else 0
                 if z - step == z:
@@ -264,6 +279,35 @@ def _mp_roots(q: TPoly, dps: int):
         return [(exact(mp.re(z)), exact(mp.im(z))) for z in roots]
 
 
+def _alpha_exact(u: int, v: int, n1: int, nk: int, k: int) -> bool:
+    """One term of Smale's test on exact integers: ``u^(k-1) nk < v^(k-1) n1``."""
+    return u ** (k - 1) * nk < v ** (k - 1) * n1
+
+
+def _alpha_holds(n0: int, n1: int, norms) -> bool:
+    """Smale's test ``u^(k-1) N_k < v^(k-1) n1``, ``u = 400 n0``, ``v = 9 n1``, for every ``k >= 2``
+    with ``N_k = norms[k - 2]``, filtered on logarithms (Shewchuk 1997): the float ``gap =
+    (k-1)(log v - log u) + log n1 - log N_k`` is within ``2^-47 S`` of the exact one, ``S``
+    the sum of the magnitudes plus 1, and only inside ``_LOG_SLACK S`` of 0 (a tie fails)
+    does :func:`_alpha_exact` decide on the integers.  The decision is the exact one."""
+    if not n1:
+        return False
+    if not n0:  # the center is a root
+        return True
+    u, v = 400 * n0, 9 * n1
+    lu, lv, l1 = math.log2(u), math.log2(v), math.log2(n1)
+    for k, nk in enumerate(norms, 2):
+        if nk:
+            ln = math.log2(nk)
+            gap = (k - 1) * (lv - lu) + l1 - ln
+            if abs(gap) <= _LOG_SLACK * ((k - 1) * (lu + lv) + l1 + ln + 1):
+                if not _alpha_exact(u, v, n1, nk, k):
+                    return False
+            elif gap < 0:
+                return False
+    return True
+
+
 def _certify_squarefree(zq: list, centers):
     """Return [(center complex, radius float)], or None if certification fails.
 
@@ -271,8 +315,10 @@ def _certify_squarefree(zq: list, centers):
     fraction ``(x, y)`` per root, or None if the finder failed.  Smale's alpha
     test ``beta * gamma < 0.15``, with ``beta = |p/p'|`` and ``gamma = max_k
     |p^(k)/(k! p')|^(1/(k-1))``, reads ``400^(k-1) |q0|^(2(k-1)) |qk|^2 <
-    9^(k-1) |q1|^(2k)`` for every ``k >= 2`` on the coefficients of
-    :func:`_taylor_shift`, all powers of ``D`` cancelled: it is exact.  A root
+    9^(k-1) |q1|^(2k)`` for every ``k >= 2`` on the exact coefficients of
+    :func:`_taylor_shift`, all powers of ``D`` cancelled.  :func:`_alpha_holds`
+    decides it on logarithms, with a margin that bounds their float error, and
+    on the integers only inside that margin: the decision is the exact one.  A root
     then lies within ``2 beta`` of the center.  The balls have radius ``3
     beta``, with ``beta`` rounded up from the exact ``|q0|^2 / (D^2 |q1|^2)``,
     and must be disjoint at the exact centers (tested on integers: the centers
@@ -287,9 +333,7 @@ def _certify_squarefree(zq: list, centers):
         for x, y in centers:
             q, e = _taylor_shift(zq, x, y, n + 1)
             n0, n1 = _norm(q[0]), _norm(q[1])
-            pu = accumulate([400 * n0] * (n - 1), operator.mul)  # u^(k-1) for k = 2..n
-            pv = accumulate([9 * n1] * (n - 1), operator.mul)  # v^(k-1)
-            if not n1 or any(s * _norm(qk) >= w * n1 for s, w, qk in zip(pu, pv, q[2:])):
+            if not _alpha_holds(n0, n1, map(_norm, q[2:])):
                 return None
             balls.append((x, y, complex(x, y), 3 * _sqrt_up(n0, n1 << 2 * e)))
         ratios = [[v.as_integer_ratio() for v in (x, y, r)] for x, y, _c, r in balls]
@@ -326,7 +370,7 @@ def root_isolate(p: TPoly, isolated: dict = None):
     for q, mult in squarefree_decomposition(p):
         if q not in isolated:
             zq = q.prim
-            balls, working = _certify_squarefree(zq, _newton_double(q, zq)), _DPS
+            balls, working = _certify_squarefree(zq, _newton_double(zq)), _DPS
             while balls is None and working <= _MAX_DPS:
                 balls = _certify_squarefree(zq, _mp_roots(q, working))
                 working *= 2
@@ -411,5 +455,6 @@ def singular_set(spec: ProblemSpec, A: ConnectionMatrix = None) -> SingularSet:
         if poly.degree >= 1:
             if poly.prim not in roots:
                 roots[poly.prim] = root_isolate(poly, isolated=isolated)
-            balls.extend(replace(b, provenance=(prov,)) for b in roots[poly.prim])
+            balls.extend(RootBall(b.center, b.radius, b.multiplicity, (prov,))
+                         for b in roots[poly.prim])
     return SingularSet(balls=tuple(_merge_balls(balls)), defining=tuple(defining), connection=A)

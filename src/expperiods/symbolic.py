@@ -554,7 +554,8 @@ def parse_tpoly(s: str) -> TPoly:
 # with no trailing zeros; the zero polynomial is [].  A TPoly's ``prim`` is a
 # zpoly as a tuple, and every TPoly ring operation runs on it through these
 # helpers.  Cyclic vectors, resultants and squarefree decompositions call them
-# directly.
+# directly.  ``zpoly_mul`` and ``zpoly_exact_div`` take a length-1 operand ``[c]``
+# as a scaling, a copy for ``[1]`` (the divisor of most of the cyclic ODE's divisions).
 
 
 def _zp_trim(a: list) -> list:
@@ -582,6 +583,10 @@ def zpoly_sub(a: list, b: list) -> list:
 def zpoly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:  # a scaling
+        return list(a) if b[0] == 1 else [b[0] * x for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -599,6 +604,10 @@ def zpoly_exact_div(a: list, b: list) -> list:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db, lb = len(b) - 1, b[-1]
+    if not db:  # a scaling
+        if lb != 1 and any(c % lb for c in a):
+            raise ArithmeticError("division was expected to be exact")
+        return list(a) if lb == 1 else [c // lb for c in a]
     rem = list(a)
     quo = [0] * max(len(rem) - db, 0)
     for k in range(len(quo) - 1, -1, -1):
@@ -681,16 +690,13 @@ def zpoly_primitive_vector(polys: Sequence[list]) -> list:
         return list(polys)
     g = _heuristic_gcd(nonzero)
     try:
-        polys = _divide_all(polys, g)
+        polys = [zpoly_exact_div(p, g) for p in polys]
     except ArithmeticError:  # the candidate does not divide some entry
-        polys = _divide_all(polys, _prs_gcd(nonzero))
+        g = _prs_gcd(nonzero)
+        polys = [zpoly_exact_div(p, g) for p in polys]
     if next(p for p in reversed(polys) if p)[-1] < 0:
         polys = [[-c for c in p] for p in polys]
     return polys
-
-
-def _divide_all(polys: Sequence[list], g: list) -> list:
-    return list(polys) if g == [1] else [zpoly_exact_div(p, g) for p in polys]
 
 
 def _heuristic_gcd(polys: Sequence[list]) -> list:

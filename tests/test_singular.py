@@ -297,7 +297,7 @@ class TestIsolationRobustness:
             singular, "_mp_roots", lambda q, dps: rungs.append(dps) or mp_roots(q, dps)
         )
         huge = TPoly([10**400, 0, 1])
-        assert _newton_double(huge, [10**400, 0, 1]) is None  # infinite float coefficient
+        assert _newton_double([10**400, 0, 1]) is None  # infinite float coefficient
         with pytest.raises(PrecisionExhausted):
             isolate_strict(huge)
         assert rungs == [singular._DPS, 2 * singular._DPS]
@@ -306,7 +306,7 @@ class TestIsolationRobustness:
         # disjoint, and the mp rung's exact centers are
         pair = from_roots([1, 1 + Fraction(1, 10**20)])
         zq = [10**20 + 1, -(2 * 10**20 + 1), 10**20]
-        assert _certify_squarefree(zq, _newton_double(pair, zq)) is None
+        assert _certify_squarefree(zq, _newton_double(zq)) is None
         (ball,) = isolate_strict(pair)
         assert rungs == [singular._DPS]
         assert ball.multiplicity == 2 and abs(ball.center - 1) <= ball.radius
@@ -429,9 +429,9 @@ def bench_factors():
     """Every squarefree factor (q, zq) that singular_set certifies on the bench families."""
     factors, newton = {}, singular._newton_double
 
-    def spy(q, zq):
-        factors[q] = zq
-        return newton(q, zq)
+    def spy(zq):
+        factors[TPoly(zq).monic()] = zq
+        return newton(zq)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(singular, "_newton_double", spy)
@@ -445,7 +445,7 @@ class TestIntegerCertifier:
         factors = bench_factors()
         assert len(factors) >= 40
         for q, zq in factors.items():
-            centers = _newton_double(q, zq)
+            centers = _newton_double(zq)
             assert centers == ref_newton_double(q, zq)  # floats == their exact fractions
             balls = _certify_squarefree(zq, centers)
             assert balls is not None and balls == ref_certify_squarefree(zq, centers)
@@ -465,10 +465,80 @@ class TestIntegerCertifier:
         # fraction centers certify, through the same integer path
         pair = from_roots([1, 1 + Fraction(1, 10**20)])
         zq = pair.prim
-        assert _certify_squarefree(zq, _newton_double(pair, zq)) is None
+        assert _certify_squarefree(zq, _newton_double(zq)) is None
         centers = singular._mp_roots(pair, singular._DPS)
         balls = _certify_squarefree(zq, centers)
         assert balls is not None and balls == ref_certify_squarefree(zq, centers)
+
+    def test_larger_factors_certify_from_double_centres(self, monkeypatch):
+        # the degree-10 factor of the deg-9 rung and the degree-12 factor of a
+        # rank-5 family certify from _newton_double's centres, no mpmath rung
+        def no_mp_rung(q, dps):
+            raise AssertionError(f"the mpmath rung ran on {q.to_str()}")
+
+        certified, certify = {}, singular._certify_squarefree
+
+        def spy(zq, centers):
+            balls = certify(zq, centers)
+            certified[len(zq) - 1] = balls
+            return balls
+
+        monkeypatch.setattr(singular, "_mp_roots", no_mp_rung)
+        monkeypatch.setattr(singular, "_certify_squarefree", spy)
+        for fiber, g, degree in (
+            (FiberType.AFFINE_LINE, "u^9+t*u^4-(t^2+1)*u", 10),
+            (FiberType.PUNCTURED_LINE, "(1+t-2*t^2)*u^3+(2-t)*u^2+t*u+(1+t)*u^-2", 12),
+        ):
+            certified.clear()
+            singular_set(make(fiber, g))
+            assert len(certified[degree]) == degree
+
+
+def exact_alpha_holds(n0, n1, norms):
+    """Smale's test on the integers, term by term, as the reference of the filtered one."""
+    u, v = 400 * n0, 9 * n1
+    fails = (u ** (k - 1) * nk >= v ** (k - 1) * n1 for k, nk in enumerate(norms, 2))
+    return bool(n1) and not any(fails)
+
+
+class TestFilteredAlpha:
+    def spy_exact(self, monkeypatch):
+        calls, exact = [], singular._alpha_exact
+        monkeypatch.setattr(singular, "_alpha_exact", lambda *a: calls.append(a) or exact(*a))
+        return calls
+
+    def test_random_inputs_match_the_exact_test(self):
+        rng = random.Random(32)
+        for _ in range(3000):
+            bits = rng.choice((4, 60, 600, 3000))
+            n0, n1 = (rng.getrandbits(rng.randint(0, bits)) for _ in range(2))
+            norms = [rng.getrandbits(rng.randint(0, bits)) for _ in range(rng.randint(0, 12))]
+            assert singular._alpha_holds(n0, n1, norms) == exact_alpha_holds(n0, n1, norms)
+
+    def test_planted_ties_and_near_ties_run_the_exact_test(self, monkeypatch):
+        # with n1 = (400 n0)^(k-1) m the term k ties at N_k = (9 n1)^(k-1) m: a
+        # tie fails, as on the integers, and N_k -/+ 1 holds/fails; each is
+        # within the margin of the logarithms, so the exact branch decides it
+        calls = self.spy_exact(monkeypatch)
+        rng = random.Random(33)
+        for _ in range(100):
+            k = rng.randint(2, 13)
+            n0, m = rng.getrandbits(rng.randint(60, 400)) | 1, rng.randint(1, 10**6)
+            n1 = (400 * n0) ** (k - 1) * m
+            tie = (9 * n1) ** (k - 1) * m
+            for nk, holds in ((tie - 1, True), (tie, False), (tie + 1, False)):
+                norms = [0] * (k - 2) + [nk]
+                calls.clear()
+                assert singular._alpha_holds(n0, n1, norms) is holds
+                assert exact_alpha_holds(n0, n1, norms) is holds
+                assert calls == [(400 * n0, 9 * n1, n1, nk, k)]
+
+    def test_zero_norms(self, monkeypatch):
+        calls = self.spy_exact(monkeypatch)
+        assert not singular._alpha_holds(5, 0, [1])  # q1 = 0: no Newton step
+        assert singular._alpha_holds(0, 5, [10**900])  # the center is a root
+        assert singular._alpha_holds(5, 5, [0, 0])  # vanishing higher terms
+        assert calls == []
 
 
 class TestSingularSet:

@@ -471,6 +471,66 @@ def prs_primitive_vector(polys):
     return list(polys)
 
 
+def schoolbook_mul(a, b):
+    """The general zpoly product loop, the reference for the length-1 cases."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def schoolbook_div(a, b):
+    """The general exact-division loop, the reference for the length-1 cases."""
+    db, lb = len(b) - 1, b[-1]
+    rem = list(a)
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + db], lb)
+        if r:
+            raise ArithmeticError("division was expected to be exact")
+        if q:
+            quo[k] = q
+            for j, c in enumerate(b, k):
+                rem[j] -= q * c
+    if any(rem[:db]):
+        raise ArithmeticError("division was expected to be exact")
+    return quo
+
+
+# [1], [-1] and any other nonzero constant [c]
+scalars = st.one_of(
+    st.sampled_from([[1], [-1]]), st.integers(-40, 40).filter(bool).map(lambda c: [c])
+)
+
+
+class TestScalings:
+    @PROPERTY
+    @given(scalars, zpolys(6, 40))
+    def test_length_one_operand_matches_schoolbook(self, c, a):
+        for x, y in ((c, a), (a, c)):
+            product = zpoly_mul(x, y)
+            assert product == schoolbook_mul(x, y)
+            assert product is not x and product is not y  # a copy, even for [1]
+        assert zpoly_mul([], c) == zpoly_mul(c, []) == []
+        product = schoolbook_mul(c, a)
+        quotient = zpoly_exact_div(product, c)
+        assert quotient == schoolbook_div(product, c) == a
+        assert quotient is not product
+
+    @PROPERTY
+    @given(st.integers(2, 40), st.sampled_from([1, -1]), zpolys(6, 40))
+    def test_inexact_scaling_raises(self, m, sign, a):
+        c = [sign * m]
+        a = zpoly_add(zpoly_mul(a, c), [1])  # its constant term is 1 mod m
+        for div in (zpoly_exact_div, schoolbook_div):
+            with pytest.raises(ArithmeticError):
+                div(a, c)
+
+
 class TestLinearAlgebra:
     @PROPERTY
     @given(zpolys(), zpolys(), zpolys())

@@ -10,7 +10,7 @@ import pytest
 from expperiods import quadrature, singular, verify
 from expperiods.cohomology import FiberType, ProblemSpec, connection_matrix, fiber_basis
 from expperiods.cycles import EndTag, cycle_basis
-from expperiods.errors import SingularProximity
+from expperiods.errors import AtSingularT, SingularProximity
 from expperiods.singular import CRITICAL_POINT_DEGENERATION, RootBall, singular_set
 from expperiods.symbolic import parse_laurent
 from expperiods.verify import (
@@ -263,6 +263,18 @@ class TestMonodromy:
         details = monodromy(BESSEL, 0.0).record.details
         assert details["transport_legs"] == 24
         assert 1.0 < details["transport_amplification"] < 1e4
+
+    def test_unconverged_leg_is_named_with_its_clearance(self):
+        # u^3 + t^33*u has no hard ball, so each side of the loop about 0 is one
+        # leg of length 0.26 whose terms have not settled by order 400: the
+        # error names the first such leg and its infinite clearance, no pole
+        spec = make(FiberType.AFFINE_LINE, "u^3 + t^33*u", "t33")
+        assert not singular_set(spec).hard_balls()
+        with pytest.raises(AtSingularT, match=(
+            r"did not converge by order 400: the leg from t=1\+0j of length 0\.261 "
+            r"has clearance inf from the hard balls"
+        )):
+            monodromy(spec, 0, basepoint=1.0)
 
     def test_cycle_carried_back_onto_itself_keeps_its_row(self):
         # a loop about a ball of critical-point degeneration carries every cycle
