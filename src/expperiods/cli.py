@@ -164,19 +164,9 @@ def _assert_admissible(spec: ProblemSpec, t: complex) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_derive(args) -> int:
-    spec, _tol = load_problem(args.problem)
-    basis = fiber_basis(spec)
-    # rank 0 has no basis index; its order-0 operator keeps the default start 0
-    if not 0 <= args.start < max(basis.rank, 1):
-        sys.stderr.write(
-            f"precondition violated: --start {args.start} is not a basis index "
-            f"for rank {basis.rank}\n"
-        )
-        return 2
-    A = connection_matrix(spec, basis)
-    ode = cyclic_ode(A, start=args.start)
-    payload = {
+def derive_payload(spec, basis, A, ode) -> dict:
+    """The JSON object ``derive`` prints: the family, its basis, connection ``A`` and scalar ODE."""
+    return {
         "label": spec.label,
         "fiber": spec.fiber.value,
         "g": spec.g.to_str(),
@@ -193,7 +183,20 @@ def cmd_derive(args) -> int:
             "string": ode.to_str(),
         },
     }
-    _emit(payload)
+
+
+def cmd_derive(args) -> int:
+    spec, _tol = load_problem(args.problem)
+    basis = fiber_basis(spec)
+    # rank 0 has no basis index; its order-0 operator keeps the default start 0
+    if not 0 <= args.start < max(basis.rank, 1):
+        sys.stderr.write(
+            f"precondition violated: --start {args.start} is not a basis index "
+            f"for rank {basis.rank}\n"
+        )
+        return 2
+    A = connection_matrix(spec, basis)
+    _emit(derive_payload(spec, basis, A, cyclic_ode(A, start=args.start)))
     return 0
 
 

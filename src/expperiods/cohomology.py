@@ -4,11 +4,12 @@ The family is the projection ``(t, u) -> t`` with fiber V (the affine line or
 the punctured line) and twist ``exp(g(t, u))``.  For fixed t, the twisted
 differential on functions is ``Q |-> (dQ/du + Q * dg/du) du``; the first
 cohomology is the Laurent forms modulo that image.  A monomial window gives a
-basis, the reduction onto it is exact linear algebra over Q(t), and the
-derivative of a period ``d/dt \\int u^k e^g du = \\int u^k dg/dt e^g du`` turns
-the reduction into the connection matrix ``Y' = A(t) Y``.  Solutions of that
-system are carried along paths in the t-plane by Taylor series of its exact
-polynomial form (:func:`transport`).
+basis, the reduction onto it is exact pseudo-division over one common
+denominator in Q[t], and the derivative of a period
+``d/dt \\int u^k e^g du = \\int u^k dg/dt e^g du`` turns the reduction into the
+connection matrix ``Y' = A(t) Y``.  Solutions of that system are carried along
+paths in the t-plane by Taylor series of its exact polynomial form
+(:func:`transport`).
 """
 
 from __future__ import annotations
@@ -120,14 +121,18 @@ def fiber_basis(spec: ProblemSpec) -> CohomologyBasis:
 def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> list:
     """Coordinates of the class ``[P du]`` in the monomial basis, over Q(t).
 
-    Repeatedly subtracts twisted differentials of monomial gauges to push the
-    u-support of P into the basis window: from above using the top term of g,
-    and (punctured line) from below using the bottom term.  The gauge of
-    ``u^k`` is ``k u^(k-1) + u^k dg/du``: ``dg/du`` shifted by k.  All
-    arithmetic is exact.  Every division is by ``top`` or ``bottom``, the
-    u-leading coefficients of these gauges, so each work entry is carried as
-    ``(N, a, b)``, the ``TPoly`` numerator ``N`` over ``top^a * bottom^b``,
-    and reduced to a ``RatFun`` once, at the end.
+    Pseudo-division by the twisted differentials of monomial gauges.  The
+    gauge of ``u^k`` is ``k u^(k-1) + u^k dg/du``: ``dg/du`` shifted by k.  A
+    step cancels the current extreme term ``c u^m`` of the work with one gauge:
+    from above (``m >= hi_cut``) that of ``u^(m-d+1)``, whose ``u^m``
+    coefficient ``lead`` is the top coefficient of ``dg/du``, and from below
+    (punctured line, ``m < -e``) that of ``u^(m+e+1)``, whose ``lead`` is the
+    bottom one.  The work ends in the basis window ``-e .. hi_cut - 1``
+    (``e = 0`` on the affine line).  All arithmetic is exact and fraction-free:
+    the work is a ``TPoly`` numerator per exponent over one common denominator
+    ``den``, the product of the leads so far.  A step multiplies every
+    numerator and ``den`` by ``lead`` and subtracts ``c`` times the gauge, so
+    it divides by nothing.  Each entry becomes a ``RatFun`` once, at the end.
 
     The reduction ends because every step cancels the current extreme
     exponent m exactly.  From above, a step adds only exponents ``<= m - 1``,
@@ -137,61 +142,35 @@ def reduce_form(P: LaurentPoly, spec: ProblemSpec, basis: CohomologyBasis) -> li
     """
     if spec.fiber is FiberType.AFFINE_LINE and not P.is_zero() and P.u_order < 0:
         raise SpecFormatError("form has negative u-powers on the affine line")
-    d = spec.top_degree
-    dg = spec.dg
-    top = dg.coeff(d - 1)  # coefficient of u^{k+d-1} in the gauge of u^k
-    work = {k: (c, 0, 0) for k, c in P.terms.items()}
-
-    if spec.fiber is FiberType.AFFINE_LINE:
-        hi_cut, bottom = d - 1, TPoly.one()  # window 0..d-2; no gauges from below
-    else:
-        hi_cut = d
-        e = -spec.bottom_order
-        bottom = dg.coeff(-e - 1)
-
-    powers = ([TPoly.one()], [TPoly.one()])  # powers of top, of bottom
-
-    def lift(N: TPoly, a: int, b: int) -> TPoly:
-        """``N * top^a * bottom^b``."""
-        for base, ps, n in ((top, powers[0], a), (bottom, powers[1], b)):
-            if n:
-                while len(ps) <= n:
-                    ps.append(ps[-1] * base)
-                N = N * ps[n]
-        return N
-
-    def _subtract_gauge(m: int, k: int, da: int, db: int):
-        N, a, b = work[m]
-        a, b = a + da, b + db  # the multiplier N / (top^a * bottom^b)
-        gauge = {k + j: c for j, c in dg.terms.items()}  # dg has no u^-1 term: no key clash
+    d, dg = spec.top_degree, spec.dg
+    e = -spec.bottom_order if spec.fiber is FiberType.PUNCTURED_LINE else 0
+    hi_cut = basis.rank - e  # the window is -e .. hi_cut - 1
+    work, den = dict(P.terms), TPoly.one()
+    while work:
+        hi, lo = max(work), min(work)
+        if hi >= hi_cut:
+            m, k, lead = hi, hi - d + 1, dg.coeff(d - 1)
+        elif lo < -e:
+            m, k, lead = lo, lo + e + 1, dg.coeff(-e - 1)
+        else:
+            break
+        c = work.pop(m)
+        gauge = {k + j: g for j, g in dg.terms.items()}  # dg has no u^-1 term: no key clash
+        assert gauge.pop(m) == lead, "the gauge must cancel the target term exactly"
         if k:
-            gauge[k - 1] = TPoly.const(k)
-        for key, tp in gauge.items():
-            M, x, y = work.get(key, (TPoly.zero(), a, b))
-            A, B = max(x, a), max(y, b)
-            new = lift(M, A - x, B - y) - lift(N * tp, A - a, B - b)
+            gauge[k - 1] = k
+        work = {key: N * lead for key, N in work.items()}
+        den = den * lead
+        for key, g in gauge.items():
+            new = work.get(key, TPoly.zero()) - c * g
             if new.is_zero():
                 work.pop(key, None)
             else:
-                work[key] = (new, A, B)
-        assert m not in work, "gauge subtraction must cancel the target term exactly"
-
-    while work:
-        m = max(work)
-        if m < hi_cut:
-            break
-        _subtract_gauge(m, m - d + 1, 1, 0)
-    if spec.fiber is FiberType.PUNCTURED_LINE:
-        while work:
-            m = min(work)
-            if m >= -e:
-                break
-            _subtract_gauge(m, m + e + 1, 0, 1)
+                work[key] = new
 
     leftovers = set(work) - set(basis.exponents)
     assert not leftovers, f"reduction left exponents {sorted(leftovers)} outside the window"
-    entries = [work.get(ei, (TPoly.zero(), 0, 0)) for ei in basis.exponents]
-    return [RatFun(N, lift(TPoly.one(), a, b)) for N, a, b in entries]
+    return [RatFun(work.get(ei, TPoly.zero()), den) for ei in basis.exponents]
 
 
 @dataclass(frozen=True)

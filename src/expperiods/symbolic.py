@@ -139,18 +139,6 @@ class TPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "TPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        r = TPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
-
     def exact_div(self, other: "TPoly") -> "TPoly":
         prim = tuple(zpoly_exact_div(self.prim, other.prim))  # first: it checks for zero
         return _tp(self.content / other.content, prim)
@@ -372,7 +360,7 @@ class LaurentPoly:
             if len(self.terms) == 1:
                 ((k, c),) = self.terms.items()
                 if c.degree == 0:
-                    return LaurentPoly({k * n: TPoly.const(1 / c.lc()) ** (-n)})
+                    return LaurentPoly({k * n: TPoly.const((1 / c.lc()) ** -n)})
             raise ValueError("only a rational monomial c*u^k has a negative power")
         r = LaurentPoly.one()
         base = self

@@ -194,7 +194,7 @@ def recipe_families(draw):
 def sparse_punctured_families(draw):
     """Punctured phases with poles up to order 4 at both ends and gaps in
     the u-support, so that gauge subtractions from below also meet entries
-    whose denominators carry different powers."""
+    that earlier steps from above have filled."""
     d, e = draw(st.integers(2, 4)), draw(st.integers(1, 4))
     inner = draw(st.lists(st.integers(-e + 1, d - 1).filter(bool), max_size=3))
     terms = {j: TPoly(draw(_TCOEFF.filter(any))) for j in [d, -e] + inner}
@@ -207,19 +207,23 @@ def forms_on(draw, spec):
     """A form allowed on the fiber, with support up to 8 past each window end.
 
     Terms far apart start separate chains of gauge subtractions, which later
-    meet on entries whose denominators carry different powers.
+    meet on the same entries.
     """
     lo = spec.bottom_order - 8 if spec.fiber is FiberType.PUNCTURED_LINE else 0
     ks = draw(st.lists(st.integers(lo, spec.top_degree + 8), min_size=1, max_size=5))
     return LaurentPoly({k: TPoly(draw(_TCOEFF)) for k in ks})
 
 
-# The rational leading coefficient of the Airy phase, and a family whose top
-# and bottom leading coefficients both depend on t.
+# The rational leading coefficient of the Airy phase, a family whose top and
+# bottom leading coefficients both depend on t, and the rank cliff: the deg-9
+# rung (rank 8) and a rank-5 family with non-constant top and bottom, on which
+# the common denominator of the reduction grows most.
 ORACLE_FIXED = (
     AIRY,
     BESSEL,
     make(FiberType.PUNCTURED_LINE, "(t^2 + 1)*u^3/2 + t*u - (2*t - 3)*u^-2/3"),
+    make(FiberType.AFFINE_LINE, "u^9+t*u^4-(t^2+1)*u"),
+    make(FiberType.PUNCTURED_LINE, "(1+t-2*t^2)*u^3+(2-t)*u^2+t*u+(1+t)*u^-2"),
 )
 
 
@@ -311,7 +315,9 @@ class TestReductionOracle:
         rows = [gt * LaurentPoly.u(ei) for ei in fiber_basis(spec).exponents]
         self.check(spec, rows + [data.draw(forms_on(spec))])
 
-    @pytest.mark.parametrize("spec", ORACLE_FIXED, ids=["airy", "bessel", "nonconst-top-bottom"])
+    @pytest.mark.parametrize(
+        "spec", ORACLE_FIXED, ids=["airy", "bessel", "nonconst-top-bottom", "deg9-rung", "rank5"]
+    )
     def test_fixed_families(self, spec):
         rng = random.Random(47)
         gt = spec.g.partial_t()
@@ -319,8 +325,7 @@ class TestReductionOracle:
         self.check(spec, rows + [random_section(spec, rng) for _ in range(20)])
 
     def test_chains_meeting_from_below(self):
-        # the gauge chains started by u^-14 and u^-1 meet on entries whose
-        # denominators carry different powers of bottom
+        # the gauge chains started by u^-14 and u^-1 meet from below
         spec = make(FiberType.PUNCTURED_LINE, "t*u^4 - u - (t + 1)*u^-2 + 2*t*u^-4")
         P = parse_laurent("(t + 1)*u^6 + (t - 2)*u^5 + (t + 1)*u^-1 + (t + 2)*u^-14")
         self.check(spec, [P])

@@ -104,11 +104,11 @@ class TestSquarefree:
                 mult = rng.randint(1, 3)
                 factors.append((root, mult))
                 lin = TPoly((-root, Fraction(1)))
-                prod = prod * lin ** mult
+                prod = math.prod([lin] * mult, start=prod)
             out = squarefree_decomposition(prod)
             rebuilt = TPoly.one()
             for q, m in out:
-                rebuilt = rebuilt * q ** m
+                rebuilt = math.prod([q] * m, start=rebuilt)
             assert rebuilt == prod.monic()
 
 
