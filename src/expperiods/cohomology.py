@@ -28,11 +28,12 @@ from .symbolic import (
     TPoly,
     bareiss,
     clear_denominators,
-    zpoly_add,
     zpoly_derivative,
     zpoly_mul,
+    zpoly_norm,
+    zpoly_pack,
     zpoly_primitive_vector,
-    zpoly_sub,
+    zpoly_unpack,
 )
 
 CONNECTION_CONVENTION = (
@@ -395,9 +396,12 @@ def cyclic_ode(A: ConnectionMatrix, start: int = 0) -> ScalarODE:
 
     The work is fraction-free over Z[t].  With ``A = B/D`` for an integer
     polynomial matrix ``B`` and one common denominator ``D``, the derivatives
-    are ``v_k = w_k / D^k`` where ``w_{k+1} = w_k B + D w_k' - k D' w_k``.  A
-    dependence ``sum_k c_k w_k = 0`` found by :func:`bareiss` is the operator
-    with coefficients ``c_k D^k``, which is then made primitive.
+    are ``v_k = w_k / D^k`` where ``w_{k+1} = w_k B + D w_k' - k D' w_k``.
+    Each ``w_{k+1}`` is formed on integers packed at ``2^K`` (as in
+    :func:`bareiss`), ``2^K`` over twice the 1-norm bound of its right side,
+    and unpacked for the next derivative.  Of ``w_0 .. w_rank`` (certain to be
+    dependent), :func:`bareiss` finds a dependence ``sum_k c_k w_k = 0``: the
+    operator with coefficients ``c_k D^k``, which is then made primitive.
     """
     r = A.rank
     if r == 0:
@@ -407,24 +411,24 @@ def cyclic_ode(A: ConnectionMatrix, start: int = 0) -> ScalarODE:
     nums, D = clear_denominators([x for row in A.entries for x in row])
     B = [nums[i * r:(i + 1) * r] for i in range(r)]
     dD = zpoly_derivative(D)
+    nD, ndD, nB = zpoly_norm(D), zpoly_norm(dD), [[zpoly_norm(b) for b in row] for row in B]
+    columns = [[[1] if j == start else [] for j in range(r)]]
+    for k in range(r):
+        w = columns[-1]
+        dw, nw = [zpoly_derivative(x) for x in w], [zpoly_norm(x) for x in w]
+        K = max(
+            nD * zpoly_norm(dw[j]) + k * ndD * nw[j] + sum(nw[i] * nB[i][j] for i in range(r))
+            for j in range(r)
+        ).bit_length() + 1
+        pD, pdD, pw = zpoly_pack(D, K), k * zpoly_pack(dD, K), [zpoly_pack(x, K) for x in w]
+        pB = [[zpoly_pack(b, K) for b in row] for row in B]
+        columns.append([
+            zpoly_unpack(pD * zpoly_pack(dw[j], K) - pdD * pw[j]
+                         + sum(pw[i] * pB[i][j] for i in range(r)), K)
+            for j in range(r)
+        ])
 
-    def derivatives():
-        w = [[1] if j == start else [] for j in range(r)]
-        k = 0
-        while True:
-            yield w
-            kdD = [k * c for c in dD]
-            nxt = []
-            for j in range(r):
-                acc = zpoly_sub(zpoly_mul(D, zpoly_derivative(w[j])), zpoly_mul(kdD, w[j]))
-                for i in range(r):
-                    if w[i] and B[i][j]:
-                        acc = zpoly_add(acc, zpoly_mul(w[i], B[i][j]))
-                nxt.append(acc)
-            w = nxt
-            k += 1
-
-    _, relation = bareiss(derivatives())
+    _, relation = bareiss(columns)
     polys, Dk = [], [1]
     for c in relation:
         polys.append(zpoly_mul(c, Dk))

@@ -151,7 +151,10 @@ def resultant_u(p: LaurentPoly, q: LaurentPoly) -> TPoly:
     is taken of Cayley's m x m Bezoutian, not of the (m+n) x (m+n) Sylvester
     matrix: ``det Bez(a, b) = (-1)^(m(m-1)/2) lc(a)^(m-n) Res(a, b)`` for
     ``n >= 1`` (Bini & Pan, *Polynomial and Matrix Computations*, 1994), and
-    the division by ``lc(a)^(m-n)`` is exact in Z[t].  For ``n = 0`` the
+    the division by ``lc(a)^(m-n)`` is exact in Z[t].  :func:`bareiss` takes
+    that determinant on integers, every entry packed once at ``2^k`` with
+    ``2^k`` over twice the product of the Bezoutian's column 1-norms, which
+    bounds every coefficient of the determinant.  For ``n = 0`` the
     resultant is ``b_0^m``, and ``m < n`` swaps the pair with the sign
     ``(-1)^(mn)``.  The result is divided by ``La^n Lb^m`` at the end.
     """

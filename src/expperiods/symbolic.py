@@ -28,7 +28,9 @@ primitive part and keeps the rational scale in its one content.
 * :func:`bareiss` — the one exact elimination: fraction-free Gaussian
   elimination that returns either a determinant (the Bezoutian resultants of
   the singular set) or the first linear dependence among its columns as
-  Cramer minors (the cyclic-vector ODE);
+  Cramer minors (the cyclic-vector ODE), on entries packed once as integers
+  at ``2^k`` over twice the columns' 1-norm product, which bounds every minor;
+  evaluation is a ring homomorphism, so its exact divisions stay exact;
 * :func:`clear_denominators` moves ``RatFun`` data onto Z[t] with one
   common denominator.
 """
@@ -543,7 +545,7 @@ def parse_tpoly(s: str) -> TPoly:
 # zpoly as a tuple, and every TPoly ring operation runs on it through these
 # helpers.  Cyclic vectors, resultants and squarefree decompositions call them
 # directly.  ``zpoly_mul`` and ``zpoly_exact_div`` take a length-1 operand ``[c]``
-# as a scaling, a copy for ``[1]`` (the divisor of most of the cyclic ODE's divisions).
+# as a scaling, a copy for ``[1]``.
 
 
 def _zp_trim(a: list) -> list:
@@ -691,19 +693,7 @@ def _heuristic_gcd(polys: Sequence[list]) -> list:
     """GCDHEU's candidate for the gcd of nonzero ``polys``, as
     :func:`zpoly_primitive_vector` describes it."""
     k = (2 * min(max(map(abs, p)) for p in polys) + 2).bit_length()
-    values = []
-    for p in polys:
-        v = 0
-        for c in reversed(p):
-            v = (v << k) + c
-        values.append(v)
-    gamma, xi, h = math.gcd(*values), 1 << k, []
-    while gamma:  # the balanced digits, each in (-xi/2, xi/2]
-        d = gamma & (xi - 1)
-        if 2 * d > xi:
-            d -= xi
-        h.append(d)
-        gamma = (gamma - d) >> k
+    h = zpoly_unpack(math.gcd(*(zpoly_pack(p, k) for p in polys)), k)
     content = math.gcd(*(c for p in polys for c in p))
     return [c * content for c in zpoly_primitive(h)]
 
@@ -740,10 +730,36 @@ def tpoly_gcd(a: TPoly, b: TPoly) -> TPoly:
     return TPoly(zpoly_gcd(a.prim, b.prim)).monic()
 
 
-def bareiss(columns: Iterable[Sequence[list]]):
+def zpoly_norm(a: list) -> int:
+    """The 1-norm: the sum of the coefficients' absolute values."""
+    return sum(map(abs, a))
+
+
+def zpoly_pack(a: list, k: int) -> int:
+    """``a(2^k)``, by Horner's rule on shifts (Kronecker substitution)."""
+    v = 0
+    for c in reversed(a):
+        v = (v << k) + c
+    return v
+
+
+def zpoly_unpack(v: int, k: int) -> list:
+    """The balanced base-``2^k`` digits of ``v``, each in ``(-2^(k-1), 2^(k-1)]``: the
+    inverse of :func:`zpoly_pack` on such coefficients (``k >= 2``)."""
+    xi, out = 1 << k, []
+    while v:
+        d = v & (xi - 1)
+        if 2 * d > xi:
+            d -= xi
+        out.append(d)
+        v = (v - d) >> k
+    return out
+
+
+def bareiss(columns: Sequence[Sequence[list]]):
     """Fraction-free (Bareiss) elimination over Z[t] of columns taken in order.
 
-    ``columns`` yields equal-length lists of zpolys and is consumed lazily:
+    ``columns`` is a finite sequence of equal-length lists of zpolys;
     elimination stops at the first column that depends on the ones before it.
     Returns ``(det, relation)``:
 
@@ -758,40 +774,44 @@ def bareiss(columns: Iterable[Sequence[list]]):
     After step ``s`` every entry is an ``(s+1)``-minor of the input
     (Sylvester's identity; Bareiss 1968), so each division by the previous
     pivot is exact in Z[t], and back-substitution multiplied through by the
-    last pivot stays in Z[t] by Cramer's rule.
+    last pivot stays in Z[t] by Cramer's rule.  All of it runs on plain
+    integers, each entry packed once as its value at ``xi = 2^k`` (Kronecker
+    substitution; von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4):
+    evaluation is a ring homomorphism, so those divisions stay exact in Z.  A
+    minor, a signed sum of products of one entry per column, has every
+    coefficient at most the product ``N`` of the columns' 1-norms; with
+    ``xi > 2N`` a minor is zero exactly when its value is, so pivots are
+    chosen among nonzero values, and the balanced base-``xi`` digits of the
+    determinant or the relation are their coefficients.
     """
+    k = math.prod(max(1, sum(map(zpoly_norm, col))) for col in columns).bit_length() + 1
     rows = []  # pivot row of each step
     cols = []  # each column as it stood when its own pivot was chosen
     for col in columns:
-        col = list(col)
+        col = [zpoly_pack(p, k) for p in col]
         rest = list(range(len(col)))
-        prev = [1]
+        prev = 1
         for p, e in zip(rows, cols):
             piv, xp = e[p], col[p]
             rest.remove(p)
             for i in rest:
-                col[i] = zpoly_exact_div(
-                    zpoly_sub(zpoly_mul(piv, col[i]), zpoly_mul(e[i], xp)), prev
-                )
+                col[i] = (piv * col[i] - e[i] * xp) // prev
             prev = piv
         live = [i for i in rest if col[i]]
         if live:
-            rows.append(min(live, key=lambda i: len(col[i])))
+            rows.append(min(live, key=lambda i: abs(col[i])))
             cols.append(col)
             continue
         # Dependent: solve the triangular system on the pivot rows, scaled by
         # the last pivot so that every unknown is a Cramer minor.
         m = len(rows)
-        y = [None] * m
+        y = [0] * m
         for s in range(m - 1, -1, -1):
             p = rows[s]
-            acc = zpoly_mul(prev, col[p])
-            for j in range(s + 1, m):
-                acc = zpoly_sub(acc, zpoly_mul(cols[j][p], y[j]))
-            y[s] = zpoly_exact_div(acc, cols[s][p])
-        return [], y + [[-c for c in prev]]
+            y[s] = (prev * col[p] - sum(cols[j][p] * y[j] for j in range(s + 1, m))) // cols[s][p]
+        return [], [zpoly_unpack(v, k) for v in y + [-prev]]
     if not rows:
         return [1], None
     inversions = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:])
     det = cols[-1][rows[-1]]
-    return (det if inversions % 2 == 0 else [-c for c in det]), None
+    return zpoly_unpack(det if inversions % 2 == 0 else -det, k), None

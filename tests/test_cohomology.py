@@ -26,10 +26,22 @@ from expperiods.cohomology import (
 from expperiods import symbolic
 from expperiods.errors import AtSingularT, DegenerateFamily, SingularProximity, SpecFormatError
 from expperiods.singular import RootBall, singular_set
-from expperiods.symbolic import LaurentPoly, RatFun, TPoly, parse_laurent
+from expperiods.symbolic import (
+    LaurentPoly,
+    RatFun,
+    TPoly,
+    clear_denominators,
+    parse_laurent,
+    zpoly_add,
+    zpoly_derivative,
+    zpoly_mul,
+    zpoly_primitive_vector,
+    zpoly_sub,
+)
 
 import ratfun
 import transport_ref
+from bareiss_ref import reference_bareiss
 from test_cycles import bench_gen_and_refs, verify_cases
 
 
@@ -464,6 +476,63 @@ class TestScalarODE:
                     for j in range(r)
                 ]
         assert all(x.is_zero() for x in total)
+
+
+def reference_cyclic_ode(A, start):
+    """The coefficients of ``cyclic_ode(A, start)`` by the lazy recurrence on zpolys:
+    ``w_{k+1} = w_k B + D w_k' - k D' w_k``, one column at a time, until
+    ``reference_bareiss`` meets the first dependent one."""
+    r = A.rank
+    nums, D = clear_denominators([x for row in A.entries for x in row])
+    B = [nums[i * r:(i + 1) * r] for i in range(r)]
+    dD = zpoly_derivative(D)
+
+    def derivatives():
+        w = [[1] if j == start else [] for j in range(r)]
+        k = 0
+        while True:
+            yield w
+            kdD = [k * c for c in dD]
+            nxt = []
+            for j in range(r):
+                acc = zpoly_sub(zpoly_mul(D, zpoly_derivative(w[j])), zpoly_mul(kdD, w[j]))
+                for i in range(r):
+                    acc = zpoly_add(acc, zpoly_mul(w[i], B[i][j]))
+                nxt.append(acc)
+            w = nxt
+            k += 1
+
+    _, relation = reference_bareiss(derivatives())
+    polys, Dk = [], [1]
+    for c in relation:
+        polys.append(zpoly_mul(c, Dk))
+        Dk = zpoly_mul(Dk, D)
+    return tuple(TPoly(p) for p in zpoly_primitive_vector(polys))
+
+
+def reference_ode_families():
+    """(label, fiber, g) of the exact_ladder families, the deg-9 rung, a rank-5 family,
+    and u^4/4 - t*u^2, whose order falls below its rank 3 at start 1."""
+    gen, _refs = bench_gen_and_refs()
+    return list(gen.LADDER) + gen.pool(gen.EXACT_POOL) + [
+        ("ladder_deg9", "affine_line", "u^9+t*u^4-(t^2+1)*u"),
+        ("rank5", "punctured_line", "(1+t-2*t^2)*u^3+(2-t)*u^2+t*u+(1+t)*u^-2"),
+        ("even_quartic", "affine_line", "u^4/4 - t*u^2"),
+    ]
+
+
+@pytest.mark.parametrize("family", reference_ode_families(), ids=lambda f: f[0])
+def test_cyclic_ode_matches_the_lazy_reference(family):
+    label, fiber, g = family
+    spec = make(FiberType(fiber), g, label)
+    A = connection_matrix(spec, fiber_basis(spec))
+    orders = []
+    for start in range(A.rank):
+        ode = cyclic_ode(A, start)
+        assert ode.coefficients == reference_cyclic_ode(A, start)
+        orders.append(ode.order)
+    if label == "even_quartic":
+        assert orders == [2, 1, 2]
 
 
 def rank_one(entry: RatFun) -> ConnectionMatrix:

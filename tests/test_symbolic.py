@@ -26,9 +26,12 @@ from expperiods.symbolic import (
     zpoly_exact_div,
     zpoly_gcd,
     zpoly_mul,
+    zpoly_pack,
     zpoly_primitive_vector,
+    zpoly_unpack,
 )
 import ratfun
+from bareiss_ref import reference_bareiss
 from test_cycles import bench_gen_and_refs
 
 # Derandomized so that the suite stays deterministic from run to run.
@@ -633,6 +636,58 @@ class TestLinearAlgebra:
         monkeypatch.setattr(symbolic, "_prs_gcd", lambda ps: calls.append(ps) or prs(ps))
         assert zpoly_primitive_vector(polys) == prs_primitive_vector(polys) == [[-2, 2], [2, 0, 1]]
         assert calls == [polys]
+
+    @PROPERTY
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda r: st.lists(
+                st.lists(zpolys(3, 2 ** 64), min_size=r, max_size=r), min_size=1, max_size=r + 1
+            )
+        )
+    )
+    def test_bareiss_matches_reference_on_wide_coefficients(self, columns):
+        det, relation = bareiss(columns)
+        want_det, want_relation = reference_bareiss(columns)
+        assert (relation is None) == (want_relation is None)
+        if relation is None:
+            if len(columns) == len(columns[0]):  # square: the determinant
+                assert det == want_det
+            return
+        assert det == want_det == []
+        # the same relation up to a factor in Q(t): normalized by the last entry
+        assert len(relation) == len(want_relation)
+        for c, want in zip(relation, want_relation):
+            assert zpoly_mul(c, want_relation[-1]) == zpoly_mul(want, relation[-1])
+
+    # each case's largest output coefficient is over half of 2^k for the largest k with 2^k
+    # at most the product of the column norms, so a packing one bit narrower misreads it
+    @pytest.mark.parametrize(
+        "columns,out",
+        [
+            # triangular, positive constants: det 2^20 (2^64 + 1), norms 1026, 1025, 2^64 + 1
+            (
+                [[[1024], [1], [1]], [[], [1024], [1]], [[], [], [2 ** 64 + 1]]],
+                ([2 ** 20 * (2 ** 64 + 1)], None),
+            ),
+            ([[[3]]], ([3], None)),
+            ([[[-3]]], ([-3], None)),
+            ([[[2 ** 64 + 1]]], ([2 ** 64 + 1], None)),
+            # a 1x1 column after a unit one: the relation is [c, -1]
+            ([[[1]], [[3]]], ([], [[3], [-1]])),
+            ([[[1]], [[-(2 ** 64) - 1]]], ([], [[-(2 ** 64) - 1], [-1]])),
+        ],
+    )
+    def test_bareiss_at_the_packing_bound(self, columns, out):
+        bound = math.prod(sum(abs(c) for p in col for c in p) for col in columns)
+        top = max(abs(c) for p in [out[0], *(out[1] or [])] for c in p)
+        assert 2 * top > 1 << bound.bit_length()
+        assert bareiss(columns) == reference_bareiss(columns) == out
+
+    @PROPERTY
+    @given(zpolys(8, 2 ** 70), st.integers(0, 8))
+    def test_pack_round_trip(self, a, extra):
+        k = max(map(abs, a), default=0).bit_length() + 1 + extra
+        assert zpoly_unpack(zpoly_pack(a, k), k) == a
 
     def test_bareiss_singular_matrix_has_dependence(self):
         det, c = bareiss([[[1], [1]], [[1], [1]], [[1], []]])
