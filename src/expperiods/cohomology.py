@@ -180,7 +180,6 @@ class ConnectionMatrix:
 
     basis: CohomologyBasis
     entries: tuple  # tuple of tuples of RatFun, rank x rank
-    convention = CONNECTION_CONVENTION  # a class constant, not a field
 
     @property
     def rank(self) -> int:

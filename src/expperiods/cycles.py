@@ -15,11 +15,11 @@ zero-to-infinity path.  One function, ``_cycle``, builds the polyline from
 these and the unwrapped valley centres of a ``ValleyConfig``.  Continuation
 moves the centres with the rotation of the leading coefficients, taken in
 closed form by the argument principle: the change of arg lc along a path is
-the sum, over the roots of lc, of the angle that each leg subtends there.  So
-the ends deform continuously, including their winding, rather than jumping
-between branch choices, and no step is taken; the cycles are then rebuilt at
-the new parameter value.  A closed loop turns arg lc by whole turns, so a
-loop that encloses no root of lc gives back the very same cycles.
+the sum, over the certified roots of lc (``singular.root_isolate``), of the
+angle that each leg subtends there.  So the ends deform continuously, with
+their winding, rather than jumping between branch choices, and no step is
+taken; the cycles are then rebuilt at the new parameter value.  A closed loop
+turns arg lc by whole turns, so one enclosing no root of lc gives them back.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .cohomology import FiberType, ProblemSpec, fiber_basis
 from .errors import AtSingularT, NonDecayingTail, RankZero
-from .singular import segment_distances, squarefree_decomposition
+from .singular import root_isolate, segment_distances
 from .symbolic import TPoly
 
 TWO_PI = 2.0 * math.pi
@@ -134,8 +134,8 @@ def _leading_coefficients(spec: ProblemSpec, gmap: dict, t: complex):
     for end, lc in lcs.items():
         if abs(lc) <= 1e-13 * (1.0 + big):
             raise AtSingularT(
-                f"{end} leading coefficient too small against the others at t={t}: "
-                f"|lc(t)| = {abs(lc):.3g}, largest coefficient {big:.3g}"
+                f"{end} leading coefficient negligible at t={t}: |lc(t)| = {abs(lc):.3g} <= "
+                f"1e-13 * (1 + largest coefficient {big:.3g}) = {1e-13 * (1.0 + big):.3g}"
             )
     return lcs["top"], lcs.get("bottom")
 
@@ -318,14 +318,8 @@ def cycle_basis(spec: ProblemSpec, t: complex) -> CycleBasis:
 
 @functools.lru_cache(maxsize=64)
 def _roots(lc: TPoly) -> np.ndarray:
-    """The roots of lc, each repeated by its multiplicity: numpy's roots of each
-    exact squarefree factor, so that a multiple root is not split into a cluster."""
-    roots = np.array([
-        z
-        for q, mult in squarefree_decomposition(lc)
-        for z in np.roots([float(c) for c in reversed(q.coeffs)])
-        for _ in range(mult)
-    ], complex)
+    """The roots of lc, each repeated by its multiplicity: its certified ball centres."""
+    roots = np.array([b.center for b in root_isolate(lc) for _ in range(b.multiplicity)], complex)
     roots.setflags(write=False)  # the cache hands this one array to every caller
     return roots
 
@@ -353,11 +347,12 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path) -> CycleBasis:
     """Continue a cycle basis along a polyline path in the t-plane.
 
     The valley centres at infinity and at zero turn with -arg(lc_inf)/d and
-    +arg(lc_zero)/e respectively.  The change of each argument along the path
-    is taken in closed form by the argument principle (:func:`_arg_change`),
-    so windings accumulate exactly and no step is taken; g's coefficients are
-    evaluated once, at the end of the path, where the cycles are rebuilt from
-    their ends and windings on the moved centres.
+    +arg(lc_zero)/e.  Each argument's change along the path is taken in closed
+    form by the argument principle over lc's certified roots, the ball centres
+    of ``singular.root_isolate`` (:func:`_arg_change`), so windings accumulate
+    exactly and no step is taken; g's coefficients are evaluated once, at the
+    end of the path, where the cycles are rebuilt from their ends and windings
+    on the moved centres.
 
     No singular set is needed: the valleys, and so the cycles, degenerate only
     at a zero of a leading coefficient, and :func:`_arg_change` refuses every
@@ -367,6 +362,7 @@ def track_cycles(spec: ProblemSpec, basis: CycleBasis, path) -> CycleBasis:
 
     Raises:
         AtSingularT: if the path runs through a zero of a leading coefficient.
+        PrecisionExhausted: if a leading coefficient's roots cannot be certified.
     """
     path = [complex(p) for p in path]
     if not path:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .cohomology import ConnectionMatrix, FiberType, ProblemSpec, fiber_basis, transport
 from .cycles import CycleBasis, cycle_basis, track_cycles
-from .errors import SingularProximity
+from .errors import AtSingularT, SingularProximity
 from .quadrature import period_matrices, period_matrix, period_rows
 from .singular import SingularSet, singular_set
 from .symbolic import LaurentPoly, TPoly
@@ -312,6 +312,7 @@ def monodromy(
     relative Frobenius norm.
 
     Raises:
+        AtSingularT: if the basepoint is the centre, so the loop has zero radius.
         SingularProximity: if the loop runs too close to a hard singular ball
             for the transport step rule.
     """
@@ -327,6 +328,8 @@ def monodromy(
         ]
         basepoint = center + min(gaps, default=2.0) / 2.0
     basepoint = complex(basepoint)
+    if abs(basepoint - center) <= 1e-9 * (1.0 + abs(center)):
+        raise AtSingularT(f"the monodromy loop about {center} has zero radius")
     if basis.rank == 0:
         rec = _vacuous("monodromy_match", "rank zero: monodromy is the empty matrix")
         return MonodromyResult(

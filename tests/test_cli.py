@@ -244,6 +244,14 @@ class TestCycles:
         assert code == 2
         assert "singular ball" in err
 
+    def test_negligible_lc_states_the_failed_bound(self, capsys):
+        # at t = 1e-14 Bessel's lc = t/2 is itself the largest coefficient, so the
+        # refusal states the bound it failed, not a comparison with the others
+        code, _out, err = run(capsys, "cycles", BESSEL, "--t", "1e-14")
+        assert code == 2
+        assert "|lc(t)| = 5e-15 <= 1e-13 * (1 + largest coefficient 5e-15) = 1e-13" in err
+        assert "against the others" not in err
+
 
 class TestPeriods:
     def test_gaussian_value(self, capsys):
@@ -399,6 +407,14 @@ class TestMonodromy:
         )
         assert code == 2
         assert "monodromy loop about" in err
+
+    @pytest.mark.parametrize("problem, point", [(AIRY, "1"), (GAUSSIAN, "2")])
+    def test_zero_radius_loop_exit_two(self, capsys, problem, point):
+        # a loop of 25 copies of one point is no loop: refused, not a match
+        code, out, err = run(capsys, "monodromy", problem, "--center", point, "--basepoint", point)
+        assert code == 2 and out == ""
+        assert "precondition violated: the monodromy loop about" in err
+        assert "zero radius" in err
 
     def test_tol_is_not_an_option(self, capsys):
         assert_unknown_tol_exits_two(capsys, "monodromy", GAUSSIAN, "--center", "0")

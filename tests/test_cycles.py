@@ -12,13 +12,14 @@ import pytest
 from expperiods.cli import main, parse_complex_arg
 from expperiods.cohomology import FiberType, ProblemSpec, fiber_basis
 from expperiods.cycles import (
+    _roots,
     cycle_basis,
     track_cycles,
     valley_config,
 )
 from expperiods.errors import AtSingularT, RankZero
-from expperiods.singular import singular_set
-from expperiods.symbolic import parse_laurent
+from expperiods.singular import root_isolate, singular_set
+from expperiods.symbolic import parse_laurent, parse_tpoly
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,6 +65,20 @@ def verify_cases():
         (label, make(FIBERS[fiber], g, label), complex(*refs["verify"][label]["t"]))
         for label, fiber, g in list(gen.FIXTURES) + gen.pool(gen.VERIFY_POOL)
     ]
+
+
+def leading_coefficient_cases():
+    """(label, lc) for each leading coefficient of the fixtures, the ladder and both
+    bench pools, and a planted double root."""
+    gen, _refs = bench_gen_and_refs()
+    families = list(gen.FIXTURES + gen.LADDER) + gen.pool(gen.EXACT_POOL) + gen.pool(gen.VERIFY_POOL)
+    cases = [("planted_double_root", parse_tpoly("t^2*(t-1)"))]
+    for label, fiber, g in families:
+        spec = make(FIBERS[fiber], g, label)
+        cases.append((f"{label}:top", spec.g.coeff(spec.top_degree)))
+        if spec.fiber is FiberType.PUNCTURED_LINE:
+            cases.append((f"{label}:bottom", spec.g.coeff(spec.bottom_order)))
+    return cases
 
 
 def eval_g(spec, t, u):
@@ -287,6 +302,33 @@ class TestTracking:
         moved = track_cycles(spec, basis, loop)
         for a0, a1 in zip(basis.config.at_infinity, moved.config.at_infinity, strict=True):
             assert abs((a1 - a0) - (-2.0 * TWO_PI / 3)) <= 1e-14
+
+    @pytest.mark.parametrize("k", range(10, 20))
+    def test_loop_about_one_root_of_wilkinson_lc(self, k):
+        # lc = (t-1)(t-2)...(t-20): the float roots of its coefficients rounded to
+        # doubles land more than the loop's radius 0.04 from t = 12..16, so those
+        # loops would read no turn; each certified ball centre lies inside its
+        # loop, and the d = 3 valleys turn by -2*pi/3 (the 24-gon and basepoint
+        # k + 0.04 as monodromy builds them)
+        lc = "*".join(f"(t-{j})" for j in range(1, 21))
+        spec = make(FiberType.AFFINE_LINE, f"({lc})*u^3 - u")
+        basis = cycle_basis(spec, k + 0.04)
+        loop = [k + 0.04 * cmath.exp(2j * math.pi * j / 24) for j in range(24)]
+        moved = track_cycles(spec, basis, loop + [k + 0.04])
+        for a0, a1 in zip(basis.config.at_infinity, moved.config.at_infinity, strict=True):
+            assert abs((a1 - a0) - (-TWO_PI / 3)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "label, lc", [pytest.param(*c, id=c[0]) for c in leading_coefficient_cases()]
+    )
+    def test_roots_are_the_certified_ball_centres(self, label, lc):
+        # the continuation reads the roots of lc where the singular set has them
+        balls = root_isolate(lc)
+        want = [b.center for b in balls for _ in range(b.multiplicity)]
+        assert _roots(lc).tolist() == want
+        assert len(want) == lc.degree
+        if label == "planted_double_root":
+            assert sorted(want, key=abs) == [0, 0, 1]
 
     def test_path_near_root_needs_no_extra_vertex(self):
         # a leg passing 1e-10 above Gaussian's root t = 0 (no singular set given)

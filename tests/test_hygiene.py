@@ -6,9 +6,10 @@ scipy: neither the import, nor the verify battery, nor the ``monodromy``
 command.  mpmath loads only when root isolation escalates past double
 precision (or on ``periods --dps``).  Every module-level
 function and class has a caller in the package (a re-export counts) or in
-``demos/``, and every public method and property of a package class is read
-by name outside its class (in the package, ``demos/`` or ``bench/``): code
-that only tests need does not belong in ``src/``.  Every
+``demos/``, and every public method, property and class-level constant of a
+package class (not an enum member or a dataclass field) is read by name
+outside its class (in the package, ``demos/`` or ``bench/``): code that only
+tests need does not belong in ``src/``.  Every
 function the traced benchmark reads a metric from still exists, so no metric
 of a traced run reads ``null``.  Every exception type is raised somewhere in
 the package, or is the base of one that is.
@@ -102,9 +103,10 @@ def attributes_read(tree: ast.AST, skip: ast.AST = None) -> set:
 def uncalled_definitions(paths, callers, readers=()) -> list:
     """(file, name) of each top-level def or class in ``paths`` that is not
     referenced in its own file outside its definition, nor in ``callers``; and
-    (file, "Class.member") of each public method or property of a class in
-    ``paths`` whose attribute name is not read in its own file outside that
-    class, nor in ``callers`` or ``readers``."""
+    (file, "Class.member") of each public method, property or class-level
+    constant (a plain assignment, so neither a dataclass field nor, in an enum,
+    a member) of a class in ``paths`` whose attribute name is not read in its
+    own file outside that class, nor in ``callers`` or ``readers``."""
     trees = {p: ast.parse(p.read_text()) for p in {*paths, *callers, *readers}}
     refs = {q: referenced_names(trees[q]) for q in callers}
     reads = {q: attributes_read(trees[q]) for q in {*callers, *readers}}
@@ -120,13 +122,14 @@ def uncalled_definitions(paths, callers, readers=()) -> list:
             if not isinstance(node, ast.ClassDef):
                 continue
             read = read_elsewhere | attributes_read(trees[p], skip=node)
+            enum = any(ast.unparse(b).endswith("Enum") for b in node.bases)
             for member in node.body:
-                if (
-                    isinstance(member, ast.FunctionDef)
-                    and not member.name.startswith("_")
-                    and member.name not in read
-                ):
-                    out.append((p.name, f"{node.name}.{member.name}"))
+                names = [member.name] if isinstance(member, ast.FunctionDef) else []
+                if isinstance(member, ast.Assign) and not enum:
+                    names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+                for name in names:
+                    if not name.startswith("_") and name not in read:
+                        out.append((p.name, f"{node.name}.{name}"))
     return out
 
 
@@ -238,14 +241,23 @@ def test_caller_detector(tmp_path):
         "    def width(self): return 3\n"
         "    def timed(self): return 4\n"
         "    def dead(self): return self.dead\n"
+        "    LIMIT = 3\n"
+        "    alias = LIMIT\n"
+        "    _hidden = 4\n"
+        "class Kind(enum.Enum):\n"
+        "    RED = 1\n"
+        "@dataclass\n"
+        "class Rec:\n"
+        "    size: int = 0\n"
     )
-    app.write_text("from lib import Box, used\nBox.dead = None\n")
-    bench.write_text("import lib\nlib.Box().timed()\n")
+    app.write_text("from lib import Box, Kind, Rec, used\nBox.dead = None\n")
+    bench.write_text("import lib\nlib.Box().timed()\nlib.Box.LIMIT\n")
     assert uncalled_definitions([lib], [lib, app], [bench]) == [
         ("lib.py", "recursive"),
         ("lib.py", "Orphan"),
         ("lib.py", "Box.inner"),
         ("lib.py", "Box.dead"),
+        ("lib.py", "Box.alias"),
     ]
 
 

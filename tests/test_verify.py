@@ -348,6 +348,16 @@ class TestMonodromy:
         m = np.array(result.m_cycle)
         assert np.linalg.norm(m - np.eye(2)) < 1e-8
 
+    @pytest.mark.parametrize("spec, center", [(AIRY, 1.0), (GAUSSIAN, 2.0)])
+    def test_zero_radius_loop_refused(self, spec, center):
+        # both sides of a loop of 25 copies of one point are the identity, a match
+        # that certifies nothing; the centre's own-ball tolerance 1e-9 relative
+        # tells the basepoint from the centre
+        for basepoint in (center, center + 0.5e-9 * (1.0 + center)):
+            with pytest.raises(AtSingularT, match="zero radius"):
+                monodromy(spec, center, basepoint=basepoint)
+        assert monodromy(spec, center, basepoint=center + 0.5).record.passed
+
     def test_loop_through_pole_rejected(self):
         with pytest.raises(SingularProximity, match="monodromy loop about"):
             monodromy(GAUSSIAN, 0.5, basepoint=1.0)  # circle passes through 0
