@@ -62,7 +62,6 @@ from .symbolic import (
     RatFun,
     TPoly,
     parse_laurent,
-    parse_tpoly,
 )
 from .verify import (
     STOKES_SEED,

@@ -200,23 +200,16 @@ def _bezoutian(a: list, b: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _scaled(zq: list, x, y):
-    """``a, b, e`` with ``x + iy = (a + bi) / 2^e`` (any exact binary x, y), and the
-    coefficients of ``Q(s) = D^n zq(s / D)``, ``D = 2^e``, highest degree first."""
+def _taylor_shift(zq: list, x, y, count: int):
+    """The first ``count`` Taylor coefficients at ``a + bi`` of ``Q(s) = D^n zq(s / D)``,
+    ``D = 2^e``, ``x + iy = (a + bi) / D`` (any exact binary x, y), as Gaussian-integer
+    ``(re, im)`` pairs, and ``e``.  So zq's own coefficients there are ``q_k D^(k - n)``.
+    """
     (a, da), (b, db) = x.as_integer_ratio(), y.as_integer_ratio()
     den = max(da, db)  # both are powers of two
-    e, n = den.bit_length() - 1, len(zq) - 1
-    return a * (den // da), b * (den // db), e, [c << (e * (n - j)) for j, c in enumerate(zq)][::-1]
-
-
-def _taylor_shift(zq: list, x, y, count: int):
-    """The first ``count`` Taylor coefficients at ``a + bi`` of ``Q`` (see :func:`_scaled`),
-    as Gaussian-integer ``(re, im)`` pairs, and ``e``.  So zq's own coefficients there are
-    ``q_k D^(k - n)``.
-    """
-    a, b, e, re = _scaled(zq, x, y)
-    im = [0] * len(re)
-    out = []
+    a, b, e, n = a * (den // da), b * (den // db), den.bit_length() - 1, len(zq) - 1
+    re = [c << (e * (n - j)) for j, c in enumerate(zq)][::-1]  # Q, highest degree first
+    im, out = [0] * len(re), []
     while len(out) < count:  # repeated synthetic division by s - (a + bi)
         for i in range(1, len(re)):
             r, m = re[i - 1], im[i - 1]
@@ -240,19 +233,14 @@ def _sqrt_up(num: int, den: int) -> float:
 def _newton_double(zq: list):
     """First rung: ``np.roots`` of the monic double coefficients ``zq[k] / zq[-1]``, each
     refined by at most ``_NEWTON_STEPS`` double-precision Newton steps ``q0 / (D q1)``
-    taken from the exact ``Q`` and ``Q'`` of :func:`_scaled` (one fused Horner pass, the
-    values of :func:`_taylor_shift`'s first two coefficients), as float ``(x, y)`` pairs;
-    None if a coefficient overflows a double, a step meets a non-finite center or
-    np.roots fails."""
+    on the exact first two Taylor coefficients of :func:`_taylor_shift` (the ones the
+    alpha test reads), as float ``(x, y)`` pairs; None if a coefficient overflows a
+    double, a step meets a non-finite center or np.roots fails."""
     try:
         zs = np.roots([c / zq[-1] for c in reversed(zq)]).tolist()  # correctly rounded
         for i, z in enumerate(zs):
             for _ in range(_NEWTON_STEPS):
-                a, b, e, coeffs = _scaled(zq, z.real, z.imag)
-                r0, i0, r1, i1 = coeffs[0], 0, 0, 0
-                for c in coeffs[1:]:
-                    r1, i1 = r1 * a - i1 * b + r0, r1 * b + i1 * a + i0
-                    r0, i0 = r0 * a - i0 * b + c, r0 * b + i0 * a
+                ((r0, i0), (r1, i1)), e = _taylor_shift(zq, z.real, z.imag, 2)
                 den = _norm((r1, i1)) << e
                 step = complex((r0 * r1 + i0 * i1) / den, (i0 * r1 - r0 * i1) / den) if den else 0
                 if z - step == z:

@@ -263,9 +263,6 @@ class RatFun:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
 
@@ -526,14 +523,6 @@ def parse_laurent(s: str) -> LaurentPoly:
         raise SpecFormatError(f"invalid expression: {getattr(exc, 'msg', exc)}") from None
     except (RecursionError, MemoryError):
         raise SpecFormatError("expression too deeply nested or too large") from None
-
-
-def parse_tpoly(s: str) -> TPoly:
-    """Parse a u-free expression into a polynomial in ``t``."""
-    p = parse_laurent(s)
-    if set(p.terms) - {0}:
-        raise SpecFormatError("expected a u-free expression")
-    return p.coeff(0)
 
 
 # ---------------------------------------------------------------------------

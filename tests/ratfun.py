@@ -55,7 +55,7 @@ def mul(a, b) -> RatFun:
 
 def div(a, b) -> RatFun:
     a, b = as_ratfun(a), as_ratfun(b)
-    if b.is_zero():
+    if b.num.is_zero():
         raise ZeroDivisionError("division by the zero rational function")
     return RatFun(a.num * b.den, a.den * b.num)
 

@@ -264,7 +264,7 @@ def test_10_exactness_kernel():
         for _ in range(100):
             q = random_gauge(spec, rng)
             coords = reduce_form(twisted_differential(q, spec), spec, basis)
-            ok = ok and all(c.is_zero() for c in coords)
+            ok = ok and all(c.num.is_zero() for c in coords)
             checked += 1
     conclude(10, ok,
              "reduce_form annihilates every twisted differential, exactly",

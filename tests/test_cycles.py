@@ -19,9 +19,14 @@ from expperiods.cycles import (
 )
 from expperiods.errors import AtSingularT, RankZero
 from expperiods.singular import root_isolate, singular_set
-from expperiods.symbolic import parse_laurent, parse_tpoly
+from expperiods.symbolic import parse_laurent
 
 TWO_PI = 2.0 * math.pi
+
+
+def parse_tpoly(s):
+    """A u-free expression as a polynomial in ``t``."""
+    return parse_laurent(s).coeff(0)
 
 
 def make(fiber, g, label=""):

@@ -309,11 +309,11 @@ def test_import_and_singular_set_do_not_load_mpmath():
 def test_escalation_rung_loads_mpmath_on_demand():
     code = (
         "import sys\n"
-        "from expperiods import TPoly, parse_tpoly, root_isolate\n"
+        "from expperiods import TPoly, parse_laurent, root_isolate\n"
         "from fractions import Fraction\n"
         "tiny = TPoly([-Fraction(1, 10**30)] + [0] * 9 + [1])\n"
         "assert len(root_isolate(tiny)) == 10\n"
-        "(ball,) = root_isolate(parse_tpoly('(t - 1)*(t - 1 - 1/10^20)'))\n"
+        "(ball,) = root_isolate(parse_laurent('(t - 1)*(t - 1 - 1/10^20)').coeff(0))\n"
         "assert ball.multiplicity == 2\n"
         "sys.exit(0 if 'mpmath' in sys.modules else 10)\n"
     )

@@ -30,12 +30,11 @@ from expperiods.symbolic import (
     LaurentPoly,
     TPoly,
     parse_laurent,
-    parse_tpoly,
     zpoly_exact_div,
     zpoly_gcd,
 )
 from bareiss_ref import reference_bareiss
-from test_cycles import FIBERS, bench_gen_and_refs
+from test_cycles import FIBERS, bench_gen_and_refs, parse_tpoly
 
 
 def make(fiber, g, label=""):
@@ -438,6 +437,43 @@ def bench_factors():
         for label, fiber, g in bench_families():
             singular_set(make(FIBERS[fiber], g, label))
     return factors
+
+
+def taylor_coefficient(zq, x, y, k):
+    """``sum_j C(j, k) zq_j z^(j - k)`` at ``z = x + iy``, as a Gaussian-rational pair."""
+    re, im, pr, pi = Fraction(0), Fraction(0), Fraction(1), Fraction(0)  # (pr, pi) = z^(j - k)
+    for j in range(k, len(zq)):
+        c = math.comb(j, k) * zq[j]
+        re, im = re + c * pr, im + c * pi
+        pr, pi = pr * x - pi * y, pr * y + pi * x
+    return re, im
+
+
+BINARY = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.builds(lambda m, k: Fraction(m, 2**k), st.integers(-(10**12), 10**12), st.integers(0, 80)),
+)
+
+
+class TestTaylorShift:
+    @PROPERTY
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=13).filter(lambda c: c[-1]),
+        BINARY,
+        BINARY,
+        st.data(),
+    )
+    def test_matches_the_binomial_taylor_coefficients(self, zq, x, y, data):
+        # an oracle independent of synthetic division: the binomial sum, in Fractions
+        n = len(zq) - 1
+        count = data.draw(st.integers(1, n + 1))
+        q, e = singular._taylor_shift(zq, x, y, count)
+        fx, fy = Fraction(x), Fraction(y)
+        assert 2**e == math.lcm(fx.denominator, fy.denominator)
+        assert len(q) == count
+        for k, (re, im) in enumerate(q):
+            scale = Fraction(2) ** (e * (k - n))
+            assert (re * scale, im * scale) == taylor_coefficient(zq, fx, fy, k)
 
 
 class TestIntegerCertifier:

@@ -20,7 +20,6 @@ from expperiods.symbolic import (
     bareiss,
     clear_denominators,
     parse_laurent,
-    parse_tpoly,
     tpoly_gcd,
     zpoly_add,
     zpoly_exact_div,
@@ -32,7 +31,7 @@ from expperiods.symbolic import (
 )
 import ratfun
 from bareiss_ref import reference_bareiss
-from test_cycles import bench_gen_and_refs
+from test_cycles import bench_gen_and_refs, parse_tpoly
 
 # Derandomized so that the suite stays deterministic from run to run.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
